@@ -15,8 +15,9 @@ sweep CSV       columns: g,objective,fit,relative_drop,cumulative_drop,time_s
                 (fractions, not percentages; relative_drop empty at g=1).
 
 Exit codes: 0 success, 2 parse/validation error, 3 size guard, 4 infeasible
-generation.  Every randomized command takes --seed and defaults to a fixed
-constant; nothing is ever wall-clock seeded.
+generation, 5 numerical failure (LP iteration cap hit or unbounded column).
+Every randomized command takes --seed and defaults to a fixed constant;
+nothing is ever wall-clock seeded.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .core import (
     LinearOrder,
     MixtureSolution,
     PreferenceMatrix,
+    _n_from_pairs,
     canonicalize,
     fit_from_objective,
     l1_objective,
@@ -46,11 +48,12 @@ from .core import (
 from .exact import ExactConfig, SizeGuardExceeded, solve_exact
 from .geometry import (
     MEMBERSHIP_GUARD_N,
+    MEMBERSHIP_TOL,
     SATURATION_GUARD_N,
     caratheodory_saturation,
     cycle_residuals,
     l1_projection_full,
-    polytope_membership,
+    violates_cycle,
 )
 from .heuristic import HeuristicConfig, solve_heuristic
 from .instances import (
@@ -58,7 +61,6 @@ from .instances import (
     RankingFormatError,
     SeparationInfeasible,
     allocate_counts,
-    count_matrix,
     generate_instance,
     ingest_rankings,
 )
@@ -67,6 +69,7 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_GUARD = 3
 EXIT_INFEASIBLE = 4
+EXIT_NUMERICAL = 5
 
 DEFAULT_SEED = 0
 
@@ -139,7 +142,11 @@ def load_instance(path: str) -> PreferenceMatrix:
         raise InvalidInput(f"{path}: not valid JSON ({e})") from None
     if not isinstance(data, dict) or "n" not in data:
         raise InvalidInput(f"{path}: instance JSON must carry an 'n' field")
-    n = int(data["n"])
+    n = data["n"]
+    if isinstance(n, float) and n.is_integer():
+        n = int(n)
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise InvalidInput(f"{path}: field 'n' must be an integer, got {n!r}")
     if "c_upper" in data:
         return PreferenceMatrix(n, np.asarray(data["c_upper"], dtype=np.float64))
     if "c" in data:
@@ -290,6 +297,8 @@ def _pad_with_idle_group(sol: MixtureSolution) -> MixtureSolution:
 
 
 def cmd_sweep(args) -> int:
+    if args.g_max < 1:
+        raise InvalidInput(f"--g-max must be >= 1, got {args.g_max}")
     C = load_instance(args.instance)
     rows: list[SweepRow] = []
     prev_sol: MixtureSolution | None = None
@@ -358,28 +367,22 @@ def _parse_point(arg: str) -> np.ndarray:
 def cmd_verify(args) -> int:
     if args.point is not None:
         point = _parse_point(args.point)
-        m = point.shape[0]
-        n = int((1 + (1 + 8 * m) ** 0.5) // 2)
-        if num_pairs(n) != m:
-            raise InvalidInput(f"point length {m} is not C(n,2) for any n")
-        label = "point"
+        n, label = _n_from_pairs(point.shape[0]), "point"
     else:
         if args.instance is None:
             raise InvalidInput("verify needs an instance file or --point")
         C = load_instance(args.instance)
         point, n, label = C.upper, C.n, _instance_id(args.instance)
 
-    residuals = cycle_residuals(point, n)
-    violations = [
+    residuals = [
         {"triple": [r + 1, s + 1, t + 1], "residual": res}
-        for (r, s, t), res in residuals
-        if res < -1e-12 or res > 1.0 + 1e-12
+        for (r, s, t), res in cycle_residuals(point, n)
     ]
     inside = None
     distance = None
     if n <= MEMBERSHIP_GUARD_N:
         _, distance = l1_projection_full(point, n)
-        inside = bool(distance <= 1e-9)
+        inside = bool(distance <= MEMBERSHIP_TOL)
     g_star = None
     in_unit_box = bool(point.min() >= 0.0 and point.max() <= 1.0)
     if n <= SATURATION_GUARD_N and not args.no_saturation and in_unit_box:
@@ -389,11 +392,8 @@ def cmd_verify(args) -> int:
         "instance": label,
         "n": n,
         "point": [float(v) for v in point],
-        "residuals": [
-            {"triple": [r + 1, s + 1, t + 1], "residual": res}
-            for (r, s, t), res in residuals
-        ],
-        "violations": violations,
+        "residuals": residuals,
+        "violations": [row for row in residuals if violates_cycle(row["residual"])],
         "inside": inside,
         "projection_distance": None if distance is None else float(distance),
         "g_star": g_star,
@@ -558,6 +558,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
+    except ArithmeticError as e:
+        print(f"error: numerical failure ({e})", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (KeyError, TypeError, ValueError) as e:
         print(f"error: malformed input ({e})", file=sys.stderr)
         return EXIT_INVALID

@@ -12,6 +12,7 @@ after construction and all operations are pure.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -47,6 +48,21 @@ def pair_rows_cols(n: int) -> tuple[np.ndarray, np.ndarray]:
     rows.flags.writeable = False
     cols.flags.writeable = False
     return rows, cols
+
+
+@lru_cache(maxsize=None)
+def triple_pair_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat pair indices (rs, rt, st) of every triple r < s < t, triples in
+    lexicographic order; x[rs] - x[rt] + x[st] is the 3-cycle residual."""
+    rows, cols = pair_rows_cols(n)
+    flat = np.zeros((n, n), dtype=np.int64)
+    flat[rows, cols] = np.arange(rows.size)
+    triples = np.array(list(itertools.combinations(range(n), 3)), dtype=np.int64)
+    r, s, t = triples.reshape(-1, 3).T
+    out = (flat[r, s], flat[r, t], flat[s, t])
+    for idx in out:
+        idx.flags.writeable = False
+    return out
 
 
 def pair_index(n: int, r: int, s: int) -> int:

@@ -41,7 +41,6 @@ class ExactConfig:
     g: int = 1
     max_n: int = 6
     max_g: int = 3
-    early_exit_at_zero: bool = True
 
     def __post_init__(self):
         if self.g < 1:
@@ -109,7 +108,7 @@ def solve_exact(
             w, obj = _fit_simplex_l1(cols, c)
         if obj < best_obj - _IMPROVE_TOL:
             best_obj, best_combo, best_w = obj, combo, w
-            if cfg.early_exit_at_zero and best_obj <= _ZERO_TOL:
+            if best_obj <= _ZERO_TOL:
                 break
 
     assert best_combo is not None and best_w is not None

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import InvalidInput, LinearOrder, PreferenceMatrix, num_pairs, pair_index
+from .core import InvalidInput, LinearOrder, PreferenceMatrix, num_pairs, triple_pair_indices
 from .exact import ExactConfig, SizeGuardExceeded, solve_exact
 from .simplex_fit import _fit_simplex_l1
 
@@ -25,6 +25,7 @@ MEMBERSHIP_GUARD_N = 7
 SATURATION_GUARD_N = 4
 
 MEMBERSHIP_TOL = 1e-9
+CYCLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,25 +68,20 @@ def cycle_residuals(point, n: int) -> list[tuple[tuple[int, int, int], float]]:
     precedence vectors of linear orders always land exactly on {0, 1}.
     """
     arr = _as_point(point, n)
-    out = []
-    for r in range(n - 2):
-        for s in range(r + 1, n - 1):
-            for t in range(s + 1, n):
-                res = (
-                    arr[pair_index(n, r, s)]
-                    - arr[pair_index(n, r, t)]
-                    + arr[pair_index(n, s, t)]
-                )
-                out.append(((r, s, t), float(res)))
-    return out
+    rs, rt, st = triple_pair_indices(n)
+    res = arr[rs] - arr[rt] + arr[st]
+    return [(triple, float(v)) for triple, v in zip(itertools.combinations(range(n), 3), res)]
 
 
-def cycle_violations(point, n: int, tol: float = 1e-12):
+def violates_cycle(residual: float, tol: float = CYCLE_TOL) -> bool:
+    """True iff a 3-cycle residual leaves [0, 1] by more than tol."""
+    return residual < -tol or residual > 1.0 + tol
+
+
+def cycle_violations(point, n: int, tol: float = CYCLE_TOL):
     """Triples whose residual leaves [0, 1] by more than tol."""
     return [
-        (triple, res)
-        for triple, res in cycle_residuals(point, n)
-        if res < -tol or res > 1.0 + tol
+        (triple, res) for triple, res in cycle_residuals(point, n) if violates_cycle(res, tol)
     ]
 
 
@@ -123,9 +119,7 @@ def caratheodory_saturation(point, n: int, tol: float = MEMBERSHIP_TOL) -> int:
         )
     arr = _as_point(point, n)
     _, dist = l1_projection_full(arr, n)
-    bound = num_pairs(n) + 1
-    if not polytope_membership(arr, n):
-        bound = num_pairs(n)
+    bound = num_pairs(n) + 1 if dist <= tol else num_pairs(n)
     C = PreferenceMatrix(n, arr)
     for g in range(1, bound + 1):
         cfg = ExactConfig(g=g, max_n=SATURATION_GUARD_N, max_g=bound)

@@ -70,6 +70,8 @@ class HeuristicConfig:
             raise InvalidInput(f"epsilon must be > 0, got {self.epsilon}")
         if self.step1_budget is not None and self.step1_budget < 1:
             raise InvalidInput("step1_budget must be positive when given")
+        if self.base_seed < 0:
+            raise InvalidInput(f"base_seed must be a non-negative integer, got {self.base_seed}")
 
 
 @dataclass

@@ -75,7 +75,6 @@ class GeneratorSpec:
     num_rankings: int = DEFAULT_NUM_RANKINGS
     min_separation: int | None = None
     seed: int = 0
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS
 
     def __post_init__(self):
         if self.n < 2:
@@ -96,6 +95,8 @@ class GeneratorSpec:
             raise InvalidInput(f"p must be in [0, 100], got {self.p}")
         if self.num_rankings < self.g_true:
             raise InvalidInput("need at least one ranking per latent group")
+        if self.seed < 0:
+            raise InvalidInput(f"seed must be a non-negative integer, got {self.seed}")
 
     @property
     def resolved_D(self) -> int:
@@ -236,8 +237,9 @@ def allocate_counts(weights, N: int) -> list[int]:
     return [int(v) for v in base]
 
 
-def aggregate(rankings) -> PreferenceMatrix:
-    """Pairwise proportions c_rs = a_rs / N over complete rankings."""
+def _pair_counts(rankings) -> tuple[int, int, np.ndarray]:
+    """(n, N, a): item count, ranking count, and per pair (r, s), r < s, the
+    number of rankings placing r before s."""
     rankings = list(rankings)
     if not rankings:
         raise InvalidInput("cannot aggregate an empty list of rankings")
@@ -247,29 +249,32 @@ def aggregate(rankings) -> PreferenceMatrix:
     counts = np.zeros(num_pairs(n), dtype=np.int64)
     for o in rankings:
         counts += o.prec
-    return PreferenceMatrix(n, counts / len(rankings))
+    return n, len(rankings), counts
+
+
+def _full_counts(n: int, N: int, counts: np.ndarray) -> np.ndarray:
+    rows, cols = pair_rows_cols(n)
+    A = np.zeros((n, n), dtype=np.int64)
+    A[rows, cols] = counts
+    A[cols, rows] = N - counts
+    return A
+
+
+def aggregate(rankings) -> PreferenceMatrix:
+    """Pairwise proportions c_rs = a_rs / N over complete rankings."""
+    n, N, counts = _pair_counts(rankings)
+    return PreferenceMatrix(n, counts / N)
 
 
 def count_matrix(rankings) -> np.ndarray:
     """Full integer matrix a_rs = number of rankings placing r before s."""
-    rankings = list(rankings)
-    n = rankings[0].n
-    counts = np.zeros(num_pairs(n), dtype=np.int64)
-    for o in rankings:
-        counts += o.prec
-    rows, cols = pair_rows_cols(n)
-    A = np.zeros((n, n), dtype=np.int64)
-    A[rows, cols] = counts
-    A[cols, rows] = len(rankings) - counts
-    return A
+    return _full_counts(*_pair_counts(rankings))
 
 
 def generate_instance(spec: GeneratorSpec) -> tuple[RankingSample, PreferenceMatrix]:
     """Run the full generation recipe for a spec; reproducible per seed."""
     rng = np.random.default_rng(spec.seed)
-    centers = sample_centers(
-        spec.n, spec.g_true, spec.resolved_min_separation, rng, spec.max_attempts
-    )
+    centers = sample_centers(spec.n, spec.g_true, spec.resolved_min_separation, rng)
     counts = allocate_counts(spec.weights, spec.num_rankings)
     D = spec.resolved_D
     rankings: list[LinearOrder] = []
@@ -317,4 +322,5 @@ def ingest_rankings(path) -> tuple[PreferenceMatrix, np.ndarray]:
         rankings.append(order)
     if not rankings:
         raise RankingFormatError(0, "file contains no rankings")
-    return aggregate(rankings), count_matrix(rankings)
+    n, N, counts = _pair_counts(rankings)
+    return PreferenceMatrix(n, counts / N), _full_counts(n, N, counts)

@@ -85,15 +85,15 @@ def lop_exact(
     if n == 1:
         return LinearOrder((0,)), 0.0, True
 
-    inc_perm, inc_value = _insertion_local_search(_construction_order(b), b)
+    incumbent, inc_value = lop_heuristic(B)
     if warm_start is not None:
         if warm_start.n != n:
             raise InvalidInput("warm start order has wrong item count")
         wv = order_value(warm_start.perm, b)
         if wv > inc_value + _IMPROVE_TOL or (
-            abs(wv - inc_value) <= _IMPROVE_TOL and warm_start.perm < tuple(inc_perm)
+            abs(wv - inc_value) <= _IMPROVE_TOL and warm_start.perm < incumbent.perm
         ):
-            inc_perm, inc_value = list(warm_start.perm), wv
+            incumbent, inc_value = warm_start, wv
 
     pm = np.maximum(b, b.T)  # per-pair upper bound max(b_rs, b_sr)
 
@@ -105,7 +105,7 @@ def lop_exact(
 
     while heap:
         if budget is not None and explored >= budget:
-            return LinearOrder(tuple(inc_perm)), inc_value, False
+            return incumbent, inc_value, False
         negb, prefix, fixed, pbound, remaining = heapq.heappop(heap)
         explored += 1
         if not remaining:
@@ -125,37 +125,20 @@ def lop_exact(
                 heapq.heappush(heap, (-bound_c, prefix + (item,), fixed_c, pbound_c, rest))
 
     # all subtrees pruned against the incumbent: it is optimal
-    return LinearOrder(tuple(inc_perm)), inc_value, True
+    return incumbent, inc_value, True
 
 
-def lop_heuristic(
-    B: BenefitMatrix,
-    rng_seed: int | None = None,
-    restarts: int = 0,
-) -> tuple[LinearOrder, float]:
-    """Fast insertion local search for the LOP.
+def lop_heuristic(B: BenefitMatrix) -> tuple[LinearOrder, float]:
+    """Fast, deterministic insertion local search for the LOP.
 
     Construction places items by descending row-sum minus column-sum, then
     single-item relocations are applied (first improvement, items scanned by
-    index) until a fixed point.  The default run is fully deterministic;
-    rng_seed only matters when extra random-start rounds are requested.
+    index) until a fixed point.
     """
     b = B.b
-    best_perm, best_value = _insertion_local_search(_construction_order(b), b)
-    if restarts > 0:
-        rng = np.random.default_rng(rng_seed)
-        for _ in range(restarts):
-            perm, value = _insertion_local_search(list(rng.permutation(B.n)), b)
-            if value > best_value + _IMPROVE_TOL or (
-                abs(value - best_value) <= _IMPROVE_TOL and tuple(perm) < tuple(best_perm)
-            ):
-                best_perm, best_value = perm, value
-    return LinearOrder(tuple(best_perm)), best_value
-
-
-def _construction_order(b: np.ndarray) -> list[int]:
     score = b.sum(axis=1) - b.sum(axis=0)
-    return [int(i) for i in np.argsort(-score, kind="stable")]
+    perm, value = _insertion_local_search(np.argsort(-score, kind="stable"), b)
+    return LinearOrder(tuple(perm)), value
 
 
 def _insertion_local_search(perm: list[int], b: np.ndarray) -> tuple[list[int], float]:
@@ -182,25 +165,6 @@ def _insertion_local_search(perm: list[int], b: np.ndarray) -> tuple[list[int], 
                     improved = True
                     break
     return perm, order_value(perm, b)
-
-
-def is_insertion_local_optimal(order: LinearOrder, B: BenefitMatrix, tol: float = 1e-9) -> bool:
-    """True iff no single-item relocation improves the order's value."""
-    b = B.b
-    perm = list(order.perm)
-    n = len(perm)
-    for i in range(n):
-        item = perm[i]
-        for j in range(n):
-            if j == i:
-                continue
-            if j > i:
-                delta = sum(b[k, item] - b[item, k] for k in perm[i + 1 : j + 1])
-            else:
-                delta = sum(b[item, k] - b[k, item] for k in perm[j:i])
-            if delta > tol:
-                return False
-    return True
 
 
 def benefit_for_pairs(n: int, upper_rs: np.ndarray, upper_sr: np.ndarray) -> BenefitMatrix:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidInput, _n_from_pairs, num_pairs, pair_rows_cols
+from .core import InvalidInput, _n_from_pairs, triple_pair_indices
 
 _PIVOT_TOL = 1e-11
 _TIE_TOL = 1e-12
@@ -44,8 +44,9 @@ class WeightFitProblem:
             raise InvalidInput("precedence vectors must be binary")
         if not np.all(np.isfinite(c)):
             raise InvalidInput("target vector must be finite")
-        n = _n_from_pairs(X.shape[1])
-        if not _rows_transitive(X, n):
+        rs, rt, st = triple_pair_indices(_n_from_pairs(X.shape[1]))
+        res = X[:, rs] - X[:, rt] + X[:, st]
+        if np.any((res < 0) | (res > 1)):
             raise InvalidInput("every precedence vector must come from a linear order")
         X.flags.writeable = False
         c.flags.writeable = False
@@ -55,20 +56,6 @@ class WeightFitProblem:
     @property
     def g(self) -> int:
         return self.X.shape[0]
-
-
-def _rows_transitive(X: np.ndarray, n: int) -> bool:
-    if n < 3:
-        return True
-    rows, cols = pair_rows_cols(n)
-    pos = {(int(r), int(s)): k for k, (r, s) in enumerate(zip(rows, cols))}
-    for r in range(n - 2):
-        for s in range(r + 1, n - 1):
-            for t in range(s + 1, n):
-                res = X[:, pos[(r, s)]] - X[:, pos[(r, t)]] + X[:, pos[(s, t)]]
-                if np.any((res < 0) | (res > 1)):
-                    return False
-    return True
 
 
 def fit_weights(prob: WeightFitProblem) -> tuple[np.ndarray, float]:

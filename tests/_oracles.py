@@ -33,6 +33,25 @@ def lop_enumeration_max(b: np.ndarray) -> tuple[tuple[int, ...], float]:
     return best_perm, best
 
 
+def is_insertion_local_optimal(order, B, tol: float = 1e-9) -> bool:
+    """True iff no single-item relocation improves the order's value."""
+    b = B.b
+    perm = list(order.perm)
+    n = len(perm)
+    for i in range(n):
+        item = perm[i]
+        for j in range(n):
+            if j == i:
+                continue
+            if j > i:
+                delta = sum(b[k, item] - b[item, k] for k in perm[i + 1 : j + 1])
+            else:
+                delta = sum(b[item, k] - b[k, item] for k in perm[j:i])
+            if delta > tol:
+                return False
+    return True
+
+
 def kendall_double_loop(perm_a, perm_b) -> int:
     """Count item pairs ranked oppositely, one pair at a time."""
     n = len(perm_a)
@@ -44,6 +63,56 @@ def kendall_double_loop(perm_a, perm_b) -> int:
             if (pos_a[r] < pos_a[s]) != (pos_b[r] < pos_b[s]):
                 count += 1
     return count
+
+
+def _pair_position(n: int, r: int, s: int) -> int:
+    """Position of pair (r, s), r < s, found by walking the upper triangle."""
+    k = 0
+    for a in range(n - 1):
+        for b in range(a + 1, n):
+            if (a, b) == (r, s):
+                return k
+            k += 1
+    raise IndexError((n, r, s))
+
+
+def cycle_residuals_triple_loop(point, n: int) -> list[tuple[tuple[int, int, int], float]]:
+    """x_rs - x_rt + x_st for every triple r < s < t, one triple at a time."""
+    out = []
+    for r in range(n - 2):
+        for s in range(r + 1, n - 1):
+            for t in range(s + 1, n):
+                res = (
+                    point[_pair_position(n, r, s)]
+                    - point[_pair_position(n, r, t)]
+                    + point[_pair_position(n, s, t)]
+                )
+                out.append(((r, s, t), float(res)))
+    return out
+
+
+def prec_double_loop(perm) -> list[int]:
+    """Precedence vector of a ranking: 1 for pair (r, s) iff r comes first."""
+    n = len(perm)
+    pos = {item: i for i, item in enumerate(perm)}
+    return [int(pos[r] < pos[s]) for r in range(n - 1) for s in range(r + 1, n)]
+
+
+def is_order_vector(vec, n: int) -> bool:
+    """True iff some permutation of n items has this precedence vector."""
+    target = [int(v) for v in vec]
+    return any(prec_double_loop(p) == target for p in itertools.permutations(range(n)))
+
+
+def exact_min_by_enumeration(upper, n: int, g: int, milli: int = 1000) -> float:
+    """Least grid-fitted L1 objective over every multiset of g orders.
+
+    Exact whenever some optimum carries weights on the 1/milli grid."""
+    vectors = [prec_double_loop(p) for p in itertools.permutations(range(n))]
+    return min(
+        grid_min_objective(np.array([vectors[i] for i in combo], dtype=np.float64), upper, milli)
+        for combo in itertools.combinations_with_replacement(range(len(vectors)), g)
+    )
 
 
 def grid_min_objective(X: np.ndarray, c: np.ndarray, milli: int = 1000) -> float:

@@ -9,6 +9,7 @@ from mlop.cli import (
     EXIT_GUARD,
     EXIT_INFEASIBLE,
     EXIT_INVALID,
+    EXIT_NUMERICAL,
     EXIT_OK,
     cumulative_drop,
     load_instance,
@@ -97,6 +98,49 @@ def test_solve_guard_exit_code(tmp_path):
     path = tmp_path / "big.instance.json"
     path.write_text(json.dumps({"n": 8, "c_upper": upper}))
     assert main(["solve", str(path), "--method", "exact", "--g", "2"]) == EXIT_GUARD
+
+
+@pytest.mark.parametrize("n", [3.7, "3", True])
+def test_load_instance_rejects_non_integer_n(tmp_path, capsys, n):
+    path = tmp_path / "bad_n.instance.json"
+    path.write_text(json.dumps({"n": n, "c_upper": [0.7, 0.8, 0.4]}))
+    assert main(["solve", str(path), "--method", "exact", "--g", "1"]) == EXIT_INVALID
+    assert "field 'n'" in capsys.readouterr().err
+
+
+def test_load_instance_accepts_integral_float_n(tmp_path):
+    path = tmp_path / "float_n.instance.json"
+    path.write_text(json.dumps({"n": 3.0, "c_upper": [0.7, 0.8, 0.4]}))
+    assert load_instance(str(path)).n == 3
+
+
+def test_sweep_rejects_zero_g_max(ex1_path, capsys):
+    assert main(["sweep", ex1_path, "--method", "exact", "--g-max", "0"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert "--g-max" in captured.err
+    assert captured.out == ""
+
+
+def test_negative_seed_is_named(ex1_path, tmp_path, capsys):
+    gen = ["gen", "--n", "4", "--g-true", "1", "--D", "0", "--out", str(tmp_path / "x")]
+    assert main(gen + ["--seed", "-1"]) == EXIT_INVALID
+    assert "seed" in capsys.readouterr().err
+    solve = ["solve", ex1_path, "--method", "heuristic", "--g", "2"]
+    assert main(solve + ["--seed", "-1"]) == EXIT_INVALID
+    assert "seed" in capsys.readouterr().err
+
+
+def test_numerical_failure_exit_code(ex1_path, monkeypatch, capsys):
+    import mlop.exact
+
+    def failing(X, c):
+        raise ArithmeticError("simplex failed to converge (iteration cap hit)")
+
+    monkeypatch.setattr(mlop.exact, "_fit_simplex_l1", failing)
+    assert main(["solve", ex1_path, "--method", "exact", "--g", "3"]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "Traceback" not in err
 
 
 def test_solve_missing_file():

@@ -12,6 +12,7 @@ from mlop import (
     PreferenceMatrix,
     SizeGuardExceeded,
     fit,
+    l1_objective,
     lop_exact,
     num_pairs,
     opt_curve,
@@ -19,7 +20,7 @@ from mlop import (
 )
 from mlop.exact import _iter_multisets, all_orders, enumeration_size
 
-from _oracles import random_preference_matrix
+from _oracles import exact_min_by_enumeration, random_preference_matrix
 
 EX1 = PreferenceMatrix(4, [0.9, 0.9, 0.9, 0.5, 0.9, 0.9])
 
@@ -110,20 +111,26 @@ def test_solution_is_canonical_and_consistent():
         assert all(
             sol.weights[i] >= sol.weights[i + 1] - 1e-12 for i in range(sol.g - 1)
         )
-        from mlop import l1_objective
-
         assert l1_objective(sol, C) == pytest.approx(obj, abs=1e-9)
 
 
 def test_early_exit_at_zero_still_optimal():
-    # vertex data: the zero optimum exists; both modes must agree
-    o = LinearOrder((1, 3, 0, 2))
-    C = PreferenceMatrix(4, o.prec.astype(float))
-    _, obj_fast, proven_fast = solve_exact(C, ExactConfig(g=2, early_exit_at_zero=True))
-    _, obj_full, proven_full = solve_exact(C, ExactConfig(g=2, early_exit_at_zero=False))
-    assert proven_fast and proven_full
-    assert obj_fast == pytest.approx(0.0, abs=1e-12)
-    assert obj_full == pytest.approx(0.0, abs=1e-12)
+    # the search stops at the first zero-objective multiset; a full
+    # enumeration outside the solver must agree on the optimum, and the
+    # returned mixture must really reach it (weights 1/4 and 3/4 lie on the
+    # oracle's quarter grid, so its minimum is exact)
+    mixed = 0.75 * LinearOrder((3, 1, 0, 2)).prec + 0.25 * LinearOrder((2, 3, 1, 0)).prec
+    for upper, g in (
+        (LinearOrder((1, 3, 0, 2)).prec.astype(float), 2),
+        (mixed, 2),
+        (mixed, 3),
+    ):
+        C = PreferenceMatrix(4, upper)
+        sol, obj, proven = solve_exact(C, ExactConfig(g=g))
+        assert proven
+        assert exact_min_by_enumeration(C.upper, 4, g, milli=4) == pytest.approx(0.0, abs=1e-12)
+        assert obj == pytest.approx(0.0, abs=1e-12)
+        assert l1_objective(sol, C) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_stabilization_at_full_projection_for_n3():

@@ -121,6 +121,21 @@ def test_saturation_fixtures():
     assert caratheodory_saturation(v, 3) == 1
 
 
+def test_saturation_solves_projection_lp_once(monkeypatch):
+    import mlop.geometry
+
+    calls = []
+    real = mlop.geometry._fit_simplex_l1
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(mlop.geometry, "_fit_simplex_l1", counting)
+    assert caratheodory_saturation([0.3, 0.9, 0.2], 3) == 3
+    assert len(calls) == 1
+
+
 def test_saturation_two_vertex_mixture_n4():
     a = LinearOrder((0, 1, 2, 3)).prec.astype(float)
     b = LinearOrder((3, 2, 1, 0)).prec.astype(float)

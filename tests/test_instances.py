@@ -153,6 +153,8 @@ def test_aggregate_counts_are_integral():
 def test_aggregate_empty_raises():
     with pytest.raises(InvalidInput):
         aggregate([])
+    with pytest.raises(InvalidInput):
+        count_matrix([])
 
 
 def test_generate_reproducible():

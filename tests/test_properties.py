@@ -1,0 +1,102 @@
+"""Property tests: each shared kernel against an independent oracle."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mlop import (
+    BenefitMatrix,
+    InvalidInput,
+    LinearOrder,
+    MixtureSolution,
+    WeightFitProblem,
+    aggregate,
+    canonicalize,
+    lop_heuristic,
+    num_pairs,
+)
+from mlop.geometry import cycle_residuals
+from mlop.instances import count_matrix
+
+from _oracles import cycle_residuals_triple_loop, is_insertion_local_optimal, is_order_vector
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def orders(draw, n):
+    return LinearOrder(tuple(draw(st.permutations(range(n)))))
+
+
+def sized(n, elements):
+    """(n, list of C(n,2) draws from elements): one value per item pair."""
+    return st.tuples(st.just(n), st.lists(elements, min_size=num_pairs(n), max_size=num_pairs(n)))
+
+
+@SETTINGS
+@given(st.integers(2, 7).flatmap(lambda n: sized(n, st.floats(0.0, 1.0))))
+def test_cycle_residuals_match_triple_loop(case):
+    n, x = case
+    x = np.array(x)
+    assert cycle_residuals(x, n) == cycle_residuals_triple_loop(x, n)
+
+
+@SETTINGS
+@given(st.integers(2, 6).flatmap(lambda n: st.lists(orders(n), min_size=1, max_size=4)))
+def test_weight_fit_accepts_order_rows(stack):
+    X = np.stack([o.prec for o in stack])
+    prob = WeightFitProblem(X, np.full(X.shape[1], 0.5))
+    assert prob.g == len(stack)
+
+
+@SETTINGS
+@given(st.integers(3, 5).flatmap(lambda n: sized(n, st.integers(0, 1))))
+def test_weight_fit_accepts_exactly_order_rows(case):
+    # every intransitive tournament carries a 3-cycle, so this covers rejection
+    n, row = case
+    order = LinearOrder(tuple(range(n)))
+    X = np.stack([order.prec, np.array(row)])
+    c = np.full(num_pairs(n), 0.5)
+    if is_order_vector(row, n):
+        WeightFitProblem(X, c)
+    else:
+        with pytest.raises(InvalidInput):
+            WeightFitProblem(X, c)
+
+
+@SETTINGS
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=n * n, max_size=n * n)
+))
+def test_lop_heuristic_is_insertion_local_optimal(values):
+    n = int(round(len(values) ** 0.5))
+    B = BenefitMatrix(np.array(values).reshape(n, n))
+    order, _ = lop_heuristic(B)
+    assert is_insertion_local_optimal(order, B)
+
+
+@SETTINGS
+@given(st.integers(2, 6).flatmap(lambda n: st.lists(orders(n), min_size=1, max_size=30)))
+def test_aggregate_and_count_matrix_agree(rankings):
+    n = rankings[0].n
+    A = count_matrix(rankings)
+    rows, cols = np.triu_indices(n, k=1)
+    assert np.allclose(aggregate(rankings).upper * len(rankings), A[rows, cols], atol=1e-9)
+    assert np.all(A[rows, cols] + A[cols, rows] == len(rankings))
+
+
+@SETTINGS
+@given(st.integers(2, 5).flatmap(lambda n: st.lists(orders(n), min_size=1, max_size=4)).flatmap(
+    lambda os: st.tuples(
+        st.just(os), st.lists(st.integers(0, 4), min_size=len(os), max_size=len(os))
+    )
+))
+def test_canonicalize_is_idempotent(case):
+    orders_, raw = case
+    total = sum(raw)
+    weights = [v / total for v in raw] if total else [1.0 / len(raw)] * len(raw)
+    once = canonicalize(MixtureSolution(tuple(orders_), tuple(weights)))
+    twice = canonicalize(once)
+    assert [o.perm for o in twice.orders] == [o.perm for o in once.orders]
+    assert twice.weights == once.weights
