@@ -14,8 +14,9 @@ report JSON     emitted by `solve`; `validate` re-checks it independently.
 sweep CSV       columns: g,objective,fit,relative_drop,cumulative_drop,time_s
                 (fractions, not percentages; relative_drop empty at g=1).
 
-Exit codes: 0 success, 2 parse/validation error, 3 size guard, 4 infeasible
-generation, 5 numerical failure (LP iteration cap hit or unbounded column).
+Exit codes: 0 success, 2 parse/validation error (non-finite numbers
+included), 3 size guard, 4 infeasible generation, 5 numerical failure (LP
+iteration cap hit or unbounded column).
 Every randomized command takes --seed and defaults to a fixed constant;
 nothing is ever wall-clock seeded.
 """
@@ -26,6 +27,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -55,7 +57,7 @@ from .geometry import (
     l1_projection_full,
     violates_cycle,
 )
-from .heuristic import HeuristicConfig, solve_heuristic
+from .heuristic import EXACT_INNER_MAX_N, HeuristicConfig, solve_heuristic
 from .instances import (
     GeneratorSpec,
     RankingFormatError,
@@ -70,8 +72,6 @@ EXIT_INVALID = 2
 EXIT_GUARD = 3
 EXIT_INFEASIBLE = 4
 EXIT_NUMERICAL = 5
-
-DEFAULT_SEED = 0
 
 _DROP_EPS = 1e-15
 
@@ -174,8 +174,8 @@ def parse_weights(arg: str, g: int) -> tuple[float, ...]:
     """
     if ":" in arg:
         parts = [float(t) for t in arg.split(":")]
-        if len(parts) != g or min(parts) <= 0:
-            raise InvalidInput(f"ratio weights need {g} positive parts, got {arg!r}")
+        if len(parts) != g or not all(math.isfinite(v) and v > 0 for v in parts):
+            raise InvalidInput(f"ratio weights need {g} positive finite parts, got {arg!r}")
         total = sum(parts)
         milli = allocate_counts([p / total for p in parts], 1000)
         return tuple(v / 1000.0 for v in milli)
@@ -438,6 +438,9 @@ def cmd_validate(args) -> int:
         else:
             orders.append(LinearOrder(tuple(v - 1 for v in perm)))
     weights = [float(w) for w in report["weights"]]
+    for key in ("weights", "objective", "fit", "max_form_value"):
+        if not np.all(np.isfinite(np.asarray(report[key], dtype=np.float64))):
+            problems.append(f"non-finite {key}")
     if len(weights) != g or len(report["orders"]) != g:
         problems.append("group count disagrees with g")
     if weights and (min(weights) < -1e-12 or abs(sum(weights) - 1.0) > 1e-9):
@@ -469,21 +472,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_solver_args(p, include_exact=True, include_heuristic=True):
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+    def add_solver_args(p):
+        p.add_argument("--seed", type=int, default=HeuristicConfig.base_seed,
                        help="base RNG seed (fixed default; never wall-clock)")
-        if include_exact:
-            p.add_argument("--max-n", type=int, default=6,
-                           help="exact-method enumeration guard on n")
-            p.add_argument("--max-g", type=int, default=3,
-                           help="exact-method enumeration guard on g")
-        if include_heuristic:
-            p.add_argument("--n-starts", type=int, default=10)
-            p.add_argument("--it-max", type=int, default=12)
-            p.add_argument("--epsilon", type=float, default=1e-5)
-            p.add_argument("--step1-budget", type=int, default=None,
-                           help="branch-and-bound node cap per inner LOP solve "
-                                "(default: unlimited for n <= 14)")
+        p.add_argument("--max-n", type=int, default=ExactConfig.max_n,
+                       help="exact-method enumeration guard on n")
+        p.add_argument("--max-g", type=int, default=ExactConfig.max_g,
+                       help="exact-method enumeration guard on g")
+        p.add_argument("--n-starts", type=int, default=HeuristicConfig.n_starts)
+        p.add_argument("--it-max", type=int, default=HeuristicConfig.it_max)
+        p.add_argument("--epsilon", type=float, default=HeuristicConfig.epsilon)
+        p.add_argument("--step1-budget", type=int, default=HeuristicConfig.step1_budget,
+                       help="branch-and-bound node cap per inner LOP solve "
+                            f"(default: unlimited for n <= {EXACT_INNER_MAX_N})")
 
     p_gen = sub.add_parser("gen", help="generate a synthetic instance")
     p_gen.add_argument("--n", type=int, required=True)
@@ -494,9 +495,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dispersion as a percentage of the max Kendall distance")
     p_gen.add_argument("--D", type=int, default=None,
                        help="explicit Kendall radius (authoritative over -p)")
-    p_gen.add_argument("--num-rankings", type=int, default=1000)
-    p_gen.add_argument("--min-separation", type=int, default=None)
-    p_gen.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_gen.add_argument("--num-rankings", type=int, default=GeneratorSpec.num_rankings)
+    p_gen.add_argument("--min-separation", type=int, default=GeneratorSpec.min_separation)
+    p_gen.add_argument("--seed", type=int, default=GeneratorSpec.seed)
     p_gen.add_argument("--out", type=str, required=True, help="output path prefix")
     p_gen.set_defaults(handler=cmd_gen)
 

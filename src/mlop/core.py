@@ -54,20 +54,18 @@ def pair_rows_cols(n: int) -> tuple[np.ndarray, np.ndarray]:
 def triple_pair_indices(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat pair indices (rs, rt, st) of every triple r < s < t, triples in
     lexicographic order; x[rs] - x[rt] + x[st] is the 3-cycle residual."""
-    rows, cols = pair_rows_cols(n)
-    flat = np.zeros((n, n), dtype=np.int64)
-    flat[rows, cols] = np.arange(rows.size)
     triples = np.array(list(itertools.combinations(range(n), 3)), dtype=np.int64)
     r, s, t = triples.reshape(-1, 3).T
-    out = (flat[r, s], flat[r, t], flat[s, t])
+    out = (pair_index(n, r, s), pair_index(n, r, t), pair_index(n, s, t))
     for idx in out:
         idx.flags.writeable = False
     return out
 
 
-def pair_index(n: int, r: int, s: int) -> int:
-    """Flat position of pair (r, s), r < s, in the row-major upper triangle."""
-    if not 0 <= r < s < n:
+def pair_index(n: int, r, s):
+    """Flat position of pair (r, s), r < s, in the row-major upper triangle;
+    r and s may also be integer arrays holding one pair per entry."""
+    if not np.all((0 <= r) & (r < s) & (s < n)):
         raise IndexError(f"need 0 <= r < s < n, got r={r}, s={s}, n={n}")
     return r * n - r * (r + 1) // 2 + (s - r - 1)
 
@@ -216,6 +214,8 @@ class MixtureSolution:
         n = orders[0].n
         if any(o.n != n for o in orders):
             raise DimensionMismatch("all orders must rank the same item count")
+        if not all(math.isfinite(w) for w in weights):
+            raise InvalidInput(f"weights must be finite, got {weights}")
         if min(weights) < -TOL:
             raise InvalidInput(f"weights must be nonnegative, got {weights}")
         if abs(sum(weights) - 1.0) > TOL:

@@ -4,8 +4,10 @@ lexicographic permutation order, multisets as non-decreasing index tuples so
 each group combination is visited exactly once), fit optimal simplex weights
 for each, and keep the global best.
 
-Guards reject instances beyond the enumeration envelope; callers are
-expected to fall back to the alternating heuristic there.
+The orders come from the cached vertex table of the linear ordering
+polytope, which the geometry utilities read as well.  Guards reject
+instances beyond the enumeration envelope; callers are expected to fall back
+to the alternating heuristic there.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -30,6 +33,9 @@ from .simplex_fit import _breakpoint_g2, _fit_simplex_l1
 # canonical-minimum multiset encountered is kept deterministically
 _IMPROVE_TOL = 1e-12
 _ZERO_TOL = 1e-12
+
+# 8! = 40320 vertices; at n = 9 even g = 2 would visit 6.6e10 multisets
+VERTEX_GUARD_N = 8
 
 
 class SizeGuardExceeded(RuntimeError):
@@ -49,9 +55,28 @@ class ExactConfig:
             raise InvalidInput("size guards must be positive")
 
 
-def all_orders(n: int) -> list[LinearOrder]:
-    """All n! linear orders in lexicographic permutation order."""
-    return [LinearOrder(p) for p in itertools.permutations(range(n))]
+@dataclass(frozen=True)
+class PolytopeVertexSet:
+    """All n! precedence vectors, with the orders they encode."""
+
+    n: int
+    orders: tuple[LinearOrder, ...]
+    vertices: np.ndarray  # (n!, C(n,2)) float64, rows aligned with orders
+
+
+@lru_cache(maxsize=None)
+def enumerate_vertices(n: int) -> PolytopeVertexSet:
+    """Complete, duplicate-free vertex set in lexicographic permutation order."""
+    if n < 2:
+        raise InvalidInput(f"need n >= 2, got {n}")
+    if n > VERTEX_GUARD_N:
+        raise SizeGuardExceeded(
+            f"vertex enumeration is guarded to n <= {VERTEX_GUARD_N}, got n={n}"
+        )
+    orders = tuple(LinearOrder(p) for p in itertools.permutations(range(n)))
+    vertices = np.stack([o.prec for o in orders]).astype(np.float64)
+    vertices.flags.writeable = False
+    return PolytopeVertexSet(n, orders, vertices)
 
 
 def _iter_multisets(num_orders: int, g: int):
@@ -74,6 +99,8 @@ def solve_exact(
     zero, which is a global lower bound.  For a single group the search
     reduces to a classical LOP solved by branch and bound, which returns the
     identical optimum (objective C(n,2) - LOP value, lex-smallest order).
+    Two or more groups enumerate the vertex table, so they never run past
+    n = VERTEX_GUARD_N, whatever cfg.max_n admits.
     """
     n = C.n
     if n > cfg.max_n:
@@ -94,14 +121,13 @@ def solve_exact(
         sol = MixtureSolution((order,), (1.0,))
         return sol, float(np.abs(c - order.prec).sum()), proven
 
-    orders = all_orders(n)
-    X = np.stack([o.prec for o in orders]).astype(np.float64)
+    V = enumerate_vertices(n)
 
     best_obj = math.inf
     best_combo: tuple[int, ...] | None = None
     best_w: np.ndarray | None = None
-    for combo in _iter_multisets(len(orders), g):
-        cols = X[list(combo)]
+    for combo in _iter_multisets(len(V.orders), g):
+        cols = V.vertices[list(combo)]
         if g == 2:
             w, obj = _breakpoint_g2(cols, c)
         else:
@@ -114,7 +140,7 @@ def solve_exact(
     assert best_combo is not None and best_w is not None
     sol = canonicalize(
         MixtureSolution(
-            orders=tuple(orders[j] for j in best_combo),
+            orders=tuple(V.orders[j] for j in best_combo),
             weights=tuple(float(v) for v in best_w),
         )
     )

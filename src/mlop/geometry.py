@@ -1,55 +1,27 @@
 """Linear ordering polytope utilities.
 
-Vertex enumeration, 3-cycle (transitivity) residuals, membership tests, L1
-projection onto the full polytope, and the smallest group count at which the
-restricted mixture optimum matches the full-polytope projection.  Membership
-and projection are decided by an exact LP over explicit vertex weights,
-since complete facet descriptions are unavailable for general n; guards keep
-the vertex sets small (at most 8! vertices enumerated, LPs up to 7!).
+3-cycle (transitivity) residuals, membership tests, L1 projection onto the
+full polytope, and the smallest group count at which the restricted mixture
+optimum matches the full-polytope projection.  Membership and projection are
+decided by an exact LP over explicit vertex weights, since complete facet
+descriptions are unavailable for general n; the vertices come from
+``mlop.exact.enumerate_vertices`` (at most 8! of them) and guards keep the
+LPs at 7! columns or fewer.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
-from .core import InvalidInput, LinearOrder, PreferenceMatrix, num_pairs, triple_pair_indices
-from .exact import ExactConfig, SizeGuardExceeded, solve_exact
+from .core import InvalidInput, PreferenceMatrix, num_pairs, pair_rows_cols, triple_pair_indices
+from .exact import ExactConfig, SizeGuardExceeded, enumerate_vertices, solve_exact
 from .simplex_fit import _fit_simplex_l1
 
-VERTEX_GUARD_N = 8
 MEMBERSHIP_GUARD_N = 7
 SATURATION_GUARD_N = 4
 
 MEMBERSHIP_TOL = 1e-9
 CYCLE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class PolytopeVertexSet:
-    """All n! precedence vectors, with the orders they encode."""
-
-    n: int
-    orders: tuple[LinearOrder, ...]
-    vertices: np.ndarray  # (n!, C(n,2)) uint8, rows aligned with orders
-
-
-@lru_cache(maxsize=None)
-def enumerate_vertices(n: int) -> PolytopeVertexSet:
-    """Complete, duplicate-free vertex set in lexicographic permutation order."""
-    if n < 2:
-        raise InvalidInput(f"need n >= 2, got {n}")
-    if n > VERTEX_GUARD_N:
-        raise SizeGuardExceeded(
-            f"vertex enumeration is guarded to n <= {VERTEX_GUARD_N}, got n={n}"
-        )
-    orders = tuple(LinearOrder(p) for p in itertools.permutations(range(n)))
-    vertices = np.stack([o.prec for o in orders])
-    vertices.flags.writeable = False
-    return PolytopeVertexSet(n, orders, vertices)
 
 
 def _as_point(point, n: int) -> np.ndarray:
@@ -58,6 +30,8 @@ def _as_point(point, n: int) -> np.ndarray:
         raise InvalidInput(
             f"point for n={n} must have length {num_pairs(n)}, got shape {arr.shape}"
         )
+    if not np.all(np.isfinite(arr)):
+        raise InvalidInput("point entries must be finite")
     return arr
 
 
@@ -70,7 +44,10 @@ def cycle_residuals(point, n: int) -> list[tuple[tuple[int, int, int], float]]:
     arr = _as_point(point, n)
     rs, rt, st = triple_pair_indices(n)
     res = arr[rs] - arr[rt] + arr[st]
-    return [(triple, float(v)) for triple, v in zip(itertools.combinations(range(n), 3), res)]
+    # (r, s) is the pair at rs and t the second item of the pair at st
+    rows, cols = pair_rows_cols(n)
+    labels = zip(rows[rs].tolist(), cols[rs].tolist(), cols[st].tolist())
+    return list(zip(labels, res.tolist()))
 
 
 def violates_cycle(residual: float, tol: float = CYCLE_TOL) -> bool:
@@ -97,8 +74,8 @@ def l1_projection_full(point, n: int) -> tuple[np.ndarray, float]:
         )
     arr = _as_point(point, n)
     V = enumerate_vertices(n)
-    w, dist = _fit_simplex_l1(V.vertices.astype(np.float64), arr)
-    return w @ V.vertices.astype(np.float64), dist
+    w, dist = _fit_simplex_l1(V.vertices, arr)
+    return w @ V.vertices, dist
 
 
 def polytope_membership(point, n: int) -> bool:

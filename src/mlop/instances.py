@@ -30,7 +30,6 @@ from .core import (
     pair_rows_cols,
 )
 
-DEFAULT_NUM_RANKINGS = 1000
 DEFAULT_MAX_ATTEMPTS = 100_000
 
 
@@ -72,7 +71,7 @@ class GeneratorSpec:
     weights: tuple[float, ...]
     p: float | None = None
     D: int | None = None
-    num_rankings: int = DEFAULT_NUM_RANKINGS
+    num_rankings: int = 1000
     min_separation: int | None = None
     seed: int = 0
 
@@ -84,6 +83,8 @@ class GeneratorSpec:
         weights = tuple(float(w) for w in self.weights)
         if len(weights) != self.g_true:
             raise InvalidInput("one weight per latent group is required")
+        if not all(math.isfinite(w) for w in weights):
+            raise InvalidInput(f"weights must be finite, got {weights}")
         if min(weights) < 0 or abs(sum(weights) - 1.0) > 1e-9:
             raise InvalidInput("weights must lie on the probability simplex")
         object.__setattr__(self, "weights", weights)
@@ -93,6 +94,8 @@ class GeneratorSpec:
             raise InvalidInput(f"D must be in [0, {num_pairs(self.n)}], got {self.D}")
         if self.p is not None and not 0 <= self.p <= 100:
             raise InvalidInput(f"p must be in [0, 100], got {self.p}")
+        if self.min_separation is not None and self.min_separation < 0:
+            raise InvalidInput(f"min_separation must be >= 0, got {self.min_separation}")
         if self.num_rankings < self.g_true:
             raise InvalidInput("need at least one ranking per latent group")
         if self.seed < 0:
@@ -121,14 +124,15 @@ class RankingSample:
 
 
 @lru_cache(maxsize=None)
-def mahonian_counts(n: int) -> tuple[int, ...]:
-    """Count of permutations of n items at each Kendall distance 0..C(n,2).
-
-    Computed exactly (Python integers) by the inversion-table convolution.
+def _mahonian_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Row j, j = 0..n: count of permutations of j items at each Kendall
+    distance 0..C(j,2), exact in Python integers.  Row j is row j - 1
+    convolved with the j values one more Lehmer code entry can take, so it
+    also counts the ways the last j entries of any code reach each sum.
     """
-    counts = [1]
-    for j in range(2, n + 1):
-        prev = counts
+    rows = [(1,)]
+    for j in range(1, n + 1):
+        prev = rows[-1]
         counts = [0] * (len(prev) + j - 1)
         acc = 0
         for k in range(len(counts)):
@@ -136,25 +140,13 @@ def mahonian_counts(n: int) -> tuple[int, ...]:
             if k - j >= 0:
                 acc -= prev[k - j]
             counts[k] = acc
-    return tuple(counts)
+        rows.append(tuple(counts))
+    return tuple(rows)
 
 
-@lru_cache(maxsize=None)
-def _lehmer_suffix_counts(n: int) -> tuple[tuple[int, ...], ...]:
-    """S[i][d]: ways to pick code entries i..n-1 (caps n-1-i) summing to d."""
-    suffix = [(1,)]
-    for i in range(n - 1, -1, -1):
-        cap = n - 1 - i
-        prev = suffix[0]
-        cur = [0] * (len(prev) + cap)
-        acc = 0
-        for k in range(len(cur)):
-            acc += prev[k] if k < len(prev) else 0
-            if k - cap - 1 >= 0:
-                acc -= prev[k - cap - 1]
-            cur[k] = acc
-        suffix.insert(0, tuple(cur))
-    return tuple(suffix)
+def mahonian_counts(n: int) -> tuple[int, ...]:
+    """Count of permutations of n items at each Kendall distance 0..C(n,2)."""
+    return _mahonian_rows(n)[n]
 
 
 def _draw_index(weights: np.ndarray, rng: np.random.Generator) -> int:
@@ -172,17 +164,16 @@ def sample_within_ball(
         raise InvalidInput(f"D must be in [0, {num_pairs(n)}], got {D}")
     if D == 0:
         return center
-    counts = mahonian_counts(n)
-    d = _draw_index(np.array(counts[: D + 1], dtype=np.float64), rng)
+    rows = _mahonian_rows(n)
+    d = _draw_index(np.array(rows[n][: D + 1], dtype=np.float64), rng)
     if d == 0:
         return center
     # uniform Lehmer code with sum d, then relabel positions through center
-    suffix = _lehmer_suffix_counts(n)
     code = []
     rem = d
     for i in range(n):
         cap = n - 1 - i
-        nxt = suffix[i + 1]
+        nxt = rows[cap]  # ways for the code entries after position i
         vmax = min(cap, rem)
         w = np.array(
             [nxt[rem - v] if rem - v < len(nxt) else 0 for v in range(vmax + 1)],

@@ -228,9 +228,23 @@ def test_criterion_10_sushi_dataset(tmp_path, capsys):
         assert sol.orders[0].perm[0] == 7  # 0-based item 7 == dataset's toro
 
 
-def test_criterion_11_scale_substitution_note():
-    with criterion(11, "full-scale benchmarks substituted by property suites"):
-        # benchmark objective values at n=12/24 come from externally seeded
-        # instances and multi-hour solver runs, so they are not reproducible
-        # at desk scale; criteria 4-8 provide the property/oracle coverage
-        assert True
+def test_criterion_11_scale_substitution_note(tmp_path, capsys):
+    with criterion(11, "scaled benchmark: the sweep's largest drop is at g_true"):
+        # the full-scale objective values (n=12/24) come from externally seeded
+        # instances and multi-hour runs; at desk scale a generated n=12,
+        # g_true=2 instance must still show its elbow at g=2 (observed drops
+        # there 0.93-0.95, every later drop <= 0.35)
+        for seed in (1, 2, 3):
+            prefix = str(tmp_path / f"s{seed}")
+            assert main(
+                ["gen", "--n", "12", "--g-true", "2", "--weights", "2:1", "-p", "1",
+                 "--seed", str(seed), "--out", prefix]
+            ) == 0
+            capsys.readouterr()
+            assert main(
+                ["sweep", f"{prefix}.instance.json", "--method", "heuristic",
+                 "--g-max", "4", "--seed", "0", "--format", "json"]
+            ) == 0
+            rows = json.loads(capsys.readouterr().out)["rows"]
+            drops = {row["g"]: row["relative_drop"] for row in rows[1:]}
+            assert max(drops, key=drops.get) == 2, drops

@@ -1,16 +1,21 @@
 import csv
 import json
+import math
+import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mlop import ExactConfig, GeneratorSpec, HeuristicConfig
 from mlop.cli import (
     EXIT_GUARD,
     EXIT_INFEASIBLE,
     EXIT_INVALID,
     EXIT_NUMERICAL,
     EXIT_OK,
+    build_parser,
     cumulative_drop,
     load_instance,
     main,
@@ -98,6 +103,11 @@ def test_solve_guard_exit_code(tmp_path):
     path = tmp_path / "big.instance.json"
     path.write_text(json.dumps({"n": 8, "c_upper": upper}))
     assert main(["solve", str(path), "--method", "exact", "--g", "2"]) == EXIT_GUARD
+    # a raised --max-n admits no g >= 2 enumeration past the 8! vertex table
+    path.write_text(json.dumps({"n": 9, "c_upper": rng.random(36).tolist()}))
+    solve = ["solve", str(path), "--method", "exact", "--max-n", "10", "--g"]
+    assert main(solve + ["2"]) == EXIT_GUARD
+    assert main(solve + ["1"]) == EXIT_OK
 
 
 @pytest.mark.parametrize("n", [3.7, "3", True])
@@ -128,6 +138,40 @@ def test_negative_seed_is_named(ex1_path, tmp_path, capsys):
     solve = ["solve", ex1_path, "--method", "heuristic", "--g", "2"]
     assert main(solve + ["--seed", "-1"]) == EXIT_INVALID
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra, named", [
+    (["--weights", "nan,0.5"], "finite"),
+    (["--weights", "inf:1"], "finite"),
+    (["--weights", "nan:1"], "finite"),
+    (["--min-separation", "-3"], "min_separation"),
+])
+def test_gen_rejects_bad_numbers_by_name(tmp_path, capsys, extra, named):
+    prefix = tmp_path / "x"
+    gen = ["gen", "--n", "4", "--g-true", "2", "--D", "1", "--out", str(prefix)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(gen + extra) == EXIT_INVALID
+    assert named in capsys.readouterr().err
+    assert not Path(f"{prefix}.meta.json").exists()
+
+
+def test_parser_defaults_are_the_config_defaults():
+    parser = build_parser()
+    heuristic, exact = HeuristicConfig(), ExactConfig()
+    for command in ("solve", "sweep"):
+        extra = ["--g", "1"] if command == "solve" else ["--g-max", "1"]
+        args = parser.parse_args([command, "x.json", "--method", "heuristic"] + extra)
+        assert (args.n_starts, args.it_max, args.epsilon, args.step1_budget, args.seed) == (
+            heuristic.n_starts, heuristic.it_max, heuristic.epsilon,
+            heuristic.step1_budget, heuristic.base_seed,
+        )
+        assert (args.max_n, args.max_g) == (exact.max_n, exact.max_g)
+    args = parser.parse_args(["gen", "--n", "4", "--g-true", "1", "--out", "x"])
+    spec = {f.name: f.default for f in fields(GeneratorSpec)}
+    assert (args.num_rankings, args.min_separation, args.seed) == (
+        spec["num_rankings"], spec["min_separation"], spec["seed"]
+    )
 
 
 def test_numerical_failure_exit_code(ex1_path, monkeypatch, capsys):
@@ -308,6 +352,14 @@ def test_verify_vertex(capsys):
     assert report["g_star"] == 1
 
 
+@pytest.mark.parametrize("point", ["inf,0.5,0.5", "nan,0.5,0.5"])
+def test_verify_point_rejects_non_finite(capsys, point):
+    assert main(["verify", "--point", point]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert "finite" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_instance_skips_guarded_parts(tmp_path, capsys):
     rng = np.random.default_rng(1)
     upper = rng.random(28).tolist()
@@ -334,3 +386,17 @@ def test_validate_roundtrip(ex1_path, tmp_path, capsys):
     assert main(["validate", str(tampered), "--instance", ex1_path]) == EXIT_INVALID
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["valid"] is False
+
+
+def test_validate_flags_non_finite_numbers(ex1_path, tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    main(["solve", ex1_path, "--method", "exact", "--g", "2", "--out", str(out)])
+    report = json.loads(out.read_text())
+    for key in ("weights", "objective", "fit", "max_form_value"):
+        bad = dict(report, **{key: [math.nan, math.nan] if key == "weights" else math.nan})
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(bad))
+        assert main(["validate", str(path), "--instance", ex1_path]) == EXIT_INVALID
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["valid"] is False
+        assert f"non-finite {key}" in verdict["problems"]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,13 @@ def test_linear_order_validation_and_prec():
         LinearOrder((0, 0, 1))
     with pytest.raises(InvalidInput):
         LinearOrder((1, 2, 3))
+
+
+def test_mixture_solution_rejects_non_finite_weights():
+    orders = (LinearOrder((0, 1, 2)), LinearOrder((2, 1, 0)))
+    for weights in ((math.nan, math.nan), (math.inf, 0.0), (1.0, math.nan)):
+        with pytest.raises(InvalidInput, match="finite"):
+            MixtureSolution(orders, weights)
 
 
 def test_linear_order_from_prec_roundtrip():

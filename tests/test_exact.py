@@ -18,7 +18,7 @@ from mlop import (
     opt_curve,
     solve_exact,
 )
-from mlop.exact import _iter_multisets, all_orders, enumeration_size
+from mlop.exact import _iter_multisets, enumerate_vertices, enumeration_size
 
 from _oracles import exact_min_by_enumeration, random_preference_matrix
 
@@ -85,9 +85,19 @@ def test_size_guards():
         ExactConfig(g=0)
 
 
+def test_vertex_table_built_once_and_never_for_g1():
+    enumerate_vertices.cache_clear()
+    solve_exact(random_preference_matrix(9, np.random.default_rng(1)), ExactConfig(g=1, max_n=10))
+    assert enumerate_vertices.cache_info().currsize == 0
+    opt_curve(EX1, 3)
+    info = enumerate_vertices.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert enumerate_vertices(4).vertices.dtype == np.float64
+
+
 def test_enumeration_visits_each_multiset_once():
     for n in (2, 3, 4):
-        orders = all_orders(n)
+        orders = enumerate_vertices(n).orders
         for g in (1, 2, 3):
             seen = list(_iter_multisets(len(orders), g))
             assert len(seen) == enumeration_size(n, g)
@@ -97,7 +107,7 @@ def test_enumeration_visits_each_multiset_once():
 
 
 def test_orders_in_lexicographic_order():
-    orders = all_orders(3)
+    orders = enumerate_vertices(3).orders
     perms = [o.perm for o in orders]
     assert perms == sorted(perms)
     assert perms == list(itertools.permutations(range(3)))

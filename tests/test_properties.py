@@ -1,4 +1,11 @@
-"""Property tests: each shared kernel against an independent oracle."""
+"""Property tests: each shared kernel against an independent oracle, and
+the heuristic CLI commands against their own invariants."""
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,12 +23,14 @@ from mlop import (
     lop_heuristic,
     num_pairs,
 )
+from mlop.cli import main
 from mlop.geometry import cycle_residuals
 from mlop.instances import count_matrix
 
 from _oracles import cycle_residuals_triple_loop, is_insertion_local_optimal, is_order_vector
 
 SETTINGS = settings(max_examples=60, deadline=None)
+CLI_SETTINGS = settings(max_examples=20, deadline=None)
 
 
 @st.composite
@@ -100,3 +109,45 @@ def test_canonicalize_is_idempotent(case):
     twice = canonicalize(once)
     assert [o.perm for o in twice.orders] == [o.perm for o in once.orders]
     assert twice.weights == once.weights
+
+
+def _run(argv):
+    """(exit code, stdout) of one in-process `mlop` command."""
+    with redirect_stdout(io.StringIO()) as out:
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _heuristic_args(tmp, case, n_starts, seed):
+    n, upper = case
+    path = Path(tmp) / "c.instance.json"
+    path.write_text(json.dumps({"n": n, "c_upper": upper}))
+    return str(path), ["--method", "heuristic", "--n-starts", str(n_starts), "--seed", str(seed)]
+
+
+@CLI_SETTINGS
+@given(
+    st.integers(3, 6).flatmap(lambda n: sized(n, st.floats(0.0, 1.0))),
+    st.integers(1, 3), st.integers(1, 2), st.integers(0, 2**16),
+)
+def test_heuristic_solve_report_validates(case, g, n_starts, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        instance, solver = _heuristic_args(tmp, case, n_starts, seed)
+        report = str(Path(tmp) / "report.json")
+        assert _run(["solve", instance, "--g", str(g), "--out", report] + solver)[0] == 0
+        code, out = _run(["validate", report, "--instance", instance])
+    assert code == 0 and json.loads(out)["valid"] is True, out
+
+
+@CLI_SETTINGS
+@given(
+    st.integers(3, 6).flatmap(lambda n: sized(n, st.floats(0.0, 1.0))),
+    st.integers(1, 2), st.integers(0, 2**16),
+)
+def test_heuristic_sweep_never_increases(case, n_starts, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        instance, solver = _heuristic_args(tmp, case, n_starts, seed)
+        code, out = _run(["sweep", instance, "--g-max", "3", "--format", "json"] + solver)
+    assert code == 0
+    objs = [row["objective"] for row in json.loads(out)["rows"]]
+    assert all(b <= a for a, b in zip(objs, objs[1:])), objs
