@@ -47,7 +47,7 @@ from .core import (
     l1_objective,
     num_pairs,
 )
-from .exact import ExactConfig, SizeGuardExceeded, solve_exact
+from .exact import MULTISET_GUARD, ExactConfig, SizeGuardExceeded, check_guards, solve_exact
 from .geometry import (
     MEMBERSHIP_GUARD_N,
     MEMBERSHIP_TOL,
@@ -135,6 +135,15 @@ def _instance_id(path: str) -> str:
     return stem
 
 
+def _json_int(value) -> int | None:
+    """A JSON integer (3, or 3.0 as some writers emit it) as an int, else None."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        return None
+    return value
+
+
 def load_instance(path: str) -> PreferenceMatrix:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -142,11 +151,9 @@ def load_instance(path: str) -> PreferenceMatrix:
         raise InvalidInput(f"{path}: not valid JSON ({e})") from None
     if not isinstance(data, dict) or "n" not in data:
         raise InvalidInput(f"{path}: instance JSON must carry an 'n' field")
-    n = data["n"]
-    if isinstance(n, float) and n.is_integer():
-        n = int(n)
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise InvalidInput(f"{path}: field 'n' must be an integer, got {n!r}")
+    n = _json_int(data["n"])
+    if n is None:
+        raise InvalidInput(f"{path}: field 'n' must be an integer, got {data['n']!r}")
     if "c_upper" in data:
         return PreferenceMatrix(n, np.asarray(data["c_upper"], dtype=np.float64))
     if "c" in data:
@@ -238,11 +245,14 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _exact_config(g: int, args) -> ExactConfig:
+    return ExactConfig(g=g, max_n=args.max_n, max_g=args.max_g)
+
+
 def _run_solver(C: PreferenceMatrix, method: str, g: int, args):
     """Returns (solution, objective, proven, trace-dict-or-None)."""
     if method == "exact":
-        cfg = ExactConfig(g=g, max_n=args.max_n, max_g=args.max_g)
-        sol, obj, proven = solve_exact(C, cfg)
+        sol, obj, proven = solve_exact(C, _exact_config(g, args))
         return sol, obj, proven, None
     cfg = HeuristicConfig(
         n_starts=args.n_starts,
@@ -300,6 +310,9 @@ def cmd_sweep(args) -> int:
     if args.g_max < 1:
         raise InvalidInput(f"--g-max must be >= 1, got {args.g_max}")
     C = load_instance(args.instance)
+    if args.method == "exact":
+        # refuse before solving any g rather than after the smaller ones ran
+        check_guards(C.n, _exact_config(args.g_max, args))
     rows: list[SweepRow] = []
     prev_sol: MixtureSolution | None = None
     prev_obj = None
@@ -386,7 +399,10 @@ def cmd_verify(args) -> int:
     g_star = None
     in_unit_box = bool(point.min() >= 0.0 and point.max() <= 1.0)
     if n <= SATURATION_GUARD_N and not args.no_saturation and in_unit_box:
-        g_star = caratheodory_saturation(point, n)
+        try:
+            g_star = caratheodory_saturation(point, n)
+        except SizeGuardExceeded as e:
+            raise SizeGuardExceeded(f"saturation search: {e}; --no-saturation skips it") from None
 
     report = {
         "instance": label,
@@ -428,8 +444,11 @@ def cmd_validate(args) -> int:
     C = load_instance(args.instance)
     problems: list[str] = []
 
-    n, g = int(report["n"]), int(report["g"])
-    if n != C.n:
+    n, g = _json_int(report["n"]), _json_int(report["g"])
+    for key, value in (("n", n), ("g", g)):
+        if value is None:
+            problems.append(f"field '{key}' must be an integer, got {report[key]!r}")
+    if n is not None and n != C.n:
         problems.append(f"report n={n} does not match instance n={C.n}")
     orders = []
     for idx, perm in enumerate(report["orders"]):
@@ -441,7 +460,7 @@ def cmd_validate(args) -> int:
     for key in ("weights", "objective", "fit", "max_form_value"):
         if not np.all(np.isfinite(np.asarray(report[key], dtype=np.float64))):
             problems.append(f"non-finite {key}")
-    if len(weights) != g or len(report["orders"]) != g:
+    if g is not None and (len(weights) != g or len(report["orders"]) != g):
         problems.append("group count disagrees with g")
     if weights and (min(weights) < -1e-12 or abs(sum(weights) - 1.0) > 1e-9):
         problems.append("weights are not a probability vector")
@@ -478,7 +497,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-n", type=int, default=ExactConfig.max_n,
                        help="exact-method enumeration guard on n")
         p.add_argument("--max-g", type=int, default=ExactConfig.max_g,
-                       help="exact-method enumeration guard on g")
+                       help="exact-method enumeration guard on g (g >= 3 also "
+                            f"visits at most {MULTISET_GUARD:,} multisets)")
         p.add_argument("--n-starts", type=int, default=HeuristicConfig.n_starts)
         p.add_argument("--it-max", type=int, default=HeuristicConfig.it_max)
         p.add_argument("--epsilon", type=float, default=HeuristicConfig.epsilon)

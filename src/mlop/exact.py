@@ -2,7 +2,7 @@
 for the heuristic: enumerate every multiset of g linear orders (orders in
 lexicographic permutation order, multisets as non-decreasing index tuples so
 each group combination is visited exactly once), fit optimal simplex weights
-for each, and keep the global best.
+for each one a lower bound does not rule out, and keep the global best.
 
 The orders come from the cached vertex table of the linear ordering
 polytope, which the geometry utilities read as well.  Guards reject
@@ -33,9 +33,18 @@ from .simplex_fit import _breakpoint_g2, _fit_simplex_l1
 # canonical-minimum multiset encountered is kept deterministically
 _IMPROVE_TOL = 1e-12
 _ZERO_TOL = 1e-12
+# screen bounds are sums of at most C(8, 2) = 28 terms of at most 1, taken in
+# another order than the fitters' own sums, so they differ from the fitted
+# objective's float value by well under this; it is also below _IMPROVE_TOL,
+# so a multiset that only ties the incumbent is never fitted
+_SCREEN_SLACK = 5e-13
 
 # 8! = 40320 vertices; at n = 9 even g = 2 would visit 6.6e10 multisets
 VERTEX_GUARD_N = 8
+# enumeration_size(5, 3): g >= 3 fits a weight LP per unscreened multiset, and
+# the next size up (n = 4, g = 6: 475,020; n = 6, g = 3: 62.4M) costs minutes
+# to hours
+MULTISET_GUARD = 295_240
 
 
 class SizeGuardExceeded(RuntimeError):
@@ -89,6 +98,38 @@ def enumeration_size(n: int, g: int) -> int:
     return math.comb(math.factorial(n) + g - 1, g)
 
 
+def check_guards(n: int, cfg: ExactConfig) -> None:
+    """Raise SizeGuardExceeded unless an exact solve of cfg.g groups at n
+    items is admitted.
+
+    Besides cfg's own bounds, two or more groups never run past
+    n = VERTEX_GUARD_N and three or more never visit more than
+    MULTISET_GUARD multisets, whatever cfg admits.  The cost grows with g,
+    so admitting g admits every smaller g at the same n.
+    """
+    g = cfg.g
+    if n > cfg.max_n:
+        raise SizeGuardExceeded(
+            f"n={n} exceeds the enumeration guard max_n={cfg.max_n}; "
+            "use the heuristic solver"
+        )
+    if g > cfg.max_g:
+        raise SizeGuardExceeded(
+            f"g={g} exceeds the enumeration guard max_g={cfg.max_g}; "
+            "use the heuristic solver"
+        )
+    if g >= 2 and n > VERTEX_GUARD_N:
+        raise SizeGuardExceeded(
+            f"g={g} enumerates all n! orders, guarded to n <= {VERTEX_GUARD_N}, got n={n}; "
+            "use the heuristic solver"
+        )
+    if g >= 3 and enumeration_size(n, g) > MULTISET_GUARD:
+        raise SizeGuardExceeded(
+            f"g={g} at n={n} visits {enumeration_size(n, g):,} multisets, more than "
+            f"the guard of {MULTISET_GUARD:,} (n=5, g=3); use the heuristic solver"
+        )
+
+
 def solve_exact(
     C: PreferenceMatrix, cfg: ExactConfig
 ) -> tuple[MixtureSolution, float, bool]:
@@ -99,20 +140,10 @@ def solve_exact(
     zero, which is a global lower bound.  For a single group the search
     reduces to a classical LOP solved by branch and bound, which returns the
     identical optimum (objective C(n,2) - LOP value, lex-smallest order).
-    Two or more groups enumerate the vertex table, so they never run past
-    n = VERTEX_GUARD_N, whatever cfg.max_n admits.
+    Two or more groups enumerate the vertex table; check_guards says which
+    sizes are admitted.
     """
-    n = C.n
-    if n > cfg.max_n:
-        raise SizeGuardExceeded(
-            f"n={n} exceeds the enumeration guard max_n={cfg.max_n}; "
-            "use the heuristic solver"
-        )
-    if cfg.g > cfg.max_g:
-        raise SizeGuardExceeded(
-            f"g={cfg.g} exceeds the enumeration guard max_g={cfg.max_g}; "
-            "use the heuristic solver"
-        )
+    check_guards(C.n, cfg)
     g = cfg.g
     c = C.upper
 
@@ -121,23 +152,8 @@ def solve_exact(
         sol = MixtureSolution((order,), (1.0,))
         return sol, float(np.abs(c - order.prec).sum()), proven
 
-    V = enumerate_vertices(n)
-
-    best_obj = math.inf
-    best_combo: tuple[int, ...] | None = None
-    best_w: np.ndarray | None = None
-    for combo in _iter_multisets(len(V.orders), g):
-        cols = V.vertices[list(combo)]
-        if g == 2:
-            w, obj = _breakpoint_g2(cols, c)
-        else:
-            w, obj = _fit_simplex_l1(cols, c)
-        if obj < best_obj - _IMPROVE_TOL:
-            best_obj, best_combo, best_w = obj, combo, w
-            if best_obj <= _ZERO_TOL:
-                break
-
-    assert best_combo is not None and best_w is not None
+    V = enumerate_vertices(C.n)
+    best_combo, best_w, best_obj = _scan_multisets(V.vertices, c, g)
     sol = canonicalize(
         MixtureSolution(
             orders=tuple(V.orders[j] for j in best_combo),
@@ -145,6 +161,64 @@ def solve_exact(
         )
     )
     return sol, float(best_obj), True
+
+
+def _scan_multisets(X: np.ndarray, c: np.ndarray, g: int):
+    """(multiset, weights, objective) of the first strict optimum in order.
+
+    Visits the multisets of g rows of X in lexicographic order and keeps the
+    first whose fitted objective beats the incumbent by more than
+    _IMPROVE_TOL, stopping at the first objective <= _ZERO_TOL.  Multisets
+    sharing their first g - 1 rows are screened together: each gets a lower
+    bound on its objective, and only those whose bound could still beat the
+    incumbent are fitted, with the same kernel the plain loop would call.
+    """
+    fit = _breakpoint_g2 if g == 2 else _fit_simplex_l1
+    screen = _breakpoint_screen if g == 2 else _agreement_screen
+    best_obj, best_combo, best_w = math.inf, None, None
+    for prefix in _iter_multisets(X.shape[0], g - 1):
+        start = prefix[-1]
+        bound = screen(X, c, prefix)
+        for j in np.flatnonzero(bound < best_obj - _IMPROVE_TOL + _SCREEN_SLACK):
+            if bound[j] >= best_obj - _IMPROVE_TOL + _SCREEN_SLACK:
+                continue  # the incumbent improved earlier in this batch
+            combo = prefix + (start + int(j),)
+            w, obj = fit(X[list(combo)], c)
+            if obj < best_obj - _IMPROVE_TOL:
+                best_obj, best_combo, best_w = obj, combo, w
+                if best_obj <= _ZERO_TOL:
+                    return best_combo, best_w, best_obj
+    return best_combo, best_w, best_obj
+
+
+def _breakpoint_screen(X: np.ndarray, c: np.ndarray, prefix: tuple[int]) -> np.ndarray:
+    """Least g = 2 breakpoint objective of each multiset (i, j), j >= i.
+
+    With x1 = X[i] fixed, the breakpoints, the candidate weights and their
+    distances do not depend on j; only which pairs the two orders disagree
+    on does.  The pair's objective is the residual on agreeing pairs plus
+    the distance sum over disagreeing ones, minimised over the candidates
+    that pair has: its own breakpoints and {0, 1}.
+    """
+    (i,) = prefix
+    x1 = X[i]
+    b = np.where(x1 == 1.0, c, 1.0 - c)
+    cands = np.concatenate([b, [0.0, 1.0]])
+    agree = X[i:] == x1
+    F = agree @ np.abs(c - x1)[:, None] + ~agree @ np.abs(b[:, None] - cands[None, :])
+    F[:, : b.size][agree] = np.inf
+    return F.min(axis=1)
+
+
+def _agreement_screen(X: np.ndarray, c: np.ndarray, prefix: tuple[int, ...]) -> np.ndarray:
+    """Residual of prefix + (j,), j >= prefix[-1], on pairs all g orders agree on.
+
+    No choice of weights moves the mixture on such a pair, so this is a
+    lower bound on the multiset's objective.
+    """
+    x1 = X[prefix[0]]
+    fixed = np.all(X[list(prefix)] == x1, axis=0)
+    return (X[prefix[-1] :] == x1) @ np.where(fixed, np.abs(c - x1), 0.0)
 
 
 def opt_curve(

@@ -187,3 +187,42 @@ def random_order(n: int, rng: np.random.Generator):
     from mlop import LinearOrder
 
     return LinearOrder(tuple(int(v) for v in rng.permutation(n)))
+
+
+def exact_scan_reference(C, g: int):
+    """`solve_exact`'s enumeration for g >= 2 as one weight fit per multiset.
+
+    The plain loop the batched scan must reproduce exactly: every multiset of
+    g orders in lexicographic order, fitted with the same kernels, the
+    incumbent replaced only on improvement beyond _IMPROVE_TOL and the
+    search stopped at the first objective <= _ZERO_TOL.
+    Returns (solution, objective, proven)."""
+    from mlop.core import MixtureSolution, canonicalize
+    from mlop.exact import _IMPROVE_TOL, _ZERO_TOL, _iter_multisets, enumerate_vertices
+    from mlop.simplex_fit import _breakpoint_g2, _fit_simplex_l1
+
+    c = C.upper
+    V = enumerate_vertices(C.n)
+
+    best_obj = math.inf
+    best_combo: tuple[int, ...] | None = None
+    best_w: np.ndarray | None = None
+    for combo in _iter_multisets(len(V.orders), g):
+        cols = V.vertices[list(combo)]
+        if g == 2:
+            w, obj = _breakpoint_g2(cols, c)
+        else:
+            w, obj = _fit_simplex_l1(cols, c)
+        if obj < best_obj - _IMPROVE_TOL:
+            best_obj, best_combo, best_w = obj, combo, w
+            if best_obj <= _ZERO_TOL:
+                break
+
+    assert best_combo is not None and best_w is not None
+    sol = canonicalize(
+        MixtureSolution(
+            orders=tuple(V.orders[j] for j in best_combo),
+            weights=tuple(float(v) for v in best_w),
+        )
+    )
+    return sol, float(best_obj), True

@@ -108,6 +108,9 @@ def test_solve_guard_exit_code(tmp_path):
     solve = ["solve", str(path), "--method", "exact", "--max-n", "10", "--g"]
     assert main(solve + ["2"]) == EXIT_GUARD
     assert main(solve + ["1"]) == EXIT_OK
+    # n = 6, g = 3 passes --max-n and --max-g but visits 62.4M multisets
+    path.write_text(json.dumps({"n": 6, "c_upper": rng.random(15).tolist()}))
+    assert main(["solve", str(path), "--method", "exact", "--g", "3"]) == EXIT_GUARD
 
 
 @pytest.mark.parametrize("n", [3.7, "3", True])
@@ -128,6 +131,18 @@ def test_sweep_rejects_zero_g_max(ex1_path, capsys):
     assert main(["sweep", ex1_path, "--method", "exact", "--g-max", "0"]) == EXIT_INVALID
     captured = capsys.readouterr()
     assert "--g-max" in captured.err
+    assert captured.out == ""
+
+
+def test_sweep_exact_checks_g_max_before_solving(ex1_path, monkeypatch, capsys):
+    import mlop.cli
+
+    calls = []
+    monkeypatch.setattr(mlop.cli, "solve_exact", lambda *a: calls.append(a))
+    assert main(["sweep", ex1_path, "--method", "exact", "--g-max", "4"]) == EXIT_GUARD
+    assert calls == []
+    captured = capsys.readouterr()
+    assert "max_g=3" in captured.err
     assert captured.out == ""
 
 
@@ -400,3 +415,15 @@ def test_validate_flags_non_finite_numbers(ex1_path, tmp_path, capsys):
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["valid"] is False
         assert f"non-finite {key}" in verdict["problems"]
+
+
+@pytest.mark.parametrize("key,value", [("n", 4.7), ("g", 2.9), ("g", "2"), ("n", True)])
+def test_validate_rejects_non_integral_counts(ex1_path, tmp_path, capsys, key, value):
+    out = tmp_path / "rep.json"
+    main(["solve", ex1_path, "--method", "exact", "--g", "2", "--out", str(out)])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(json.loads(out.read_text()), **{key: value})))
+    assert main(["validate", str(path), "--instance", ex1_path]) == EXIT_INVALID
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["valid"] is False
+    assert verdict["problems"] == [f"field '{key}' must be an integer, got {value!r}"]

@@ -18,9 +18,15 @@ from mlop import (
     opt_curve,
     solve_exact,
 )
-from mlop.exact import _iter_multisets, enumerate_vertices, enumeration_size
+from mlop.exact import (
+    MULTISET_GUARD,
+    _iter_multisets,
+    check_guards,
+    enumerate_vertices,
+    enumeration_size,
+)
 
-from _oracles import exact_min_by_enumeration, random_preference_matrix
+from _oracles import exact_min_by_enumeration, exact_scan_reference, random_preference_matrix
 
 EX1 = PreferenceMatrix(4, [0.9, 0.9, 0.9, 0.5, 0.9, 0.9])
 
@@ -150,3 +156,63 @@ def test_stabilization_at_full_projection_for_n3():
     curve = dict(opt_curve(C, 5, cfg))
     assert curve[4] == pytest.approx(curve[3], abs=1e-9)
     assert curve[5] == pytest.approx(curve[3], abs=1e-9)
+
+
+def _mixture_3_1(n):
+    # two orders with small lexicographic indices, so the plain scan reaches
+    # the zero-objective multiset early even at n = 5, g = 3
+    a = LinearOrder(tuple(range(n)))
+    b = LinearOrder((1, 0) + tuple(range(n - 1, 1, -1)))
+    return 0.75 * a.prec + 0.25 * b.prec
+
+
+@pytest.mark.parametrize("n,g", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)])
+def test_matches_reference_scan(n, g):
+    rng = np.random.default_rng(100 * n + g)
+    # a 1e-6 share of the order that swaps the top two items of the reversed
+    # order: the zero-objective pair beats an earlier 1e-6 incumbent by less
+    # than any screen resolution coarser than that would notice
+    near_tie = np.zeros(num_pairs(n))
+    near_tie[-1] = 1e-6
+    uppers = [
+        LinearOrder(tuple(rng.permutation(n))).prec.astype(float),  # early exit at zero
+        _mixture_3_1(n),
+        near_tie,
+    ]
+    if (n, g) != (5, 3):  # the plain scan takes about a minute there
+        uppers += [rng.random(num_pairs(n)) for _ in range(3)]
+        # quarter-grid data: many multisets tie on the objective
+        uppers += [rng.integers(0, 5, num_pairs(n)) / 4 for _ in range(3)]
+    for upper in uppers:
+        C = PreferenceMatrix(n, upper)
+        assert solve_exact(C, ExactConfig(g=g)) == exact_scan_reference(C, g)
+
+
+def test_agreement_screen_skips_weight_lps(monkeypatch):
+    import mlop.exact
+
+    calls = []
+    real = mlop.exact._fit_simplex_l1
+
+    def counting(X, c):
+        calls.append(1)
+        return real(X, c)
+
+    monkeypatch.setattr(mlop.exact, "_fit_simplex_l1", counting)
+    for C in (EX1, random_preference_matrix(4, np.random.default_rng(53))):
+        calls.clear()
+        solve_exact(C, ExactConfig(g=3))
+        assert 0 < len(calls) < enumeration_size(4, 3)
+
+
+def test_multiset_guard_refuses_before_enumerating():
+    assert MULTISET_GUARD == enumeration_size(5, 3)
+    check_guards(5, ExactConfig(g=3))
+    enumerate_vertices.cache_clear()
+    C = random_preference_matrix(6, np.random.default_rng(2))
+    for cfg in (ExactConfig(g=3), ExactConfig(g=3, max_n=8, max_g=8)):
+        with pytest.raises(SizeGuardExceeded, match="multisets"):
+            solve_exact(C, cfg)
+    with pytest.raises(SizeGuardExceeded, match="multisets"):
+        solve_exact(EX1, ExactConfig(g=6, max_g=7))  # 475,020 multisets at n = 4
+    assert enumerate_vertices.cache_info().misses == 0

@@ -14,22 +14,31 @@ from hypothesis import strategies as st
 
 from mlop import (
     BenefitMatrix,
+    ExactConfig,
     InvalidInput,
     LinearOrder,
     MixtureSolution,
+    PreferenceMatrix,
     WeightFitProblem,
     aggregate,
     canonicalize,
     lop_heuristic,
     num_pairs,
+    solve_exact,
 )
 from mlop.cli import main
 from mlop.geometry import cycle_residuals
 from mlop.instances import count_matrix
 
-from _oracles import cycle_residuals_triple_loop, is_insertion_local_optimal, is_order_vector
+from _oracles import (
+    cycle_residuals_triple_loop,
+    exact_scan_reference,
+    is_insertion_local_optimal,
+    is_order_vector,
+)
 
 SETTINGS = settings(max_examples=60, deadline=None)
+EXACT_SETTINGS = settings(max_examples=25, deadline=None)
 CLI_SETTINGS = settings(max_examples=20, deadline=None)
 
 
@@ -109,6 +118,23 @@ def test_canonicalize_is_idempotent(case):
     twice = canonicalize(once)
     assert [o.perm for o in twice.orders] == [o.perm for o in once.orders]
     assert twice.weights == once.weights
+
+
+@EXACT_SETTINGS
+@given(
+    st.sampled_from([(3, 2), (3, 3), (4, 2), (4, 3), (5, 2)]).flatmap(
+        lambda ng: st.tuples(
+            st.just(ng[1]),
+            # free floats, or quarter-grid values on which many multisets tie
+            sized(ng[0], st.floats(0.0, 1.0))
+            | sized(ng[0], st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])),
+        )
+    )
+)
+def test_solve_exact_matches_reference_scan(case):
+    g, (n, upper) = case
+    C = PreferenceMatrix(n, np.array(upper))
+    assert solve_exact(C, ExactConfig(g=g)) == exact_scan_reference(C, g)
 
 
 def _run(argv):
