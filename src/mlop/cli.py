@@ -57,7 +57,7 @@ from .geometry import (
     l1_projection_full,
     violates_cycle,
 )
-from .heuristic import EXACT_INNER_MAX_N, HeuristicConfig, solve_heuristic
+from .heuristic import HeuristicConfig, solve_heuristic
 from .instances import (
     GeneratorSpec,
     RankingFormatError,
@@ -66,6 +66,7 @@ from .instances import (
     generate_instance,
     ingest_rankings,
 )
+from .lop import DEFAULT_NODE_BUDGET, LOP_DP_MAX_N
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -266,6 +267,7 @@ def _run_solver(C: PreferenceMatrix, method: str, g: int, args):
         "n_starts": cfg.n_starts,
         "total_iterations": trace.total_iterations,
         "start_final_objectives": [rows[-1][2] for rows in trace.starts],
+        "inner_unproven": trace.inner_unproven,
     }
     return sol, obj, False, summary
 
@@ -503,8 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--it-max", type=int, default=HeuristicConfig.it_max)
         p.add_argument("--epsilon", type=float, default=HeuristicConfig.epsilon)
         p.add_argument("--step1-budget", type=int, default=HeuristicConfig.step1_budget,
-                       help="branch-and-bound node cap per inner LOP solve "
-                            f"(default: unlimited for n <= {EXACT_INNER_MAX_N})")
+                       help="branch-and-bound node cap per inner LOP solve, used only "
+                            f"for n > {LOP_DP_MAX_N}, where the exact subset DP stops "
+                            f"(default: {DEFAULT_NODE_BUDGET:,})")
 
     p_gen = sub.add_parser("gen", help="generate a synthetic instance")
     p_gen.add_argument("--n", type=int, required=True)

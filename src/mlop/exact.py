@@ -138,8 +138,10 @@ def solve_exact(
     Returns (solution, objective, proven).  The solution is canonicalized;
     proven is True on full enumeration and also on an early exit at objective
     zero, which is a global lower bound.  For a single group the search
-    reduces to a classical LOP solved by branch and bound, which returns the
-    identical optimum (objective C(n,2) - LOP value, lex-smallest order).
+    reduces to a classical LOP solved by lop_exact, which returns the
+    identical optimum (objective C(n,2) - LOP value, lex-smallest order); it
+    is exact up to LOP_DP_MAX_N items, and above that proven only if its
+    capped branch and bound finishes.
     Two or more groups enumerate the vertex table; check_guards says which
     sizes are admitted.
     """

@@ -13,9 +13,11 @@ with the other groups fixed, the subproblem for group i,
     min over orders  sum_k |a_k - w_i x_k|,   a = c - sum_{j != i} w_j x^j,
 
 is exactly a classical LOP with per-pair benefits |a_k| - |a_k - w_i| (and
-the analogous value from the complementary pair), solved by the branch and
-bound in ``mlop.lop``.  Groups are swept cyclically until a full sweep yields
-no improvement, so the step never worsens the incumbent.
+the analogous value from the complementary pair), solved by ``lop_exact``:
+exactly by the subset DP up to ``LOP_DP_MAX_N`` items, and by the
+node-capped branch and bound above that, where a solve may stop on its
+budget (the trace counts those).  Groups are swept cyclically until a full
+sweep yields no improvement, so the step never worsens the incumbent.
 """
 
 from __future__ import annotations
@@ -35,11 +37,6 @@ from .core import (
 from .lop import benefit_for_pairs, lop_exact
 from .simplex_fit import _fit_simplex_l1
 
-# exact branch and bound is affordable up to this size; beyond it the inner
-# LOP runs under a node budget (insertion-heuristic incumbent plus capped B&B)
-EXACT_INNER_MAX_N = 14
-DEFAULT_STEP1_BUDGET = 50_000
-
 _WEIGHT_EPS = 1e-12
 _IMPROVE_TOL = 1e-15
 _MAX_SWEEPS = 100
@@ -49,8 +46,9 @@ _MAX_SWEEPS = 100
 class HeuristicConfig:
     """Knobs of the multi-start alternation.
 
-    step1_budget is a branch-and-bound node cap per inner LOP solve; None
-    selects unlimited exact solves for n <= 14 and a default cap above that.
+    step1_budget is the branch-and-bound node cap per inner LOP solve.  It
+    applies only for n > LOP_DP_MAX_N, where the subset DP stops; None
+    selects the lop module's DEFAULT_NODE_BUDGET.
     Start k derives its RNG seed as base_seed XOR k, so runs are reproducible
     and independent of any scheduling.
     """
@@ -76,9 +74,11 @@ class HeuristicConfig:
 
 @dataclass
 class HeuristicTrace:
-    """Per-start rows (iteration, objective after step 1, after step 2)."""
+    """Per-start rows (iteration, objective after step 1, after step 2), and
+    the number of inner LOP solves that stopped on their node budget."""
 
     starts: list[list[tuple[int, float, float]]] = field(default_factory=list)
+    inner_unproven: int = 0
 
     @property
     def total_iterations(self) -> int:
@@ -105,7 +105,7 @@ def step_rankings(
     fixed_weights,
     incumbent_orders,
     budget: int | None = None,
-) -> tuple[list[LinearOrder], float]:
+) -> tuple[list[LinearOrder], float, int]:
     """Update the group orders at fixed weights; never worsens the incumbent.
 
     Args:
@@ -113,12 +113,13 @@ def step_rankings(
         fixed_weights: simplex vector of length g.
         incumbent_orders: current orders, kept wherever no strict improvement
             is found (zero-weight groups always keep theirs).
-        budget: node cap passed to each inner branch-and-bound solve; the
-            incumbent order warm-starts the search, so exhaustion still
-            returns incumbent-or-better.
+        budget: node cap passed to each inner solve, which uses it only
+            above LOP_DP_MAX_N items; the incumbent order warm-starts the
+            branch and bound, so exhaustion still returns incumbent-or-better.
 
     Returns:
-        (orders, objective) at the fixed weights.
+        (orders, objective, unproven): the objective at the fixed weights, and
+        the number of inner solves that stopped on their budget.
     """
     w = np.asarray(fixed_weights, dtype=np.float64)
     orders = list(incumbent_orders)
@@ -130,6 +131,7 @@ def step_rankings(
     c = C.upper
     X = np.stack([o.prec for o in orders]).astype(np.float64)
     cur_obj = float(np.abs(c - w @ X).sum())
+    unproven = 0
 
     for _ in range(_MAX_SWEEPS):
         improved = False
@@ -141,7 +143,8 @@ def step_rankings(
             a_sr = w[i] - a
             b_sr = np.abs(a_sr) - np.abs(a_sr - w[i])
             B = benefit_for_pairs(n, b_rs, b_sr)
-            new_order, _, _ = lop_exact(B, budget=budget, warm_start=orders[i])
+            new_order, _, proven = lop_exact(B, budget=budget, warm_start=orders[i])
+            unproven += not proven
             if new_order.perm == orders[i].perm:
                 continue
             x_new = new_order.prec.astype(np.float64)
@@ -153,7 +156,7 @@ def step_rankings(
                 improved = True
         if not improved:
             break
-    return orders, cur_obj
+    return orders, cur_obj, unproven
 
 
 def solve_heuristic(
@@ -169,10 +172,6 @@ def solve_heuristic(
         raise InvalidInput(f"g must be >= 1, got {g}")
     cfg = cfg if cfg is not None else HeuristicConfig()
     n = C.n
-    if cfg.step1_budget is not None:
-        budget = cfg.step1_budget
-    else:
-        budget = None if n <= EXACT_INNER_MAX_N else DEFAULT_STEP1_BUDGET
 
     best_obj = math.inf
     best_orders: list[LinearOrder] | None = None
@@ -190,7 +189,8 @@ def solve_heuristic(
         for it in range(1, cfg.it_max + 1):
             obj_start = obj_loc
 
-            orders_new, obj1 = step_rankings(C, w_ref, orders_loc, budget)
+            orders_new, obj1, unproven = step_rankings(C, w_ref, orders_loc, cfg.step1_budget)
+            trace.inner_unproven += unproven
             if obj1 < obj_loc:
                 orders_loc, obj_loc = orders_new, obj1
             after1 = obj_loc

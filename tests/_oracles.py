@@ -33,6 +33,14 @@ def lop_enumeration_max(b: np.ndarray) -> tuple[tuple[int, ...], float]:
     return best_perm, best
 
 
+def lop_lex_smallest_optimum(b: np.ndarray, tol: float = 1e-12) -> tuple[tuple[int, ...], float]:
+    """First permutation, in lexicographic order, within tol of the best value."""
+    perms = list(itertools.permutations(range(b.shape[0])))
+    values = [lop_value_double_loop(perm, b) for perm in perms]
+    best = max(values)
+    return next((p, v) for p, v in zip(perms, values) if v >= best - tol)
+
+
 def is_insertion_local_optimal(order, B, tol: float = 1e-9) -> bool:
     """True iff no single-item relocation improves the order's value."""
     b = B.b

@@ -95,6 +95,7 @@ def test_solve_heuristic_seed7_reaches_zero(ex1_path, capsys):
     assert report["objective"] == pytest.approx(0.0, abs=1e-9)
     assert report["proven"] is False
     assert report["trace"]["n_starts"] == 10
+    assert report["trace"]["inner_unproven"] == 0
 
 
 def test_solve_guard_exit_code(tmp_path):

@@ -18,6 +18,8 @@ from mlop import (
     step_weights,
 )
 
+from mlop.lop import LOP_DP_MAX_N
+
 from _oracles import grid_min_objective, random_order, random_preference_matrix
 
 EX1 = PreferenceMatrix(4, [0.9, 0.9, 0.9, 0.5, 0.9, 0.9])
@@ -48,14 +50,15 @@ def test_random_simplex_weights_uniform_mean():
 
 def test_step_rankings_single_group_is_classical_lop():
     incumbent = [LinearOrder((3, 0, 1, 2))]
-    orders, obj = step_rankings(EX1, [1.0], incumbent)
+    orders, obj, unproven = step_rankings(EX1, [1.0], incumbent)
     assert obj == pytest.approx(1.0, abs=1e-9)
     assert orders[0].perm == (0, 1, 2, 3)
+    assert unproven == 0
 
 
 def test_step_rankings_reaches_zero_from_known_decomposition():
     orders = [LinearOrder((0, 1, 2, 3)), LinearOrder((0, 2, 1, 3)), LinearOrder((3, 2, 1, 0))]
-    new_orders, obj = step_rankings(EX1, [0.5, 0.4, 0.1], orders)
+    new_orders, obj, _ = step_rankings(EX1, [0.5, 0.4, 0.1], orders)
     assert obj == pytest.approx(0.0, abs=1e-12)
 
 
@@ -67,13 +70,13 @@ def test_step_rankings_never_worsens():
         incumbent = [random_order(5, rng) for _ in range(2)]
         X = np.stack([o.prec for o in incumbent]).astype(float)
         before = float(np.abs(C.upper - w @ X).sum())
-        _, after = step_rankings(C, w, incumbent)
+        _, after, _ = step_rankings(C, w, incumbent)
         assert after <= before + 1e-12
 
 
 def test_step_rankings_keeps_zero_weight_groups():
     keep = LinearOrder((2, 1, 0, 3))
-    orders, _ = step_rankings(EX1, [1.0, 0.0], [LinearOrder((0, 1, 2, 3)), keep])
+    orders, _, _ = step_rankings(EX1, [1.0, 0.0], [LinearOrder((0, 1, 2, 3)), keep])
     assert orders[1] is keep
 
 
@@ -155,6 +158,19 @@ def test_global_best_is_min_over_starts():
     _, obj, trace = solve_heuristic(C, 2, HeuristicConfig(base_seed=1, n_starts=6))
     finals = [rows[-1][2] for rows in trace.starts]
     assert obj == pytest.approx(min(finals), abs=1e-12)
+
+
+def test_inner_solves_proven_up_to_dp_limit():
+    C = random_preference_matrix(16, np.random.default_rng(16))
+    _, _, trace = solve_heuristic(C, 2, HeuristicConfig())
+    assert trace.inner_unproven == 0
+
+
+def test_inner_unproven_counts_budget_stops():
+    C = random_preference_matrix(LOP_DP_MAX_N + 1, np.random.default_rng(21))
+    cfg = HeuristicConfig(n_starts=1, it_max=1, step1_budget=1)
+    _, _, trace = solve_heuristic(C, 1, cfg)
+    assert trace.inner_unproven > 0
 
 
 def test_config_validation():

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 
 from mlop import BenefitMatrix, LinearOrder, PreferenceMatrix, lop_exact, lop_heuristic, num_pairs
-from mlop.lop import order_value
+from mlop.lop import LOP_DP_MAX_N, _branch_and_bound, _dp_tables, _subset_dp, benefit_for_pairs, order_value
 
-from _oracles import is_insertion_local_optimal, lop_enumeration_max, random_preference_matrix
+from _oracles import (
+    is_insertion_local_optimal,
+    lop_enumeration_max,
+    lop_lex_smallest_optimum,
+    random_order,
+    random_preference_matrix,
+)
 
 EX1 = PreferenceMatrix(4, [0.9, 0.9, 0.9, 0.5, 0.9, 0.9])
 
@@ -55,21 +61,24 @@ def test_exact_small_n_enumeration_equality():
 
 
 def test_exact_budget_exhaustion_returns_incumbent():
+    # above the DP limit, so the budgeted branch and bound runs
+    n = LOP_DP_MAX_N + 1
     rng = np.random.default_rng(3)
-    b = rng.random((8, 8))
+    b = rng.random((n, n))
     np.fill_diagonal(b, 0.0)
     order, value, proven = lop_exact(BenefitMatrix(b), budget=3)
     assert not proven
-    _, opt, _ = lop_exact(BenefitMatrix(b))
+    opt = order_value(_subset_dp(b), b)
     assert value <= opt + 1e-12
     assert order_value(order.perm, b) == pytest.approx(value, abs=1e-12)
 
 
 def test_exact_warm_start_never_hurts():
+    n = LOP_DP_MAX_N + 1
     rng = np.random.default_rng(4)
-    b = rng.random((7, 7))
+    b = rng.random((n, n))
     np.fill_diagonal(b, 0.0)
-    warm = LinearOrder(tuple(rng.permutation(7)))
+    warm = LinearOrder(tuple(rng.permutation(n)))
     order, value, proven = lop_exact(BenefitMatrix(b), budget=1, warm_start=warm)
     assert not proven
     assert value >= order_value(warm.perm, b) - 1e-12
@@ -126,3 +135,59 @@ def test_heuristic_insertion_local_optimality():
         order, value = lop_heuristic(BenefitMatrix(b))
         assert is_insertion_local_optimal(order, BenefitMatrix(b))
         assert order_value(order.perm, b) == pytest.approx(value, abs=1e-12)
+
+
+def heuristic_shaped_benefits(n, rng, g=3):
+    """Benefits of one group's reduced LOP in the heuristic's ranking step."""
+    C = random_preference_matrix(n, rng)
+    w = rng.dirichlet(np.ones(g))
+    X = np.stack([random_order(n, rng).prec for _ in range(g)]).astype(np.float64)
+    a = C.upper - (w @ X - w[0] * X[0])
+    b_rs = np.abs(a) - np.abs(a - w[0])
+    a_sr = w[0] - a
+    return benefit_for_pairs(n, b_rs, np.abs(a_sr) - np.abs(a_sr - w[0])).b
+
+
+def dp_test_matrices(n, rng):
+    normal = rng.normal(size=(n, n))
+    quarter = rng.integers(-4, 5, size=(n, n)) / 4  # many tied orders
+    for b in (normal, quarter):
+        np.fill_diagonal(b, 0.0)
+    shaped = [heuristic_shaped_benefits(n, rng)] if n >= 2 else []
+    return [normal, quarter, np.zeros((n, n))] + shaped
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_dp_is_lex_smallest_optimum(n):
+    rng = np.random.default_rng(100 + n)
+    for b in dp_test_matrices(n, rng):
+        order, value, proven = lop_exact(BenefitMatrix(b))
+        perm, best = lop_lex_smallest_optimum(b)
+        assert proven
+        assert order.perm == perm
+        assert value == pytest.approx(lop_enumeration_max(b)[1], abs=1e-12)
+        assert value == pytest.approx(best, abs=1e-12)
+        if not b.any():
+            assert order.perm == tuple(range(n))
+
+
+@pytest.mark.parametrize("n", (9, 10, 11))
+def test_dp_agrees_with_unbudgeted_branch_and_bound(n):
+    rng = np.random.default_rng(200 + n)
+    for b in dp_test_matrices(n, rng):
+        B = BenefitMatrix(b)
+        _, bb_value, bb_proven = _branch_and_bound(B, 10**9, None)
+        _, value, proven = lop_exact(B)
+        assert bb_proven and proven
+        assert value == pytest.approx(bb_value, abs=1e-9)
+
+
+def test_dp_tables_built_once_per_n_and_small():
+    _dp_tables.cache_clear()
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        lop_exact(BenefitMatrix(rng.normal(size=(12, 12))))
+    assert _dp_tables.cache_info().misses == 1
+    # README: the cached tables stay under 256 KiB at the DP limit
+    tables = _dp_tables(LOP_DP_MAX_N)
+    assert sum(a.nbytes for half in tables for layer in half for a in layer) < 256 * 1024

@@ -22,6 +22,7 @@ from mlop import (
     WeightFitProblem,
     aggregate,
     canonicalize,
+    lop_exact,
     lop_heuristic,
     num_pairs,
     solve_exact,
@@ -35,6 +36,7 @@ from _oracles import (
     exact_scan_reference,
     is_insertion_local_optimal,
     is_order_vector,
+    lop_lex_smallest_optimum,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -92,6 +94,24 @@ def test_lop_heuristic_is_insertion_local_optimal(values):
     B = BenefitMatrix(np.array(values).reshape(n, n))
     order, _ = lop_heuristic(B)
     assert is_insertion_local_optimal(order, B)
+
+
+@SETTINGS
+@given(st.integers(1, 6).flatmap(
+    # thousandths, or quarter-grid values on which many orders tie; sums of
+    # distinct orders differ by 0 or by far more than the 1e-12 tie tolerance
+    lambda n: st.lists(st.integers(-1000, 1000).map(lambda k: k / 1000), min_size=n * n,
+                       max_size=n * n)
+    | st.lists(st.integers(-4, 4).map(lambda k: k / 4), min_size=n * n, max_size=n * n)
+))
+def test_lop_exact_is_lex_smallest_optimum(values):
+    n = int(round(len(values) ** 0.5))
+    b = np.array(values).reshape(n, n)
+    np.fill_diagonal(b, 0.0)
+    order, value, proven = lop_exact(BenefitMatrix(b))
+    perm, best = lop_lex_smallest_optimum(b)
+    assert proven and order.perm == perm
+    assert value == pytest.approx(best, abs=1e-12)
 
 
 @SETTINGS
