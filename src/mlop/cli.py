@@ -237,7 +237,8 @@ def cmd_gen(args) -> int:
             }
         ),
     )
-    lines = [" ".join(str(p + 1) for p in o.perm) for o in sample.rankings]
+    items = [str(k + 1) for k in range(spec.n)]
+    lines = [" ".join(map(items.__getitem__, row)) for row in sample.rankings.tolist()]
     _write_text(rankings_path, "\n".join(lines) + "\n")
     print(
         f"wrote {instance_path}, {meta_path}, {rankings_path} "

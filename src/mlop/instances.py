@@ -6,7 +6,9 @@ of radius D around its center, apportion the rankings by the group weights,
 and aggregate everything into a normalized preference matrix.  Ball sampling
 is exactly uniform: the distance is drawn proportional to the Mahonian count
 of permutations at that distance, then a permutation at that exact distance
-is drawn via a uniform Lehmer code.
+is drawn via a uniform Lehmer code.  Both draws read one cached table of
+cumulative weights per (n, D), and a group's rankings are drawn, decoded
+and counted as one (N, n) integer array, in chunks.
 
 Ranking files are UTF-8 text, one complete ranking per line, whitespace
 separated 1-based item indices, most preferred first; '#' starts a comment.
@@ -17,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +34,10 @@ from .core import (
 )
 
 DEFAULT_MAX_ATTEMPTS = 100_000
+
+# Array cells one vectorised chunk may span: rankings x (n + 1) uniforms when
+# sampling, rankings x C(n,2) pairs when counting.  Bounds the working memory.
+_CHUNK_CELLS = 1 << 16
 
 
 class SeparationInfeasible(RuntimeError):
@@ -114,13 +121,27 @@ class GeneratorSpec:
         return default_min_separation(self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankingSample:
-    """Generated rankings with their group labels and the central orders."""
+    """Generated rankings with their group labels and the central orders.
 
-    rankings: tuple[LinearOrder, ...]
-    labels: tuple[int, ...]
+    ``rankings`` is a read-only (N, n) array holding one 0-based permutation
+    per row, most preferred item first, in the smallest unsigned dtype that
+    holds n - 1; ``labels[k]`` is the group of row k.
+    """
+
+    rankings: np.ndarray
+    labels: np.ndarray
     centers: tuple[LinearOrder, ...]
+
+    def __eq__(self, other):
+        if not isinstance(other, RankingSample):
+            return NotImplemented
+        return (
+            self.centers == other.centers
+            and np.array_equal(self.rankings, other.rankings)
+            and np.array_equal(self.labels, other.labels)
+        )
 
 
 @lru_cache(maxsize=None)
@@ -149,10 +170,119 @@ def mahonian_counts(n: int) -> tuple[int, ...]:
     return _mahonian_rows(n)[n]
 
 
-def _draw_index(weights: np.ndarray, rng: np.random.Generator) -> int:
-    cum = np.cumsum(weights)
-    u = rng.random() * cum[-1]
-    return min(int(np.searchsorted(cum, u, side="right")), len(weights) - 1)
+@dataclass(frozen=True)
+class _BallTable:
+    """Cumulative draw weights for the Kendall ball of radius D at n items.
+
+    dist_cum       (D + 1,): cumulative Mahonian counts of distances 0..D
+    code_cum[i]    (R + 1, n - i), R = min(D, C(n - i, 2)), the largest sum
+                   the code entries from position i on can reach: row rem is
+                   the cumulative weight of entry v = 0..min(n - 1 - i, rem)
+                   at position i when those entries sum to rem, padded with
+                   +inf
+    code_total[i]  (R + 1,): the last finite entry of each row
+
+    A draw from a row picks the first entry whose cumulative weight exceeds
+    u * total, u uniform in [0, 1), clamped to the row's last entry.  Every
+    entry it can pick has positive weight, so the remaining sum stays
+    within R.  About n^4 / 8 values at D = C(n,2): 20k at n = 20.
+    """
+
+    dist_cum: np.ndarray
+    code_cum: tuple[np.ndarray, ...]
+    code_total: tuple[np.ndarray, ...]
+
+
+@lru_cache(maxsize=16)
+def _ball_table(n: int, D: int) -> _BallTable:
+    rows = _mahonian_rows(n)
+    code_cum, code_total = [], []
+    for i in range(n):
+        cap = n - 1 - i
+        nxt = rows[cap]  # ways for the code entries after position i
+        top = min(D, num_pairs(cap + 1))
+        cum = np.full((top + 1, cap + 1), np.inf)
+        total = np.empty(top + 1)
+        for rem in range(top + 1):
+            vmax = min(cap, rem)
+            w = np.array(
+                [nxt[rem - v] if rem - v < len(nxt) else 0 for v in range(vmax + 1)],
+                dtype=np.float64,
+            )
+            cum[rem, : vmax + 1] = np.cumsum(w)
+            total[rem] = cum[rem, vmax]
+        code_cum.append(cum)
+        code_total.append(total)
+    dist_cum = np.cumsum(np.array(rows[n][: D + 1], dtype=np.float64))
+    for arr in (dist_cum, *code_cum, *code_total):
+        arr.flags.writeable = False
+    return _BallTable(dist_cum, tuple(code_cum), tuple(code_total))
+
+
+def _draw_distances(dist_cum: np.ndarray, u) -> np.ndarray:
+    """Distance each uniform in u selects from the cumulative weights."""
+    idx = np.searchsorted(dist_cum, u * dist_cum[-1], side="right")
+    return np.minimum(idx, len(dist_cum) - 1)
+
+
+def _lehmer_codes(table: _BallTable, d: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Uniform Lehmer codes, one per row: row k sums to d[k] and draws its
+    entry at position i with uniform u[k, i]."""
+    m, n = u.shape
+    codes = np.empty((m, n), dtype=np.int64)
+    rem = np.array(d, dtype=np.int64)
+    for i in range(n):
+        x = u[:, i] * table.code_total[i][rem]
+        v = np.count_nonzero(table.code_cum[i][rem] <= x[:, None], axis=1)
+        v = np.minimum(v, np.minimum(rem, n - 1 - i))
+        codes[:, i] = v
+        rem -= v
+    return codes
+
+
+def _decode_lehmer(codes: np.ndarray) -> np.ndarray:
+    """Permutations of 0..n-1 whose i-th entry is the codes[:, i]-th smallest
+    item not placed before it."""
+    perms = codes.copy()
+    n = perms.shape[1]
+    for i in range(n - 2, -1, -1):
+        tail = perms[:, i + 1 :]
+        tail += tail >= perms[:, i : i + 1]
+    return perms
+
+
+def _sample_ball(center: np.ndarray, D: int, out: np.ndarray, rng: np.random.Generator) -> None:
+    """Fill each row of out with a uniform draw from the Kendall ball of
+    radius D around the permutation center.
+
+    Consumes exactly the uniforms, in the same order, that len(out) calls of
+    sample_within_ball make: one for the distance, then n code entries
+    unless the distance is 0.  Each chunk draws the most it could need,
+    walks the draws to find where each ranking starts, and then rewinds the
+    generator and redraws the count it actually used.
+    """
+    n = len(center)
+    if D == 0:
+        out[:] = center
+        return
+    table = _ball_table(n, D)
+    chunk = max(1, _CHUNK_CELLS // (n + 1))
+    for lo in range(0, len(out), chunk):
+        m = min(chunk, len(out) - lo)
+        state = rng.bit_generator.state
+        block = rng.random(m * (n + 1))
+        d_at = _draw_distances(table.dist_cum, block)
+        step = np.where(d_at == 0, 1, n + 1).tolist()
+        starts, pos = [], 0
+        for _ in range(m):
+            starts.append(pos)
+            pos += step[pos]
+        rng.bit_generator.state = state
+        rng.random(pos)
+        first = np.array(starts)
+        u = block[first[:, None] + np.arange(1, n + 1)]
+        perms = _decode_lehmer(_lehmer_codes(table, d_at[first], u))
+        out[lo : lo + m] = center[perms]
 
 
 def sample_within_ball(
@@ -164,27 +294,40 @@ def sample_within_ball(
         raise InvalidInput(f"D must be in [0, {num_pairs(n)}], got {D}")
     if D == 0:
         return center
-    rows = _mahonian_rows(n)
-    d = _draw_index(np.array(rows[n][: D + 1], dtype=np.float64), rng)
-    if d == 0:
+    table = _ball_table(n, D)
+    rem = int(_draw_distances(table.dist_cum, rng.random()))
+    if rem == 0:
         return center
-    # uniform Lehmer code with sum d, then relabel positions through center
-    code = []
-    rem = d
+    # _lehmer_codes and _decode_lehmer for one row, entry by entry: on a
+    # single row their numpy calls cost more than this loop
+    u = rng.random(n)
+    available = list(center.perm)
+    perm = []
     for i in range(n):
-        cap = n - 1 - i
-        nxt = rows[cap]  # ways for the code entries after position i
-        vmax = min(cap, rem)
-        w = np.array(
-            [nxt[rem - v] if rem - v < len(nxt) else 0 for v in range(vmax + 1)],
-            dtype=np.float64,
-        )
-        v = _draw_index(w, rng)
-        code.append(v)
+        x = u[i] * table.code_total[i][rem]
+        v = min(int(np.searchsorted(table.code_cum[i][rem], x, side="right")), rem, n - 1 - i)
+        perm.append(available.pop(v))
         rem -= v
-    available = list(range(n))
-    pi = [available.pop(c) for c in code]
-    return LinearOrder(tuple(center.perm[k] for k in pi))
+    return LinearOrder(tuple(perm))
+
+
+def _separation_impossible(n: int, g_true: int, min_separation: int) -> str | None:
+    """Why no g_true >= 2 orders can lie at pairwise distance >= min_separation,
+    or None when this packing bound does not rule it out."""
+    if g_true < 2:
+        return None
+    if min_separation > num_pairs(n):
+        return f"the largest Kendall distance is {num_pairs(n)}"
+    # balls of radius t around orders at distance >= 2t + 1 are disjoint
+    # (Kendall distance is a metric), so g_true of them must fit among n!
+    t = (min_separation - 1) // 2
+    need = g_true * sum(mahonian_counts(n)[: t + 1])
+    if need > math.factorial(n):
+        return (
+            f"{g_true} disjoint balls of radius {t} would hold {need} "
+            f"of the {math.factorial(n)} orders"
+        )
+    return None
 
 
 def sample_centers(
@@ -195,8 +338,15 @@ def sample_centers(
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> list[LinearOrder]:
     """Uniform rejection sampling of g_true central orders with pairwise
-    Kendall distance >= min_separation.  Infeasible separations are reported
-    after max_attempts, never silently relaxed."""
+    Kendall distance >= min_separation.  Infeasible separations are reported,
+    never silently relaxed: at once, before any draw, when a packing bound
+    proves them impossible, otherwise after max_attempts."""
+    reason = _separation_impossible(n, g_true, min_separation)
+    if reason:
+        raise SeparationInfeasible(
+            f"no {g_true} centers at pairwise distance >= {min_separation} "
+            f"exist for n={n}: {reason}"
+        )
     for _ in range(max_attempts):
         cands = [
             LinearOrder(tuple(int(v) for v in rng.permutation(n)))
@@ -228,19 +378,30 @@ def allocate_counts(weights, N: int) -> list[int]:
     return [int(v) for v in base]
 
 
-def _pair_counts(rankings) -> tuple[int, int, np.ndarray]:
-    """(n, N, a): item count, ranking count, and per pair (r, s), r < s, the
-    number of rankings placing r before s."""
+def _ranking_array(rankings) -> np.ndarray:
+    """A list of LinearOrders as an (N, n) permutation array."""
     rankings = list(rankings)
     if not rankings:
         raise InvalidInput("cannot aggregate an empty list of rankings")
     n = rankings[0].n
     if any(o.n != n for o in rankings):
         raise InvalidInput("all rankings must cover the same items")
+    return np.array([o.perm for o in rankings], dtype=np.min_scalar_type(n - 1))
+
+
+def _pair_counts(perms: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """(n, N, a) of an (N, n) permutation array: item count, ranking count,
+    and per pair (r, s), r < s, the number of rows placing r before s."""
+    N, n = perms.shape
+    rows, cols = pair_rows_cols(n)
     counts = np.zeros(num_pairs(n), dtype=np.int64)
-    for o in rankings:
-        counts += o.prec
-    return n, len(rankings), counts
+    chunk = max(1, _CHUNK_CELLS // max(num_pairs(n), 1))
+    for lo in range(0, N, chunk):
+        block = perms[lo : lo + chunk]
+        pos = np.empty_like(block)
+        pos[np.arange(len(block))[:, None], block] = np.arange(n, dtype=block.dtype)
+        counts += np.count_nonzero(pos[:, rows] < pos[:, cols], axis=0)
+    return n, N, counts
 
 
 def _full_counts(n: int, N: int, counts: np.ndarray) -> np.ndarray:
@@ -253,13 +414,13 @@ def _full_counts(n: int, N: int, counts: np.ndarray) -> np.ndarray:
 
 def aggregate(rankings) -> PreferenceMatrix:
     """Pairwise proportions c_rs = a_rs / N over complete rankings."""
-    n, N, counts = _pair_counts(rankings)
+    n, N, counts = _pair_counts(_ranking_array(rankings))
     return PreferenceMatrix(n, counts / N)
 
 
 def count_matrix(rankings) -> np.ndarray:
     """Full integer matrix a_rs = number of rankings placing r before s."""
-    return _full_counts(*_pair_counts(rankings))
+    return _full_counts(*_pair_counts(_ranking_array(rankings)))
 
 
 def generate_instance(spec: GeneratorSpec) -> tuple[RankingSample, PreferenceMatrix]:
@@ -267,15 +428,17 @@ def generate_instance(spec: GeneratorSpec) -> tuple[RankingSample, PreferenceMat
     rng = np.random.default_rng(spec.seed)
     centers = sample_centers(spec.n, spec.g_true, spec.resolved_min_separation, rng)
     counts = allocate_counts(spec.weights, spec.num_rankings)
-    D = spec.resolved_D
-    rankings: list[LinearOrder] = []
-    labels: list[int] = []
-    for i, center in enumerate(centers):
-        for _ in range(counts[i]):
-            rankings.append(sample_within_ball(center, D, rng))
-            labels.append(i)
-    sample = RankingSample(tuple(rankings), tuple(labels), tuple(centers))
-    return sample, aggregate(rankings)
+    rankings = np.empty((spec.num_rankings, spec.n), dtype=np.min_scalar_type(spec.n - 1))
+    lo = 0
+    for center, count in zip(centers, counts):
+        perm = np.array(center.perm, dtype=rankings.dtype)
+        _sample_ball(perm, spec.resolved_D, rankings[lo : lo + count], rng)
+        lo += count
+    labels = np.repeat(np.arange(spec.g_true), counts).astype(np.min_scalar_type(spec.g_true - 1))
+    rankings.flags.writeable = False
+    labels.flags.writeable = False
+    n, N, a = _pair_counts(rankings)
+    return RankingSample(rankings, labels, tuple(centers)), PreferenceMatrix(n, a / N)
 
 
 def parse_ranking_line(line: str, line_no: int, n: int | None) -> LinearOrder:
@@ -298,20 +461,46 @@ def parse_ranking_line(line: str, line_no: int, n: int | None) -> LinearOrder:
     return LinearOrder(tuple(v - 1 for v in items))
 
 
+def _parse_ranking_array(lines: list[str]) -> np.ndarray | None:
+    """The ranking lines as an (N, n) array of 0-based permutations, or None
+    when some line is malformed.  Tokens are split off twice rather than
+    held, so the parse never keeps more than one line's strings."""
+    n = len(lines[0].split())
+    if any(len(line.split()) != n for line in lines):
+        return None
+    try:
+        flat = np.fromiter(map(int, chain.from_iterable(map(str.split, lines))),
+                           dtype=np.int64, count=n * len(lines))
+    except (ValueError, OverflowError):
+        return None
+    if flat.min() < 1 or flat.max() > n:
+        return None
+    perms = (flat - 1).astype(np.min_scalar_type(n - 1)).reshape(-1, n)
+    if not np.array_equal(np.sort(perms, axis=1), np.broadcast_to(np.arange(n), perms.shape)):
+        return None
+    return perms
+
+
+def _ranking_lines(text: str):
+    """(line number, stripped line) of each line of text that holds a ranking."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield line_no, line
+
+
 def ingest_rankings(path) -> tuple[PreferenceMatrix, np.ndarray]:
     """Parse a ranking file into (preference matrix, raw count matrix A)."""
     text = Path(path).read_text(encoding="utf-8")
-    rankings: list[LinearOrder] = []
-    n: int | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        order = parse_ranking_line(line, line_no, n)
-        if n is None:
-            n = order.n
-        rankings.append(order)
-    if not rankings:
+    lines = [line for _, line in _ranking_lines(text)]
+    if not lines:
         raise RankingFormatError(0, "file contains no rankings")
-    n, N, counts = _pair_counts(rankings)
+    perms = _parse_ranking_array(lines)
+    if perms is None:
+        # the per-line parser names the first malformed line and its fault
+        orders: list[LinearOrder] = []
+        for line_no, line in _ranking_lines(text):
+            orders.append(parse_ranking_line(line, line_no, orders[0].n if orders else None))
+        perms = _ranking_array(orders)
+    n, N, counts = _pair_counts(perms)
     return PreferenceMatrix(n, counts / N), _full_counts(n, N, counts)

@@ -234,3 +234,43 @@ def exact_scan_reference(C, g: int):
         )
     )
     return sol, float(best_obj), True
+
+
+def _draw_index(weights: np.ndarray, rng: np.random.Generator) -> int:
+    cum = np.cumsum(weights)
+    u = rng.random() * cum[-1]
+    return min(int(np.searchsorted(cum, u, side="right")), len(weights) - 1)
+
+
+def sample_within_ball_reference(center, D: int, rng: np.random.Generator):
+    """Uniform draw from the Kendall ball of radius D around center, one
+    Lehmer code entry at a time: one uniform for the distance, then one per
+    code entry unless the distance is 0.  The generator's draws must match
+    this loop draw for draw."""
+    from mlop import LinearOrder
+    from mlop.instances import _mahonian_rows
+
+    n = center.n
+    if D == 0:
+        return center
+    rows = _mahonian_rows(n)
+    d = _draw_index(np.array(rows[n][: D + 1], dtype=np.float64), rng)
+    if d == 0:
+        return center
+    # uniform Lehmer code with sum d, then relabel positions through center
+    code = []
+    rem = d
+    for i in range(n):
+        cap = n - 1 - i
+        nxt = rows[cap]  # ways for the code entries after position i
+        vmax = min(cap, rem)
+        w = np.array(
+            [nxt[rem - v] if rem - v < len(nxt) else 0 for v in range(vmax + 1)],
+            dtype=np.float64,
+        )
+        v = _draw_index(w, rng)
+        code.append(v)
+        rem -= v
+    available = list(range(n))
+    pi = [available.pop(c) for c in code]
+    return LinearOrder(tuple(center.perm[k] for k in pi))

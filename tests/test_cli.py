@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -258,6 +261,22 @@ def test_gen_infeasible_separation(tmp_path):
         ]
     )
     assert code == EXIT_INFEASIBLE
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "mlop", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+
+    proc = run("--help")
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout.startswith("usage: mlop")
+    proc = run("gen", "--n", "3", "--g-true", "4", "--min-separation", "3", "--D", "0",
+               "--out", str(tmp_path / "x"))
+    assert proc.returncode == EXIT_INFEASIBLE
+    assert "exist for n=3" in proc.stderr
 
 
 def test_ingest_roundtrip(tmp_path, capsys):

@@ -19,6 +19,7 @@ from mlop import (
     sample_within_ball,
     solve_exact,
 )
+from mlop import instances
 from mlop.instances import (
     RankingFormatError,
     SeparationInfeasible,
@@ -73,6 +74,30 @@ def test_sample_centers_infeasible_raises():
     rng = np.random.default_rng(3)
     with pytest.raises(SeparationInfeasible):
         sample_centers(3, 4, 3, rng, max_attempts=2000)
+
+
+@pytest.mark.parametrize(
+    "n, g_true, min_separation",
+    [
+        (3, 4, 3),  # 4 disjoint radius-1 balls of 3 orders each need 12 > 3!
+        (3, 2, 4),  # beyond the largest distance C(3,2) = 3
+        (5, 3, 10),  # three pairwise reverses: 3 balls of 49 orders need 147 > 5!
+        (6, 40, 5),  # 40 radius-2 balls of 20 orders need 800 > 6!
+    ],
+)
+def test_separation_certificate_raises_before_any_draw(n, g_true, min_separation):
+    rng = np.random.default_rng(3)
+    before = rng.bit_generator.state
+    with pytest.raises(SeparationInfeasible, match=f"exist for n={n}"):
+        sample_centers(n, g_true, min_separation, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_separation_certificate_admits_feasible_requests():
+    # the bound is tight at n = 4, g = 2, s = 6 (a pair of reverses) and never
+    # applies to a single center
+    assert len(sample_centers(4, 2, 6, np.random.default_rng(1))) == 2
+    assert len(sample_centers(3, 1, 99, np.random.default_rng(1))) == 1
 
 
 def test_ball_radius_zero_returns_center():
@@ -169,8 +194,31 @@ def test_generated_rankings_respect_radius():
     spec = GeneratorSpec(n=6, g_true=2, weights=(0.5, 0.5), D=2, num_rankings=200, seed=9)
     sample, _ = generate_instance(spec)
     assert len(sample.rankings) == 200
-    for order, label in zip(sample.rankings, sample.labels):
-        assert kendall_distance(order, sample.centers[label]) <= 2
+    for row, label in zip(sample.rankings, sample.labels):
+        assert kendall_distance(LinearOrder(tuple(row)), sample.centers[label]) <= 2
+
+
+def test_ranking_sample_holds_compact_read_only_arrays():
+    spec = GeneratorSpec(n=6, g_true=2, weights=(0.667, 0.333), p=5.0, num_rankings=30, seed=42)
+    sample, C = generate_instance(spec)
+    assert sample.rankings.shape == (30, 6) and sample.rankings.dtype == np.uint8
+    assert sample.labels.tolist() == [0] * 20 + [1] * 10
+    assert not sample.rankings.flags.writeable and not sample.labels.flags.writeable
+    orders = [LinearOrder(tuple(row)) for row in sample.rankings]
+    assert np.array_equal(aggregate(orders).upper, C.upper)
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_sampler_and_counts_agree_across_chunk_sizes(monkeypatch, n):
+    spec = GeneratorSpec(n=n, g_true=2, weights=(0.5, 0.5), D=1, num_rankings=300, seed=n)
+    whole, C = generate_instance(spec)
+    # three rankings per sampling chunk; at most three per counting chunk
+    monkeypatch.setattr(instances, "_CHUNK_CELLS", 3 * (n + 1))
+    chunked, C_chunked = generate_instance(spec)
+    assert chunked == whole
+    assert np.array_equal(C_chunked.upper, C.upper)
+    centers = np.array([whole.centers[k].perm for k in whole.labels])
+    assert np.any(np.all(whole.rankings == centers, axis=1))  # distance-0 draws
 
 
 def test_generator_spec_validation():
@@ -220,6 +268,75 @@ def test_ingest_errors_carry_line_numbers(tmp_path):
     f.write_text("\n")
     with pytest.raises(RankingFormatError):
         ingest_rankings(f)
+
+
+def _long_file() -> str:
+    """4,000 rankings of 5 items, one per line, no trailing newline."""
+    return "\n".join(
+        " ".join(str(v + 1) for v in np.random.default_rng(k).permutation(5)) for k in range(4000)
+    )
+
+
+LONG = _long_file()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (LONG + "\n1 2 x 4 5\n" + LONG + "\n",
+         "line 4001: non-integer token in ['1', '2', 'x', '4', '5']"),
+        (LONG + "\n1 2 2 4 5\n", "line 4001: repeated item within a ranking"),
+        (LONG + "\n1 2 3 4\n", "line 4001: expected 5 items per ranking, got 4"),
+        (LONG + "\n1 2 3 4 5 6\n", "line 4001: expected 5 items per ranking, got 6"),
+        (LONG + "\n1 2 3 4 6\n", "line 4001: items must be exactly 1..5, got [1, 2, 3, 4, 6]"),
+        (LONG + "\n0 1 2 3 4\n", "line 4001: items must be exactly 1..5, got [0, 1, 2, 3, 4]"),
+        ("1 2 3\n1 2 3 4\n", "line 2: expected 3 items per ranking, got 4"),
+        ("1 3\n", "line 1: items must be exactly 1..2, got [1, 3]"),
+        (LONG.replace("\n", "\r\n") + "\r\n5 4 3 3 1\r\n",
+         "line 4001: repeated item within a ranking"),
+        ("1\t2\t3\n3\t2\n", "line 2: expected 3 items per ranking, got 2"),
+        ("# header\n\n  # indented\n1 2 3\n\n\n2 3 1 # trailing\n",
+         "line 7: non-integer token in ['2', '3', '1', '#', 'trailing']"),
+        ("# a\n\n   \n# b\n", "line 0: file contains no rankings"),
+        ("1 2 3\n99999999999999999999 1 2\n",
+         "line 2: items must be exactly 1..3, got [99999999999999999999, 1, 2]"),
+        ("1 2 3\n1.0 2 3\n", "line 2: non-integer token in ['1.0', '2', '3']"),
+        ("1 2 3\n1 2\x0c3 1 2\n", "line 2: expected 3 items per ranking, got 2"),
+        ("1 2 3\n1 1 3\n1 2\n", "line 2: repeated item within a ranking"),
+    ],
+    ids=[
+        "deep-non-integer", "deep-repeated", "deep-short", "deep-long", "deep-out-of-range",
+        "deep-zero", "count-set-by-first-line", "first-line-gap", "crlf", "tabs",
+        "comments-and-blanks", "only-comments", "huge-integer", "float-token",
+        "form-feed-splits-a-line", "first-of-two-errors",
+    ],
+)
+def test_ingest_names_the_first_bad_line(tmp_path, text, message):
+    f = tmp_path / "r.txt"
+    f.write_bytes(text.encode("utf-8"))
+    with pytest.raises(RankingFormatError) as err:
+        ingest_rankings(f)
+    assert str(err.value) == message
+    assert err.value.line_no == int(message.split(":")[0].removeprefix("line "))
+
+
+def test_ingest_layout_variants_give_the_same_counts(tmp_path):
+    f = tmp_path / "r.txt"
+    expected = count_matrix(
+        [LinearOrder(tuple(int(t) - 1 for t in line.split())) for line in LONG.splitlines()]
+    )
+    for text in (
+        LONG,
+        LONG + "\n",
+        LONG.replace("\n", "\r\n") + "\r\n",
+        LONG.replace(" ", "\t"),
+        "# votes\n\n" + LONG.replace("\n", "\n  \n# next voter\n"),
+        "  " + LONG.replace("\n", "  \n  ").replace("1", "01"),
+    ):
+        f.write_bytes(text.encode("utf-8"))
+        C, A = ingest_rankings(f)
+        assert np.array_equal(A, expected)
+        assert np.array_equal(C.upper, A[np.triu_indices(5, k=1)] / 4000)
 
 
 def test_default_min_separation():

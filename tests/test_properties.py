@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlop import (
@@ -29,7 +29,7 @@ from mlop import (
 )
 from mlop.cli import main
 from mlop.geometry import cycle_residuals
-from mlop.instances import count_matrix
+from mlop.instances import _sample_ball, count_matrix, sample_within_ball
 
 from _oracles import (
     cycle_residuals_triple_loop,
@@ -37,6 +37,8 @@ from _oracles import (
     is_insertion_local_optimal,
     is_order_vector,
     lop_lex_smallest_optimum,
+    prec_double_loop,
+    sample_within_ball_reference,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -122,6 +124,39 @@ def test_aggregate_and_count_matrix_agree(rankings):
     rows, cols = np.triu_indices(n, k=1)
     assert np.allclose(aggregate(rankings).upper * len(rankings), A[rows, cols], atol=1e-9)
     assert np.all(A[rows, cols] + A[cols, rows] == len(rankings))
+
+
+@SETTINGS
+@given(st.integers(2, 6).flatmap(lambda n: st.lists(orders(n), min_size=1, max_size=30)))
+def test_count_matrix_matches_double_loop(rankings):
+    n = rankings[0].n
+    rows, cols = np.triu_indices(n, k=1)
+    expected = np.sum([prec_double_loop(o.perm) for o in rankings], axis=0)
+    assert np.array_equal(count_matrix(rankings)[rows, cols], expected)
+
+
+@SETTINGS
+@given(
+    st.integers(2, 9).flatmap(lambda n: st.tuples(
+        st.permutations(range(n)), st.integers(0, num_pairs(n)))),
+    st.integers(1, 300),
+    st.integers(0, 2**32 - 1),
+)
+@example(([1, 0], 1), 50, 0)  # half the draws land at distance 0
+def test_ball_sampler_matches_reference_draw_for_draw(case, count, seed):
+    perm, D = case
+    center = LinearOrder(tuple(perm))
+    ref_rng, rng, single_rng = (np.random.default_rng(seed) for _ in range(3))
+    expected = [sample_within_ball_reference(center, D, ref_rng).perm for _ in range(count)]
+
+    out = np.empty((count, center.n), dtype=np.uint8)
+    _sample_ball(np.array(perm, dtype=np.uint8), D, out, rng)
+    assert [tuple(row) for row in out.tolist()] == expected
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    single = [sample_within_ball(center, D, single_rng).perm for _ in range(count)]
+    assert single == expected
+    assert single_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @SETTINGS
