@@ -18,6 +18,13 @@ exactly by the subset DP up to ``LOP_DP_MAX_N`` items, and by the
 node-capped branch and bound above that, where a solve may stop on its
 budget (the trace counts those).  Groups are swept cyclically until a full
 sweep yields no improvement, so the step never worsens the incumbent.
+
+Neither step repeats work whose answer it already has.  ``lop_exact``
+memoizes its subset-DP answers, so an inner subproblem met again (in a
+confirmation sweep, in a start's last iteration, or at g = 1 on every step)
+costs one lookup.  The weight step is skipped when the ranking step kept the
+orders it was last fitted on: the refit would return the same objective,
+which can never strictly improve the start's best.
 """
 
 from __future__ import annotations
@@ -184,6 +191,7 @@ def solve_heuristic(
         orders_loc = [LinearOrder(tuple(int(v) for v in rng.permutation(n))) for _ in range(g)]
         w_loc = w_ref
         obj_loc = math.inf
+        fitted = None  # the orders list the last weight step was fitted on
         rows: list[tuple[int, float, float]] = []
 
         for it in range(1, cfg.it_max + 1):
@@ -195,9 +203,11 @@ def solve_heuristic(
                 orders_loc, obj_loc = orders_new, obj1
             after1 = obj_loc
 
-            w_new, obj2 = step_weights(C, orders_loc)
-            if obj2 < obj_loc:
-                w_loc, obj_loc = w_new, obj2
+            if orders_loc is not fitted:
+                w_new, obj2 = step_weights(C, orders_loc)
+                fitted = orders_loc
+                if obj2 < obj_loc:
+                    w_loc, obj_loc = w_new, obj2
             rows.append((it, after1, obj_loc))
             w_ref = w_loc  # reference weights for the next ranking update
 

@@ -4,7 +4,10 @@ alternating heuristic's ranking-update step, where benefits may be negative.
 
 The exact solver covers n <= LOP_DP_MAX_N with a subset dynamic program
 (the Held-Karp-style recursion over item subsets, O(2^n n) time), which is
-always optimal and proven.  Above that size it runs a best-first branch and
+always optimal and proven.  Its answer depends on the matrix alone, so the
+answers for the last _DP_MEMO_SIZE distinct matrices are memoized by their
+bytes, and a repeated solve (the alternating heuristic makes many) costs one
+hash instead of a DP.  Above that size it runs a best-first branch and
 bound assigning rank positions from the front, with an admissible node bound
 (value fixed so far plus the sum of max(b_rs, b_sr) over undecided pairs),
 capped at DEFAULT_NODE_BUDGET explored nodes unless the caller sets a cap.
@@ -39,6 +42,9 @@ DEFAULT_NODE_BUDGET = 50_000
 _TIE_TOL = 1e-12
 # float64 values per temporary array of the DP (1 MiB)
 _DP_CHUNK = 1 << 17
+# distinct benefit matrices whose DP answers are kept (200 KiB of keys at
+# n = 20); the heuristic's repeats come within a few solves of the original
+_DP_MEMO_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -84,8 +90,9 @@ def lop_exact(
 ) -> tuple[LinearOrder, float, bool]:
     """Maximize the total benefit of consistent precedences over all orders.
 
-    Up to LOP_DP_MAX_N items the subset DP solves the instance exactly and
-    budget and warm_start play no part; above it the branch and bound runs.
+    Up to LOP_DP_MAX_N items the subset DP solves the instance exactly,
+    budget and warm_start play no part, and a matrix solved recently returns
+    its memoized answer; above it the branch and bound runs, uncached.
 
     Args:
         B: benefit matrix.
@@ -103,9 +110,18 @@ def lop_exact(
     if warm_start is not None and warm_start.n != B.n:
         raise InvalidInput("warm start order has wrong item count")
     if B.n <= LOP_DP_MAX_N:
-        perm = _subset_dp(B.b)
-        return LinearOrder(perm), order_value(perm, B.b), True
+        return _dp_solve(B.b.tobytes(), B.n)
     return _branch_and_bound(B, DEFAULT_NODE_BUDGET if budget is None else budget, warm_start)
+
+
+@lru_cache(maxsize=_DP_MEMO_SIZE)
+def _dp_solve(key: bytes, n: int) -> tuple[LinearOrder, float, bool]:
+    """lop_exact's answer for the n x n benefit matrix whose C-order float64
+    bytes are key.  Matrices differing in any bit, -0.0 versus 0.0 included,
+    are solved apart."""
+    b = np.frombuffer(key).reshape(n, n)
+    perm = _subset_dp(b)
+    return LinearOrder(perm), order_value(perm, b), True
 
 
 def _subset_dp(b: np.ndarray) -> tuple[int, ...]:

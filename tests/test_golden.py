@@ -1,12 +1,18 @@
-"""Byte-identity of `gen` and `ingest` output.
+"""Byte-identity of `gen`, `ingest` and heuristic output.
 
 The SHA-256 of every file `gen` writes, and of the counts file `ingest`
 writes from its rankings, is pinned for the README walkthrough and the
 benchmark's instance shapes at two seeds each.  Any change to the sampler,
 its RNG stream, the aggregation or the file formats shows up here.
+
+The SHA-256 of heuristic `sweep` and `solve` reports, with their `time_s`
+fields removed, is pinned on the README walkthrough and the benchmark's
+n = 16 and sushi shapes, so any change to the solver's path (orders, weights,
+objectives, per-start trace) shows up too.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -154,3 +160,42 @@ def test_gen_and_ingest_files_are_pinned(tmp_path, capsys, shape, seed):
     capsys.readouterr()
     assert [_sha256(p) for p in written + [tmp_path / "in.counts.json"]] == list(seeds[seed])
     assert (tmp_path / "in.instance.json").read_bytes() == written[0].read_bytes()
+
+
+# (gen shape, gen seed, command and options after the instance file)
+# -> sha256 of the report with every time_s removed; the instance is x.instance.json
+HEURISTIC_GOLDEN = {
+    ("readme", 1, ("sweep", "--method", "heuristic", "--g-max", "4", "--seed", "0")):
+        "0ac9e91330dfa91e37fa86d09efbdfddc818f0109a68f25acb8e8a96ea6f2b6e",
+    ("readme", 1, ("solve", "--method", "heuristic", "--g", "2", "--seed", "0")):
+        "e1226d20578a67ea765a5f0dc6e5cee4a6eb14c5ef0426b367f9bd69fc418565",
+    ("readme", 2, ("sweep", "--method", "heuristic", "--g-max", "4", "--seed", "0")):
+        "0070c275a9ea420de3eba8ed536e0bd6a6f69c80b7d2983c93c6ed96640405d7",
+    ("readme", 2, ("solve", "--method", "heuristic", "--g", "2", "--seed", "0")):
+        "2fd4dfdcf7f5bbfab08eb5ff65ce0db73be84157a525ec07e6fdad20adf01258",
+    ("heuristic_n16", 1, ("sweep", "--method", "heuristic", "--g-max", "3", "--n-starts", "1")):
+        "e328f74c482818603ff29fbd7db414e9bb9cf0c92d521bfa998a769073b6c906",
+    ("sushi_n10", 1, ("solve", "--method", "heuristic", "--g", "3")):
+        "b8f52b3f9e83a03c046f6013caaba5a33f53c82f0a055e73c28331add2f7e09b",
+}
+
+
+def _without_time(obj):
+    if isinstance(obj, dict):
+        return {k: _without_time(v) for k, v in obj.items() if k != "time_s"}
+    if isinstance(obj, list):
+        return [_without_time(v) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("shape, seed, command", list(HEURISTIC_GOLDEN))
+def test_heuristic_reports_are_pinned(tmp_path, capsys, shape, seed, command):
+    prefix = tmp_path / "x"
+    assert main(["gen", *GOLDEN[shape][0], "--seed", str(seed), "--out", str(prefix)]) == 0
+    capsys.readouterr()
+    cmd, *options = command
+    fmt = ["--format", "json"] if cmd == "sweep" else []
+    assert main([cmd, f"{prefix}.instance.json", *options, *fmt]) == 0
+    report = _without_time(json.loads(capsys.readouterr().out))
+    text = json.dumps(report, indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == HEURISTIC_GOLDEN[shape, seed, command]

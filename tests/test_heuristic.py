@@ -160,6 +160,29 @@ def test_global_best_is_min_over_starts():
     assert obj == pytest.approx(min(finals), abs=1e-12)
 
 
+def test_no_start_refits_the_orders_it_just_fitted(monkeypatch):
+    # with one start per solve, consecutive weight fits within a solve are
+    # consecutive fits within a start
+    import mlop.heuristic as heuristic
+
+    fits = []
+
+    def counting_step_weights(C, orders):
+        fits.append(tuple(o.perm for o in orders))
+        return step_weights(C, orders)
+
+    monkeypatch.setattr(heuristic, "step_weights", counting_step_weights)
+    C = random_preference_matrix(8, np.random.default_rng(8))
+    iterations = fitted = 0
+    for seed in range(6):
+        fits.clear()
+        _, _, trace = solve_heuristic(C, 3, HeuristicConfig(base_seed=seed, n_starts=1))
+        assert all(a != b for a, b in zip(fits, fits[1:]))
+        iterations += trace.total_iterations
+        fitted += len(fits)
+    assert fitted < iterations  # the last iteration of a start keeps its orders
+
+
 def test_inner_solves_proven_up_to_dp_limit():
     C = random_preference_matrix(16, np.random.default_rng(16))
     _, _, trace = solve_heuristic(C, 2, HeuristicConfig())

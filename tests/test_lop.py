@@ -1,8 +1,25 @@
 import numpy as np
 import pytest
 
-from mlop import BenefitMatrix, LinearOrder, PreferenceMatrix, lop_exact, lop_heuristic, num_pairs
-from mlop.lop import LOP_DP_MAX_N, _branch_and_bound, _dp_tables, _subset_dp, benefit_for_pairs, order_value
+from mlop import (
+    BenefitMatrix,
+    HeuristicConfig,
+    LinearOrder,
+    PreferenceMatrix,
+    lop_exact,
+    lop_heuristic,
+    num_pairs,
+    solve_heuristic,
+)
+from mlop.lop import (
+    LOP_DP_MAX_N,
+    _branch_and_bound,
+    _dp_solve,
+    _dp_tables,
+    _subset_dp,
+    benefit_for_pairs,
+    order_value,
+)
 
 from _oracles import (
     is_insertion_local_optimal,
@@ -84,12 +101,59 @@ def test_exact_warm_start_never_hurts():
     assert value >= order_value(warm.perm, b) - 1e-12
 
 
+def _cold_solve(B, **kwargs):
+    """lop_exact with its DP memo emptied first, so the DP itself runs."""
+    _dp_solve.cache_clear()
+    return lop_exact(B, **kwargs)
+
+
 def test_exact_deterministic():
     rng = np.random.default_rng(9)
     b = rng.normal(size=(7, 7))
-    res1 = lop_exact(BenefitMatrix(b), budget=500)
-    res2 = lop_exact(BenefitMatrix(b), budget=500)
+    res1, res2 = (_cold_solve(BenefitMatrix(b), budget=500) for _ in range(2))
     assert res1[0].perm == res2[0].perm and res1[1] == res2[1] and res1[2] == res2[2]
+
+
+def test_dp_memo_hit_matches_cold_solve():
+    b = heuristic_shaped_benefits(12, np.random.default_rng(41))
+    _cold_solve(BenefitMatrix(b))
+    order, value, proven = lop_exact(BenefitMatrix(b.copy()))
+    info = _dp_solve.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    perm = _subset_dp(b.copy())
+    assert order.perm == perm
+    assert value == order_value(perm, b)
+    assert proven
+
+
+def test_dp_memo_misses_on_one_ulp():
+    b = heuristic_shaped_benefits(12, np.random.default_rng(42))
+    _cold_solve(BenefitMatrix(b))
+    nudged = b.copy()
+    nudged[0, 1] = np.nextafter(nudged[0, 1], np.inf)
+    lop_exact(BenefitMatrix(nudged))
+    info = _dp_solve.cache_info()
+    assert (info.hits, info.misses) == (0, 2)
+
+
+def test_branch_and_bound_bypasses_dp_memo():
+    n = LOP_DP_MAX_N + 1
+    b = np.random.default_rng(43).random((n, n))
+    before = _dp_solve.cache_info()
+    lop_exact(BenefitMatrix(b), budget=3)
+    lop_exact(BenefitMatrix(b), budget=3)
+    assert _dp_solve.cache_info() == before
+
+
+def test_heuristic_dp_memo_hits_repeat_exactly():
+    # recorded: a fixed n = 10, g = 3 solve meets 60 of its 225 inner
+    # subproblems again, and a rerun from an empty memo meets the same ones
+    C = random_preference_matrix(10, np.random.default_rng(10))
+    for _ in range(2):
+        _dp_solve.cache_clear()
+        solve_heuristic(C, 3, HeuristicConfig(base_seed=3))
+        info = _dp_solve.cache_info()
+        assert (info.hits, info.misses) == (60, 165)
 
 
 def test_preference_optimum_at_least_half():
