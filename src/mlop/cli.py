@@ -6,8 +6,8 @@ File formats
 ------------
 instance JSON   {"n": int, "c_upper": [floats]} with the row-major upper
                 triangle; a full matrix {"n": int, "c": [[...]]} is also
-                accepted (diagonal entries ignored, rows must satisfy
-                c[r][s] + c[s][r] = 1 within 1e-6).
+                accepted (diagonal entries ignored, off-diagonal ones finite
+                with c[r][s] + c[s][r] = 1 within 1e-6).
 rankings text   one complete ranking per line, whitespace-separated 1-based
                 item indices, most preferred first; '#' starts a comment.
 report JSON     emitted by `solve`; `validate` re-checks it independently.
@@ -15,8 +15,10 @@ sweep CSV       columns: g,objective,fit,relative_drop,cumulative_drop,time_s
                 (fractions, not percentages; relative_drop empty at g=1).
 
 Exit codes: 0 success, 2 parse/validation error (non-finite numbers
-included), 3 size guard, 4 infeasible generation, 5 numerical failure (LP
-iteration cap hit or unbounded column).
+included), 3 size guard (an exact solve is admitted by its cost alone, see
+mlop.exact.check_guards; `sweep` checks its --g-max before solving), 4
+infeasible generation, 5 numerical failure (LP iteration cap hit or
+unbounded column).
 Every randomized command takes --seed and defaults to a fixed constant;
 nothing is ever wall-clock seeded.
 """
@@ -47,9 +49,8 @@ from .core import (
     l1_objective,
     num_pairs,
 )
-from .exact import MULTISET_GUARD, ExactConfig, SizeGuardExceeded, check_guards, solve_exact
+from .exact import VERTEX_GUARD_N, ExactConfig, SizeGuardExceeded, check_guards, solve_exact
 from .geometry import (
-    MEMBERSHIP_GUARD_N,
     MEMBERSHIP_TOL,
     SATURATION_GUARD_N,
     caratheodory_saturation,
@@ -247,14 +248,10 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _exact_config(g: int, args) -> ExactConfig:
-    return ExactConfig(g=g, max_n=args.max_n, max_g=args.max_g)
-
-
 def _run_solver(C: PreferenceMatrix, method: str, g: int, args):
     """Returns (solution, objective, proven, trace-dict-or-None)."""
     if method == "exact":
-        sol, obj, proven = solve_exact(C, _exact_config(g, args))
+        sol, obj, proven = solve_exact(C, ExactConfig(g))
         return sol, obj, proven, None
     cfg = HeuristicConfig(
         n_starts=args.n_starts,
@@ -315,7 +312,7 @@ def cmd_sweep(args) -> int:
     C = load_instance(args.instance)
     if args.method == "exact":
         # refuse before solving any g rather than after the smaller ones ran
-        check_guards(C.n, _exact_config(args.g_max, args))
+        check_guards(C.n, args.g_max)
     rows: list[SweepRow] = []
     prev_sol: MixtureSolution | None = None
     prev_obj = None
@@ -396,7 +393,7 @@ def cmd_verify(args) -> int:
     ]
     inside = None
     distance = None
-    if n <= MEMBERSHIP_GUARD_N:
+    if n <= VERTEX_GUARD_N:
         _, distance = l1_projection_full(point, n)
         inside = bool(distance <= MEMBERSHIP_TOL)
     g_star = None
@@ -497,11 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_solver_args(p):
         p.add_argument("--seed", type=int, default=HeuristicConfig.base_seed,
                        help="base RNG seed (fixed default; never wall-clock)")
-        p.add_argument("--max-n", type=int, default=ExactConfig.max_n,
-                       help="exact-method enumeration guard on n")
-        p.add_argument("--max-g", type=int, default=ExactConfig.max_g,
-                       help="exact-method enumeration guard on g (g >= 3 also "
-                            f"visits at most {MULTISET_GUARD:,} multisets)")
         p.add_argument("--n-starts", type=int, default=HeuristicConfig.n_starts)
         p.add_argument("--it-max", type=int, default=HeuristicConfig.it_max)
         p.add_argument("--epsilon", type=float, default=HeuristicConfig.epsilon)

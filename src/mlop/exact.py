@@ -5,16 +5,18 @@ each group combination is visited exactly once), fit optimal simplex weights
 for each one a lower bound does not rule out, and keep the global best.
 
 The orders come from the cached vertex table of the linear ordering
-polytope, which the geometry utilities read as well.  Guards reject
-instances beyond the enumeration envelope; callers are expected to fall back
-to the alternating heuristic there.
+polytope, which the geometry utilities read as well.  check_guards admits a
+solve by its cost, which depends on (n, g) alone: one group is a single
+classical LOP, two groups read the vertex table (at most VERTEX_GUARD_N!
+orders), and three or more visit at most MULTISET_GUARD multisets.  Refused
+sizes raise SizeGuardExceeded; the alternating heuristic covers them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -33,14 +35,15 @@ from .simplex_fit import _breakpoint_g2, _fit_simplex_l1
 # canonical-minimum multiset encountered is kept deterministically
 _IMPROVE_TOL = 1e-12
 _ZERO_TOL = 1e-12
-# screen bounds are sums of at most C(8, 2) = 28 terms of at most 1, taken in
+# screen bounds are sums of at most C(7, 2) = 21 terms of at most 1, taken in
 # another order than the fitters' own sums, so they differ from the fitted
 # objective's float value by well under this; it is also below _IMPROVE_TOL,
 # so a multiset that only ties the incumbent is never fitted
 _SCREEN_SLACK = 5e-13
 
-# 8! = 40320 vertices; at n = 9 even g = 2 would visit 6.6e10 multisets
-VERTEX_GUARD_N = 8
+# 7! = 5040 vertices: g = 2 at n = 7 visits 12.7M multisets in 5-7 s,
+# while n = 8 (40,320 vertices, 813M multisets) would take 8-25 minutes
+VERTEX_GUARD_N = 7
 # enumeration_size(5, 3): g >= 3 fits a weight LP per unscreened multiset, and
 # the next size up (n = 4, g = 6: 475,020; n = 6, g = 3: 62.4M) costs minutes
 # to hours
@@ -53,15 +56,17 @@ class SizeGuardExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class ExactConfig:
+    """Settings of one exact solve: the number of groups g.
+
+    Whether a solve of g groups at n items runs is not a setting;
+    check_guards decides it from the cost alone.
+    """
+
     g: int = 1
-    max_n: int = 6
-    max_g: int = 3
 
     def __post_init__(self):
         if self.g < 1:
             raise InvalidInput(f"g must be >= 1, got {self.g}")
-        if self.max_n < 2 or self.max_g < 1:
-            raise InvalidInput("size guards must be positive")
 
 
 @dataclass(frozen=True)
@@ -98,29 +103,19 @@ def enumeration_size(n: int, g: int) -> int:
     return math.comb(math.factorial(n) + g - 1, g)
 
 
-def check_guards(n: int, cfg: ExactConfig) -> None:
-    """Raise SizeGuardExceeded unless an exact solve of cfg.g groups at n
-    items is admitted.
+def check_guards(n: int, g: int) -> None:
+    """Raise SizeGuardExceeded unless an exact solve of g groups at n items
+    is admitted.
 
-    Besides cfg's own bounds, two or more groups never run past
-    n = VERTEX_GUARD_N and three or more never visit more than
-    MULTISET_GUARD multisets, whatever cfg admits.  The cost grows with g,
-    so admitting g admits every smaller g at the same n.
+    g = 1 is always admitted: it is one lop_exact call, the inner solve the
+    heuristic makes at every n.  g = 2 reads the vertex table and is admitted
+    up to n = VERTEX_GUARD_N.  g >= 3 fits a weight LP per unscreened
+    multiset and is admitted while it visits at most MULTISET_GUARD of them.
+    The cost grows with g, so admitting g admits every smaller g at the same n.
     """
-    g = cfg.g
-    if n > cfg.max_n:
+    if g == 2 and n > VERTEX_GUARD_N:
         raise SizeGuardExceeded(
-            f"n={n} exceeds the enumeration guard max_n={cfg.max_n}; "
-            "use the heuristic solver"
-        )
-    if g > cfg.max_g:
-        raise SizeGuardExceeded(
-            f"g={g} exceeds the enumeration guard max_g={cfg.max_g}; "
-            "use the heuristic solver"
-        )
-    if g >= 2 and n > VERTEX_GUARD_N:
-        raise SizeGuardExceeded(
-            f"g={g} enumerates all n! orders, guarded to n <= {VERTEX_GUARD_N}, got n={n}; "
+            f"g=2 enumerates all n! orders, guarded to n <= {VERTEX_GUARD_N}, got n={n}; "
             "use the heuristic solver"
         )
     if g >= 3 and enumeration_size(n, g) > MULTISET_GUARD:
@@ -145,8 +140,8 @@ def solve_exact(
     Two or more groups enumerate the vertex table; check_guards says which
     sizes are admitted.
     """
-    check_guards(C.n, cfg)
     g = cfg.g
+    check_guards(C.n, g)
     c = C.upper
 
     if g == 1:
@@ -223,15 +218,12 @@ def _agreement_screen(X: np.ndarray, c: np.ndarray, prefix: tuple[int, ...]) -> 
     return (X[prefix[-1] :] == x1) @ np.where(fixed, np.abs(c - x1), 0.0)
 
 
-def opt_curve(
-    C: PreferenceMatrix, g_max: int, cfg: ExactConfig | None = None
-) -> list[tuple[int, float]]:
-    """Proven optima (g, OPT_g) for g = 1..g_max; non-increasing in g."""
+def opt_curve(C: PreferenceMatrix, g_max: int) -> list[tuple[int, float]]:
+    """Proven optima (g, OPT_g) for g = 1..g_max; non-increasing in g.
+
+    Refuses before solving anything when g_max is not admitted.
+    """
     if g_max < 1:
         raise InvalidInput(f"g_max must be >= 1, got {g_max}")
-    base = cfg if cfg is not None else ExactConfig()
-    rows = []
-    for g in range(1, g_max + 1):
-        _, obj, _ = solve_exact(C, replace(base, g=g))
-        rows.append((g, obj))
-    return rows
+    check_guards(C.n, g_max)
+    return [(g, solve_exact(C, ExactConfig(g))[1]) for g in range(1, g_max + 1)]

@@ -5,8 +5,8 @@ full polytope, and the smallest group count at which the restricted mixture
 optimum matches the full-polytope projection.  Membership and projection are
 decided by an exact LP over explicit vertex weights, since complete facet
 descriptions are unavailable for general n; the vertices come from
-``mlop.exact.enumerate_vertices`` (at most 8! of them) and guards keep the
-LPs at 7! columns or fewer.
+``mlop.exact.enumerate_vertices``, whose guard keeps the LPs at 7! columns
+or fewer.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .core import InvalidInput, PreferenceMatrix, num_pairs, pair_rows_cols, tri
 from .exact import ExactConfig, SizeGuardExceeded, enumerate_vertices, solve_exact
 from .simplex_fit import _fit_simplex_l1
 
-MEMBERSHIP_GUARD_N = 7
 SATURATION_GUARD_N = 4
 
 MEMBERSHIP_TOL = 1e-9
@@ -68,10 +67,6 @@ def l1_projection_full(point, n: int) -> tuple[np.ndarray, float]:
     Returns (projected point, distance); the optimal point is not unique in
     general, but the LP's Bland pivoting makes the returned one deterministic.
     """
-    if n > MEMBERSHIP_GUARD_N:
-        raise SizeGuardExceeded(
-            f"projection is guarded to n <= {MEMBERSHIP_GUARD_N}, got n={n}"
-        )
     arr = _as_point(point, n)
     V = enumerate_vertices(n)
     w, dist = _fit_simplex_l1(V.vertices, arr)
@@ -99,8 +94,7 @@ def caratheodory_saturation(point, n: int, tol: float = MEMBERSHIP_TOL) -> int:
     bound = num_pairs(n) + 1 if dist <= tol else num_pairs(n)
     C = PreferenceMatrix(n, arr)
     for g in range(1, bound + 1):
-        cfg = ExactConfig(g=g, max_n=SATURATION_GUARD_N, max_g=bound)
-        _, obj, _ = solve_exact(C, cfg)
+        _, obj, _ = solve_exact(C, ExactConfig(g))
         if abs(obj - dist) <= tol:
             return g
     raise ArithmeticError(

@@ -87,11 +87,10 @@ def test_criterion_02_mixture_fixture():
 
 def test_criterion_03_geometry_fixtures():
     with criterion(3, "n=3 geometry fixtures"):
-        cfg = ExactConfig(max_g=4)
-        curve = opt_curve(PreferenceMatrix(3, [0.7, 0.8, 0.4]), 4, cfg)
+        curve = opt_curve(PreferenceMatrix(3, [0.7, 0.8, 0.4]), 4)
         for (_, obj), expect in zip(curve, (0.9, 0.2, 0.1, 0.0)):
             assert obj == pytest.approx(expect, abs=1e-9)
-        curve = opt_curve(PreferenceMatrix(3, [0.3, 0.9, 0.2]), 3, cfg)
+        curve = opt_curve(PreferenceMatrix(3, [0.3, 0.9, 0.2]), 3)
         for (_, obj), expect in zip(curve, (1.0, 0.6, 0.4)):
             assert obj == pytest.approx(expect, abs=1e-9)
         assert caratheodory_saturation([0.3, 0.9, 0.2], 3) == 3
@@ -213,8 +212,7 @@ def test_criterion_10_sushi_dataset(tmp_path, capsys):
         instance = str(tmp_path / "sushi.instance.json")
         out = tmp_path / "g1.json"
         assert main(
-            ["solve", instance, "--method", "exact", "--g", "1",
-             "--max-n", "10", "--out", str(out)]
+            ["solve", instance, "--method", "exact", "--g", "1", "--out", str(out)]
         ) == 0
         report = json.loads(out.read_text())
         assert report["objective"] == pytest.approx(15.390, abs=0.001)

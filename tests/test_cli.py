@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -11,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlop import ExactConfig, GeneratorSpec, HeuristicConfig
+from mlop import GeneratorSpec, HeuristicConfig
 from mlop.cli import (
     EXIT_GUARD,
     EXIT_INFEASIBLE,
@@ -46,6 +48,15 @@ def test_load_instance_full_matrix(tmp_path):
     path.write_text(json.dumps({"n": 3, "c": full}))
     C = load_instance(str(path))
     assert np.allclose(C.upper, [0.7, 0.8, 0.4])
+
+
+def test_load_instance_rejects_non_finite_lower_triangle(tmp_path, capsys):
+    path = tmp_path / "holes.json"
+    for hole in (None, math.nan):  # json.dumps writes NaN as a bare token
+        full = [[None, 0.7, 0.8], [hole, None, 0.4], [0.2, 0.6, None]]
+        path.write_text(json.dumps({"n": 3, "c": full}))
+        assert main(["solve", str(path), "--method", "exact", "--g", "1"]) == EXIT_INVALID
+        assert "finite" in capsys.readouterr().err
 
 
 def test_load_instance_rejects_unnormalized(tmp_path):
@@ -107,14 +118,21 @@ def test_solve_guard_exit_code(tmp_path):
     path = tmp_path / "big.instance.json"
     path.write_text(json.dumps({"n": 8, "c_upper": upper}))
     assert main(["solve", str(path), "--method", "exact", "--g", "2"]) == EXIT_GUARD
-    # a raised --max-n admits no g >= 2 enumeration past the 8! vertex table
-    path.write_text(json.dumps({"n": 9, "c_upper": rng.random(36).tolist()}))
-    solve = ["solve", str(path), "--method", "exact", "--max-n", "10", "--g"]
-    assert main(solve + ["2"]) == EXIT_GUARD
-    assert main(solve + ["1"]) == EXIT_OK
-    # n = 6, g = 3 passes --max-n and --max-g but visits 62.4M multisets
+    # n = 6, g = 3 visits 62.4M multisets
     path.write_text(json.dumps({"n": 6, "c_upper": rng.random(15).tolist()}))
     assert main(["solve", str(path), "--method", "exact", "--g", "3"]) == EXIT_GUARD
+
+
+def test_exact_g1_is_admitted_at_any_n(tmp_path, capsys):
+    path = tmp_path / "sushi_size.instance.json"
+    path.write_text(json.dumps({"n": 10, "c_upper": np.random.default_rng(3).random(45).tolist()}))
+    solve = ["solve", str(path), "--method", "exact", "--g", "1"]
+    assert main(solve) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["proven"] is True
+    for removed in ("n", "g"):  # the size knobs are gone; argparse refuses them
+        with pytest.raises(SystemExit) as exc:
+            main(solve + [f"--max-{removed}", "10"])
+        assert exc.value.code == EXIT_INVALID
 
 
 @pytest.mark.parametrize("n", [3.7, "3", True])
@@ -143,10 +161,10 @@ def test_sweep_exact_checks_g_max_before_solving(ex1_path, monkeypatch, capsys):
 
     calls = []
     monkeypatch.setattr(mlop.cli, "solve_exact", lambda *a: calls.append(a))
-    assert main(["sweep", ex1_path, "--method", "exact", "--g-max", "4"]) == EXIT_GUARD
+    assert main(["sweep", ex1_path, "--method", "exact", "--g-max", "6"]) == EXIT_GUARD
     assert calls == []
     captured = capsys.readouterr()
-    assert "max_g=3" in captured.err
+    assert "multisets" in captured.err
     assert captured.out == ""
 
 
@@ -177,7 +195,7 @@ def test_gen_rejects_bad_numbers_by_name(tmp_path, capsys, extra, named):
 
 def test_parser_defaults_are_the_config_defaults():
     parser = build_parser()
-    heuristic, exact = HeuristicConfig(), ExactConfig()
+    heuristic = HeuristicConfig()
     for command in ("solve", "sweep"):
         extra = ["--g", "1"] if command == "solve" else ["--g-max", "1"]
         args = parser.parse_args([command, "x.json", "--method", "heuristic"] + extra)
@@ -185,12 +203,24 @@ def test_parser_defaults_are_the_config_defaults():
             heuristic.n_starts, heuristic.it_max, heuristic.epsilon,
             heuristic.step1_budget, heuristic.base_seed,
         )
-        assert (args.max_n, args.max_g) == (exact.max_n, exact.max_g)
     args = parser.parse_args(["gen", "--n", "4", "--g-true", "1", "--out", "x"])
     spec = {f.name: f.default for f in fields(GeneratorSpec)}
     assert (args.num_rankings, args.min_separation, args.seed) == (
         spec["num_rankings"], spec["min_separation"], spec["seed"]
     )
+
+
+def test_readme_commands_parse():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```bash\n(.*?)```", readme.read_text(encoding="utf-8"), flags=re.S)
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("mlop ")]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_numerical_failure_exit_code(ex1_path, monkeypatch, capsys):

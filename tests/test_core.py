@@ -53,6 +53,15 @@ def test_preference_matrix_from_full_and_value():
         C.value(1, 1)
 
 
+@pytest.mark.parametrize("hole", [math.nan, math.inf, -math.inf])
+def test_from_full_rejects_non_finite_off_diagonal(hole):
+    for r, s in ((1, 0), (0, 2)):  # lower and upper triangle
+        full = [[math.nan, 0.7, 0.8], [0.3, math.nan, 0.4], [0.2, 0.6, math.nan]]
+        full[r][s] = hole
+        with pytest.raises(InvalidInput, match="finite"):
+            PreferenceMatrix.from_full(full)
+
+
 def test_linear_order_validation_and_prec():
     o = LinearOrder((2, 0, 1))
     # item 2 first: pairs (0,1)=1, (0,2)=0, (1,2)=0

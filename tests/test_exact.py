@@ -46,12 +46,11 @@ def test_running_example_g3_perfect():
 
 
 def test_n3_example_curves():
-    cfg = ExactConfig(max_g=4)
-    curve = opt_curve(PreferenceMatrix(3, [0.7, 0.8, 0.4]), 4, cfg)
+    curve = opt_curve(PreferenceMatrix(3, [0.7, 0.8, 0.4]), 4)
     assert [g for g, _ in curve] == [1, 2, 3, 4]
     for (g, obj), expect in zip(curve, (0.9, 0.2, 0.1, 0.0)):
         assert obj == pytest.approx(expect, abs=1e-9)
-    curve = opt_curve(PreferenceMatrix(3, [0.3, 0.9, 0.2]), 4, cfg)
+    curve = opt_curve(PreferenceMatrix(3, [0.3, 0.9, 0.2]), 4)
     for (g, obj), expect in zip(curve, (1.0, 0.6, 0.4, 0.4)):
         assert obj == pytest.approx(expect, abs=1e-9)
 
@@ -82,18 +81,48 @@ def test_g1_matches_classical_lop():
         assert obj == pytest.approx(num_pairs(5) - value, abs=1e-9)
 
 
+@pytest.mark.parametrize("n,g,admitted", [
+    (21, 1, True), (50, 1, True),  # one classical LOP at any n
+    (7, 2, True), (8, 2, False),  # the vertex table stops at 7!
+    (5, 3, True), (6, 3, False),  # g >= 3: at most MULTISET_GUARD multisets
+    (4, 5, True), (4, 6, False),
+    (3, 29, True), (3, 30, False),
+])
+def test_check_guards_admits_by_cost(n, g, admitted):
+    if admitted:
+        check_guards(n, g)
+    else:
+        with pytest.raises(SizeGuardExceeded):
+            check_guards(n, g)
+
+
+def test_check_guards_is_monotone_in_g():
+    # a sweep checks only its largest g, so admitting g must admit every smaller g
+    for n in range(2, 10):
+        admitted = []
+        for g in range(1, 40):
+            try:
+                check_guards(n, g)
+                admitted.append(True)
+            except SizeGuardExceeded:
+                admitted.append(False)
+        assert admitted == sorted(admitted, reverse=True)
+
+
 def test_size_guards():
+    C = random_preference_matrix(8, np.random.default_rng(0))
+    assert solve_exact(C, ExactConfig(g=1))[2]  # proven by the subset DP
     with pytest.raises(SizeGuardExceeded):
-        solve_exact(random_preference_matrix(7, np.random.default_rng(0)), ExactConfig(g=1))
+        solve_exact(C, ExactConfig(g=2))
     with pytest.raises(SizeGuardExceeded):
-        solve_exact(EX1, ExactConfig(g=4))
+        solve_exact(EX1, ExactConfig(g=6))
     with pytest.raises(InvalidInput):
         ExactConfig(g=0)
 
 
 def test_vertex_table_built_once_and_never_for_g1():
     enumerate_vertices.cache_clear()
-    solve_exact(random_preference_matrix(9, np.random.default_rng(1)), ExactConfig(g=1, max_n=10))
+    solve_exact(random_preference_matrix(9, np.random.default_rng(1)), ExactConfig(g=1))
     assert enumerate_vertices.cache_info().currsize == 0
     opt_curve(EX1, 3)
     info = enumerate_vertices.cache_info()
@@ -152,8 +181,7 @@ def test_early_exit_at_zero_still_optimal():
 def test_stabilization_at_full_projection_for_n3():
     # beyond C(n,2)+1 = 4 groups nothing can improve at n=3
     C = PreferenceMatrix(3, [0.3, 0.9, 0.2])
-    cfg = ExactConfig(max_g=5)
-    curve = dict(opt_curve(C, 5, cfg))
+    curve = dict(opt_curve(C, 5))
     assert curve[4] == pytest.approx(curve[3], abs=1e-9)
     assert curve[5] == pytest.approx(curve[3], abs=1e-9)
 
@@ -207,12 +235,20 @@ def test_agreement_screen_skips_weight_lps(monkeypatch):
 
 def test_multiset_guard_refuses_before_enumerating():
     assert MULTISET_GUARD == enumeration_size(5, 3)
-    check_guards(5, ExactConfig(g=3))
+    check_guards(5, 3)
     enumerate_vertices.cache_clear()
-    C = random_preference_matrix(6, np.random.default_rng(2))
-    for cfg in (ExactConfig(g=3), ExactConfig(g=3, max_n=8, max_g=8)):
-        with pytest.raises(SizeGuardExceeded, match="multisets"):
-            solve_exact(C, cfg)
     with pytest.raises(SizeGuardExceeded, match="multisets"):
-        solve_exact(EX1, ExactConfig(g=6, max_g=7))  # 475,020 multisets at n = 4
+        solve_exact(random_preference_matrix(6, np.random.default_rng(2)), ExactConfig(g=3))
+    with pytest.raises(SizeGuardExceeded, match="multisets"):
+        solve_exact(EX1, ExactConfig(g=6))  # 475,020 multisets at n = 4
     assert enumerate_vertices.cache_info().misses == 0
+
+
+def test_opt_curve_refuses_before_solving(monkeypatch):
+    import mlop.exact
+
+    calls = []
+    monkeypatch.setattr(mlop.exact, "solve_exact", lambda *a: calls.append(a))
+    with pytest.raises(SizeGuardExceeded, match="multisets"):
+        opt_curve(EX1, 6)
+    assert calls == []

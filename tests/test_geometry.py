@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mlop import ExactConfig, LinearOrder, PreferenceMatrix, SizeGuardExceeded, opt_curve
+from mlop import LinearOrder, PreferenceMatrix, SizeGuardExceeded, opt_curve
 from mlop.geometry import (
     caratheodory_saturation,
     cycle_residuals,
@@ -49,7 +49,7 @@ def test_vertices_n4_complete_and_transitive():
 
 def test_vertices_guard():
     with pytest.raises(SizeGuardExceeded):
-        enumerate_vertices(9)
+        enumerate_vertices(8)  # one limit, VERTEX_GUARD_N = 7, for g = 2 and projection
 
 
 def test_cycle_residuals_fixtures():
@@ -108,7 +108,7 @@ def test_projection_lower_bounds_opt_curve():
     for _ in range(5):
         c = rng.random(3)
         _, dist = l1_projection_full(c, 3)
-        curve = opt_curve(PreferenceMatrix(3, c), 4, ExactConfig(max_g=4))
+        curve = opt_curve(PreferenceMatrix(3, c), 4)
         for g, obj in curve:
             assert dist <= obj + 1e-9
         assert curve[-1][1] == pytest.approx(dist, abs=1e-9)  # g = C(3,2)+1
@@ -159,7 +159,7 @@ def test_outside_points_saturate_at_npairs_n3():
             continue
         checked += 1
         _, dist = l1_projection_full(c, 3)
-        curve = dict(opt_curve(PreferenceMatrix(3, c), 3, ExactConfig(max_g=3)))
+        curve = dict(opt_curve(PreferenceMatrix(3, c), 3))
         assert curve[3] == pytest.approx(dist, abs=1e-9)
 
 
