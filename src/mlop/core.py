@@ -111,30 +111,25 @@ class PreferenceMatrix:
     def from_full(cls, matrix, tol: float = NORMALIZATION_TOL) -> "PreferenceMatrix":
         """Build from a full n x n matrix, ignoring the diagonal.
 
-        Rejects non-finite off-diagonal entries and inputs violating
-        |c_rs + c_sr - 1| <= tol rather than silently renormalizing them.
+        Rejects inputs violating |c_rs + c_sr - 1| <= tol, including
+        non-finite off-diagonal entries, rather than silently renormalizing
+        them.
         """
         a = np.asarray(matrix, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
         n = a.shape[0]
         rows, cols = pair_rows_cols(n)
-        upper, lower = a[rows, cols], a[cols, rows]
-        finite = np.isfinite(upper) & np.isfinite(lower)
-        if not finite.all():
-            k = int(np.argmin(finite))
-            raise InvalidInput(
-                f"off-diagonal entries must be finite: c[{rows[k]},{cols[k]}] = "
-                f"{upper[k]}, c[{cols[k]},{rows[k]}] = {lower[k]}"
-            )
-        gap = np.abs(upper + lower - 1.0)
-        if gap.size and gap.max() > tol:
-            k = int(np.argmax(gap))
+        with np.errstate(over="ignore", invalid="ignore"):
+            gap = np.abs(a[rows, cols] + a[cols, rows] - 1.0)
+        # a NaN gap (a null or NaN entry, or inf - inf) fails the test too
+        if not (gap <= tol).all():
+            k = int(np.argmax(np.nan_to_num(gap, nan=np.inf)))
             raise InvalidInput(
                 f"matrix is not normalized: c[{rows[k]},{cols[k]}] + "
                 f"c[{cols[k]},{rows[k]}] deviates from 1 by {gap[k]:.3g}"
             )
-        return cls(n, upper)
+        return cls(n, a[rows, cols])
 
     def value(self, r: int, s: int) -> float:
         """c_rs for any r != s (lower triangle derived)."""

@@ -7,9 +7,10 @@ for each one a lower bound does not rule out, and keep the global best.
 The orders come from the cached vertex table of the linear ordering
 polytope, which the geometry utilities read as well.  check_guards admits a
 solve by its cost, which depends on (n, g) alone: one group is a single
-classical LOP, two groups read the vertex table (at most VERTEX_GUARD_N!
-orders), and three or more visit at most MULTISET_GUARD multisets.  Refused
-sizes raise SizeGuardExceeded; the alternating heuristic covers them.
+classical LOP solved by the subset DP (at most LOP_DP_MAX_N items), two
+groups read the vertex table (at most VERTEX_GUARD_N! orders), and three or
+more visit at most MULTISET_GUARD multisets.  Refused sizes raise
+SizeGuardExceeded; the alternating heuristic covers them.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .core import (
     PreferenceMatrix,
     canonicalize,
 )
-from .lop import BenefitMatrix, lop_exact
+from .lop import LOP_DP_MAX_N, BenefitMatrix, lop_exact
 from .simplex_fit import _breakpoint_g2, _fit_simplex_l1
 
 # incumbent replaced only on improvement beyond LP float noise, so the first
@@ -107,20 +108,30 @@ def check_guards(n: int, g: int) -> None:
     """Raise SizeGuardExceeded unless an exact solve of g groups at n items
     is admitted.
 
-    g = 1 is always admitted: it is one lop_exact call, the inner solve the
-    heuristic makes at every n.  g = 2 reads the vertex table and is admitted
-    up to n = VERTEX_GUARD_N.  g >= 3 fits a weight LP per unscreened
-    multiset and is admitted while it visits at most MULTISET_GUARD of them.
+    g = 1 is one classical LOP, admitted up to n = LOP_DP_MAX_N, where the
+    subset DP solves it in well under a second; the node-capped branch and
+    bound above that is neither proven nor bounded in memory.  g = 2 reads
+    the vertex table and is admitted up to n = VERTEX_GUARD_N.  g >= 3 fits
+    a weight LP of g columns per unscreened multiset and is admitted while
+    it visits at most MULTISET_GUARD of them.  n = 2 has only two orders,
+    so its count, g + 1, stops bounding the g-column work; it is held to
+    the n = 3 count (g <= 29), which is larger at every g.
     The cost grows with g, so admitting g admits every smaller g at the same n.
     """
+    if g == 1 and n > LOP_DP_MAX_N:
+        raise SizeGuardExceeded(
+            f"g=1 is solved exactly up to n <= {LOP_DP_MAX_N}, got n={n}; "
+            "use the heuristic solver"
+        )
     if g == 2 and n > VERTEX_GUARD_N:
         raise SizeGuardExceeded(
             f"g=2 enumerates all n! orders, guarded to n <= {VERTEX_GUARD_N}, got n={n}; "
             "use the heuristic solver"
         )
-    if g >= 3 and enumeration_size(n, g) > MULTISET_GUARD:
+    if g >= 3 and enumeration_size(max(n, 3), g) > MULTISET_GUARD:
+        where = f"n={n}" if n >= 3 else f"n={n} is held to n=3, which"
         raise SizeGuardExceeded(
-            f"g={g} at n={n} visits {enumeration_size(n, g):,} multisets, more than "
+            f"g={g} at {where} visits {enumeration_size(max(n, 3), g):,} multisets, more than "
             f"the guard of {MULTISET_GUARD:,} (n=5, g=3); use the heuristic solver"
         )
 
@@ -134,9 +145,7 @@ def solve_exact(
     proven is True on full enumeration and also on an early exit at objective
     zero, which is a global lower bound.  For a single group the search
     reduces to a classical LOP solved by lop_exact, which returns the
-    identical optimum (objective C(n,2) - LOP value, lex-smallest order); it
-    is exact up to LOP_DP_MAX_N items, and above that proven only if its
-    capped branch and bound finishes.
+    identical optimum (objective C(n,2) - LOP value, lex-smallest order).
     Two or more groups enumerate the vertex table; check_guards says which
     sizes are admitted.
     """

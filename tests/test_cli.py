@@ -56,7 +56,7 @@ def test_load_instance_rejects_non_finite_lower_triangle(tmp_path, capsys):
         full = [[None, 0.7, 0.8], [hole, None, 0.4], [0.2, 0.6, None]]
         path.write_text(json.dumps({"n": 3, "c": full}))
         assert main(["solve", str(path), "--method", "exact", "--g", "1"]) == EXIT_INVALID
-        assert "finite" in capsys.readouterr().err
+        assert "not normalized" in capsys.readouterr().err
 
 
 def test_load_instance_rejects_unnormalized(tmp_path):
@@ -123,16 +123,32 @@ def test_solve_guard_exit_code(tmp_path):
     assert main(["solve", str(path), "--method", "exact", "--g", "3"]) == EXIT_GUARD
 
 
-def test_exact_g1_is_admitted_at_any_n(tmp_path, capsys):
+def test_exact_g1_needs_no_flag(tmp_path, capsys):
     path = tmp_path / "sushi_size.instance.json"
     path.write_text(json.dumps({"n": 10, "c_upper": np.random.default_rng(3).random(45).tolist()}))
     solve = ["solve", str(path), "--method", "exact", "--g", "1"]
     assert main(solve) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["proven"] is True
+    big = tmp_path / "n21.instance.json"
+    big.write_text(json.dumps({"n": 21, "c_upper": [0.5] * 210}))
+    assert main(["solve", str(big), "--method", "exact", "--g", "1"]) == EXIT_GUARD
+    assert "n <= 20" in capsys.readouterr().err
     for removed in ("n", "g"):  # the size knobs are gone; argparse refuses them
         with pytest.raises(SystemExit) as exc:
             main(solve + [f"--max-{removed}", "10"])
         assert exc.value.code == EXIT_INVALID
+
+
+def test_sweep_exact_at_n2_is_held_to_the_n3_limit(tmp_path, monkeypatch, capsys):
+    import mlop.cli
+
+    calls = []
+    monkeypatch.setattr(mlop.cli, "solve_exact", lambda *a: calls.append(a))
+    path = tmp_path / "n2.instance.json"
+    path.write_text(json.dumps({"n": 2, "c_upper": [0.3]}))
+    assert main(["sweep", str(path), "--method", "exact", "--g-max", "100000"]) == EXIT_GUARD
+    assert calls == []
+    assert "held to n=3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", [3.7, "3", True])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,8 +59,15 @@ def test_from_full_rejects_non_finite_off_diagonal(hole):
     for r, s in ((1, 0), (0, 2)):  # lower and upper triangle
         full = [[math.nan, 0.7, 0.8], [0.3, math.nan, 0.4], [0.2, 0.6, math.nan]]
         full[r][s] = hole
-        with pytest.raises(InvalidInput, match="finite"):
+        with pytest.raises(InvalidInput, match="not normalized"):
             PreferenceMatrix.from_full(full)
+
+
+def test_from_full_rejects_overflowing_entries_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # 1e308 + 1e308 overflows to inf
+        with pytest.raises(InvalidInput, match="not normalized"):
+            PreferenceMatrix.from_full([[0.0, 1e308], [1e308, 0.0]])
 
 
 def test_linear_order_validation_and_prec():

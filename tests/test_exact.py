@@ -82,11 +82,12 @@ def test_g1_matches_classical_lop():
 
 
 @pytest.mark.parametrize("n,g,admitted", [
-    (21, 1, True), (50, 1, True),  # one classical LOP at any n
+    (20, 1, True), (21, 1, False),  # one classical LOP, solved by the subset DP
     (7, 2, True), (8, 2, False),  # the vertex table stops at 7!
     (5, 3, True), (6, 3, False),  # g >= 3: at most MULTISET_GUARD multisets
     (4, 5, True), (4, 6, False),
     (3, 29, True), (3, 30, False),
+    (2, 29, True), (2, 30, False), (2, 100_000, False),  # n = 2 counts as n = 3
 ])
 def test_check_guards_admits_by_cost(n, g, admitted):
     if admitted:
@@ -98,7 +99,7 @@ def test_check_guards_admits_by_cost(n, g, admitted):
 
 def test_check_guards_is_monotone_in_g():
     # a sweep checks only its largest g, so admitting g must admit every smaller g
-    for n in range(2, 10):
+    for n in (*range(2, 10), 20, 21):
         admitted = []
         for g in range(1, 40):
             try:
