@@ -11,7 +11,6 @@ from .core import (
     DimensionMismatch,
     InvalidInput,
     LinearOrder,
-    MixturePoint,
     MixtureSolution,
     PreferenceMatrix,
     canonicalize,
@@ -44,7 +43,6 @@ from .instances import (
     sample_within_ball,
 )
 from .lop import BenefitMatrix, lop_exact, lop_heuristic
-from .simplex_fit import WeightFitProblem, fit_weights, weight_breakpoint_fit_g2
 
 __version__ = "0.1.0"
 
@@ -57,19 +55,16 @@ __all__ = [
     "HeuristicTrace",
     "InvalidInput",
     "LinearOrder",
-    "MixturePoint",
     "MixtureSolution",
     "PreferenceMatrix",
     "RankingSample",
     "SizeGuardExceeded",
-    "WeightFitProblem",
     "aggregate",
     "allocate_counts",
     "canonicalize",
     "dispersion_from_percentage",
     "fit",
     "fit_from_objective",
-    "fit_weights",
     "generate_instance",
     "ingest_rankings",
     "kendall_distance",
@@ -87,5 +82,4 @@ __all__ = [
     "solve_heuristic",
     "step_rankings",
     "step_weights",
-    "weight_breakpoint_fit_g2",
 ]

@@ -106,17 +106,13 @@ class SweepRow:
     time_s: float
 
 
-def relative_drop(prev_obj: float, obj: float) -> float:
-    """Fractional drop (obj_{g-1} - obj_g) / obj_{g-1}; zero on a flat start."""
-    if prev_obj <= _DROP_EPS:
+def fractional_drop(base: float, obj: float) -> float:
+    """Fractional drop (base - obj) / base from a reference objective, the
+    previous g's for relative_drop and g = 1's for cumulative_drop; zero
+    when the reference is already (near) zero."""
+    if base <= _DROP_EPS:
         return 0.0
-    return (prev_obj - obj) / prev_obj
-
-
-def cumulative_drop(first_obj: float, obj: float) -> float:
-    if first_obj <= _DROP_EPS:
-        return 0.0
-    return (first_obj - obj) / first_obj
+    return (base - obj) / base
 
 
 def _dump_json(obj) -> str:
@@ -332,8 +328,8 @@ def cmd_sweep(args) -> int:
                 g=g,
                 objective=float(obj),
                 fit=float(fit_from_objective(obj, C.n)),
-                relative_drop=None if g == 1 else float(relative_drop(prev_obj, obj)),
-                cumulative_drop=float(cumulative_drop(first_obj, obj)),
+                relative_drop=None if g == 1 else float(fractional_drop(prev_obj, obj)),
+                cumulative_drop=float(fractional_drop(first_obj, obj)),
                 time_s=float(elapsed),
             )
         )

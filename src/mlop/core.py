@@ -131,14 +131,6 @@ class PreferenceMatrix:
             )
         return cls(n, a[rows, cols])
 
-    def value(self, r: int, s: int) -> float:
-        """c_rs for any r != s (lower triangle derived)."""
-        if r == s:
-            raise IndexError("diagonal entries are undefined")
-        if r < s:
-            return float(self.upper[pair_index(self.n, r, s)])
-        return 1.0 - float(self.upper[pair_index(self.n, s, r)])
-
     def full(self) -> np.ndarray:
         """Full matrix with NaN on the (undefined) diagonal."""
         rows, cols = pair_rows_cols(self.n)
@@ -176,27 +168,6 @@ class LinearOrder:
     @property
     def n(self) -> int:
         return len(self.perm)
-
-    @classmethod
-    def from_prec(cls, prec, n: int) -> "LinearOrder":
-        """Reconstruct the order from a transitive 0/1 precedence vector."""
-        v = np.asarray(prec)
-        if v.shape != (num_pairs(n),):
-            raise InvalidInput(f"precedence vector must have length {num_pairs(n)}")
-        rows, cols = pair_rows_cols(n)
-        # item's score = number of items it precedes; transitive vectors
-        # yield a bijection onto 0..n-1
-        score = np.zeros(n, dtype=np.int64)
-        np.add.at(score, rows, v.astype(np.int64))
-        np.add.at(score, cols, 1 - v.astype(np.int64))
-        perm = tuple(int(i) for i in np.argsort(-score, kind="stable"))
-        order = cls(perm)
-        if not np.array_equal(order.prec, v.astype(np.uint8)):
-            raise InvalidInput("precedence vector is not transitive")
-        return order
-
-    def reverse(self) -> "LinearOrder":
-        return LinearOrder(tuple(reversed(self.perm)))
 
 
 @dataclass(frozen=True)
@@ -237,24 +208,6 @@ class MixtureSolution:
         return self.orders[0].n
 
 
-@dataclass(frozen=True)
-class MixturePoint:
-    """Convex combination of precedence vectors, one entry per pair."""
-
-    n: int
-    p: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.p, dtype=np.float64)
-        if arr.shape != (num_pairs(self.n),):
-            raise InvalidInput(f"point must have length {num_pairs(self.n)}")
-        if arr.min() < -TOL or arr.max() > 1.0 + TOL:
-            raise InvalidInput("mixture point entries must lie in [0, 1]")
-        arr = np.clip(arr, 0.0, 1.0)
-        arr.flags.writeable = False
-        object.__setattr__(self, "p", arr)
-
-
 def _check_same_n(n_a: int, n_b: int) -> None:
     if n_a != n_b:
         raise DimensionMismatch(f"item counts differ: {n_a} vs {n_b}")
@@ -272,18 +225,19 @@ def lop_value(order: LinearOrder, C: PreferenceMatrix) -> float:
     return float(np.sum(x * c + (1 - x) * (1.0 - c)))
 
 
-def mixture_point(sol: MixtureSolution) -> MixturePoint:
+def mixture_point(sol: MixtureSolution) -> np.ndarray:
     """p_rs = sum_i w_i x_rs^i, the point of the ordering polytope the
-    mixture realizes."""
+    mixture realizes, as a read-only vector clipped to [0, 1]."""
     X = np.stack([o.prec for o in sol.orders]).astype(np.float64)
-    p = np.asarray(sol.weights, dtype=np.float64) @ X
-    return MixturePoint(sol.n, p)
+    p = np.clip(np.asarray(sol.weights, dtype=np.float64) @ X, 0.0, 1.0)
+    p.flags.writeable = False
+    return p
 
 
 def l1_objective(sol: MixtureSolution, C: PreferenceMatrix) -> float:
     """L1 distance between the observed upper triangle and the mixture point."""
     _check_same_n(sol.n, C.n)
-    return float(np.abs(C.upper - mixture_point(sol).p).sum())
+    return float(np.abs(C.upper - mixture_point(sol)).sum())
 
 
 def fit_from_objective(objective: float, n: int) -> float:

@@ -1,12 +1,12 @@
 """Linear ordering polytope utilities.
 
-3-cycle (transitivity) residuals, membership tests, L1 projection onto the
-full polytope, and the smallest group count at which the restricted mixture
-optimum matches the full-polytope projection.  Membership and projection are
-decided by an exact LP over explicit vertex weights, since complete facet
-descriptions are unavailable for general n; the vertices come from
-``mlop.exact.enumerate_vertices``, whose guard keeps the LPs at 7! columns
-or fewer.
+3-cycle (transitivity) residuals, L1 projection onto the full polytope (a
+point is a member when its projection distance is at most MEMBERSHIP_TOL),
+and the smallest group count at which the restricted mixture optimum matches
+the full-polytope projection.  The projection is an exact LP over explicit
+vertex weights, since complete facet descriptions are unavailable for
+general n; the vertices come from ``mlop.exact.enumerate_vertices``, whose
+guard keeps the LPs at 7! columns or fewer.
 """
 
 from __future__ import annotations
@@ -54,13 +54,6 @@ def violates_cycle(residual: float, tol: float = CYCLE_TOL) -> bool:
     return residual < -tol or residual > 1.0 + tol
 
 
-def cycle_violations(point, n: int, tol: float = CYCLE_TOL):
-    """Triples whose residual leaves [0, 1] by more than tol."""
-    return [
-        (triple, res) for triple, res in cycle_residuals(point, n) if violates_cycle(res, tol)
-    ]
-
-
 def l1_projection_full(point, n: int) -> tuple[np.ndarray, float]:
     """Globally optimal L1 projection of a point onto the full polytope.
 
@@ -71,12 +64,6 @@ def l1_projection_full(point, n: int) -> tuple[np.ndarray, float]:
     V = enumerate_vertices(n)
     w, dist = _fit_simplex_l1(V.vertices, arr)
     return w @ V.vertices, dist
-
-
-def polytope_membership(point, n: int) -> bool:
-    """True iff the point is a convex combination of precedence vectors."""
-    _, dist = l1_projection_full(point, n)
-    return dist <= MEMBERSHIP_TOL
 
 
 def caratheodory_saturation(point, n: int, tol: float = MEMBERSHIP_TOL) -> int:

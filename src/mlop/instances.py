@@ -255,11 +255,11 @@ def _sample_ball(center: np.ndarray, D: int, out: np.ndarray, rng: np.random.Gen
     """Fill each row of out with a uniform draw from the Kendall ball of
     radius D around the permutation center.
 
-    Consumes exactly the uniforms, in the same order, that len(out) calls of
-    sample_within_ball make: one for the distance, then n code entries
-    unless the distance is 0.  Each chunk draws the most it could need,
-    walks the draws to find where each ranking starts, and then rewinds the
-    generator and redraws the count it actually used.
+    Consumes, row by row, one uniform for the distance, then one per Lehmer
+    code entry unless the distance is 0, so the draws do not depend on how
+    the rows are split into calls.  Each chunk draws the most it could
+    need, walks the draws to find where each ranking starts, and then
+    rewinds the generator and redraws the count it actually used.
     """
     n = len(center)
     if D == 0:
@@ -288,27 +288,16 @@ def _sample_ball(center: np.ndarray, D: int, out: np.ndarray, rng: np.random.Gen
 def sample_within_ball(
     center: LinearOrder, D: int, rng: np.random.Generator
 ) -> LinearOrder:
-    """Uniform draw from the Kendall ball of radius D around center."""
+    """Uniform draw from the Kendall ball of radius D around center; the
+    one-ranking form of _sample_ball, consuming the same uniforms."""
     n = center.n
     if not 0 <= D <= num_pairs(n):
         raise InvalidInput(f"D must be in [0, {num_pairs(n)}], got {D}")
     if D == 0:
         return center
-    table = _ball_table(n, D)
-    rem = int(_draw_distances(table.dist_cum, rng.random()))
-    if rem == 0:
-        return center
-    # _lehmer_codes and _decode_lehmer for one row, entry by entry: on a
-    # single row their numpy calls cost more than this loop
-    u = rng.random(n)
-    available = list(center.perm)
-    perm = []
-    for i in range(n):
-        x = u[i] * table.code_total[i][rem]
-        v = min(int(np.searchsorted(table.code_cum[i][rem], x, side="right")), rem, n - 1 - i)
-        perm.append(available.pop(v))
-        rem -= v
-    return LinearOrder(tuple(perm))
+    out = np.empty((1, n), dtype=np.int64)
+    _sample_ball(np.array(center.perm), D, out, rng)
+    return LinearOrder(tuple(out[0]))
 
 
 def _separation_impossible(n: int, g_true: int, min_separation: int) -> str | None:
@@ -416,11 +405,6 @@ def aggregate(rankings) -> PreferenceMatrix:
     """Pairwise proportions c_rs = a_rs / N over complete rankings."""
     n, N, counts = _pair_counts(_ranking_array(rankings))
     return PreferenceMatrix(n, counts / N)
-
-
-def count_matrix(rankings) -> np.ndarray:
-    """Full integer matrix a_rs = number of rankings placing r before s."""
-    return _full_counts(*_pair_counts(_ranking_array(rankings)))
 
 
 def generate_instance(spec: GeneratorSpec) -> tuple[RankingSample, PreferenceMatrix]:

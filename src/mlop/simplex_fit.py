@@ -16,72 +16,19 @@ exceeds 10 and there are at most 276 pairs at n = 24.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .core import InvalidInput, _n_from_pairs, triple_pair_indices
 
 _PIVOT_TOL = 1e-11
 _TIE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class WeightFitProblem:
-    """g binary precedence vectors (rows of X) and the target vector c."""
-
-    X: np.ndarray
-    c: np.ndarray
-
-    def __post_init__(self):
-        X = np.ascontiguousarray(np.asarray(self.X, dtype=np.float64))
-        c = np.ascontiguousarray(np.asarray(self.c, dtype=np.float64))
-        if X.ndim != 2 or X.shape[0] < 1:
-            raise InvalidInput(f"X must be a (g, pairs) matrix, got shape {X.shape}")
-        if c.shape != (X.shape[1],):
-            raise InvalidInput("c must match the pair dimension of X")
-        if not np.all((X == 0.0) | (X == 1.0)):
-            raise InvalidInput("precedence vectors must be binary")
-        if not np.all(np.isfinite(c)):
-            raise InvalidInput("target vector must be finite")
-        rs, rt, st = triple_pair_indices(_n_from_pairs(X.shape[1]))
-        res = X[:, rs] - X[:, rt] + X[:, st]
-        if np.any((res < 0) | (res > 1)):
-            raise InvalidInput("every precedence vector must come from a linear order")
-        X.flags.writeable = False
-        c.flags.writeable = False
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "c", c)
-
-    @property
-    def g(self) -> int:
-        return self.X.shape[0]
-
-
-def fit_weights(prob: WeightFitProblem) -> tuple[np.ndarray, float]:
-    """Globally optimal simplex weights for the L1 fit (LP optimum).
-
-    Returns (weights, objective) with weights >= 0 summing to 1.  Among
-    degenerate optima the result is deterministic: weight spread across
-    exact duplicate vectors is consolidated onto the first occurrence, and
-    the underlying Bland pivoting is index-ordered.
-    """
-    return _fit_simplex_l1(prob.X, prob.c)
-
-
-def weight_breakpoint_fit_g2(prob: WeightFitProblem) -> tuple[np.ndarray, float]:
-    """Fast path for g = 2 with a contract identical to fit_weights.
+def _breakpoint_g2(X: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
+    """Fast path for g = 2 with the contract of _fit_simplex_l1.
 
     The objective is piecewise linear in the scalar w_1 with breakpoints
     only at {c_k, 1 - c_k} over pairs where the two vectors differ, so the
     optimum is found by evaluating all breakpoints plus {0, 1}.
     """
-    if prob.g != 2:
-        raise InvalidInput(f"breakpoint fit requires g == 2, got g={prob.g}")
-    return _breakpoint_g2(prob.X, prob.c)
-
-
-def _breakpoint_g2(X: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
     x1, x2 = X[0], X[1]
     diff = x1 != x2
     const = float(np.abs(c[~diff] - x1[~diff]).sum())
@@ -101,30 +48,31 @@ def _breakpoint_g2(X: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _fit_simplex_l1(X: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
-    """LP core shared by the mixture solvers and the polytope geometry."""
+    """Globally optimal simplex weights for the L1 fit of the rows of X to c.
+
+    Returns (weights, objective) with weights >= 0 summing to 1.  Among
+    degenerate optima the result is deterministic: weight spread across
+    exact duplicate rows is consolidated onto the first occurrence, and the
+    underlying Bland pivoting is index-ordered.  Shared by the mixture
+    solvers and the polytope geometry.
+    """
     X = np.asarray(X, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     g, m = X.shape
     if g == 1:
         return np.array([1.0]), float(np.abs(c - X[0]).sum())
 
-    w = _solve_lp(X, c)
-    w = _consolidate_duplicates(X, w)
-    w = np.maximum(w, 0.0)
+    w = _consolidate_duplicates(X, np.maximum(_solve_lp(X, c), 0.0))
     w /= w.sum()
     objective = float(np.abs(c - w @ X).sum())
     return w, objective
 
 
 def _consolidate_duplicates(X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Move weight spread across identical vectors onto the first occurrence."""
-    w = w.copy()
-    g = X.shape[0]
-    for i in range(g):
-        if w[i] < 0.0:
-            w[i] = 0.0
+    """Move weight spread across identical vectors onto the first occurrence;
+    updates w in place and returns it."""
     seen: dict[bytes, int] = {}
-    for i in range(g):
+    for i in range(X.shape[0]):
         key = X[i].tobytes()
         if key in seen:
             w[seen[key]] += w[i]

@@ -73,6 +73,13 @@ def kendall_double_loop(perm_a, perm_b) -> int:
     return count
 
 
+def inversion_counts(perms: np.ndarray) -> np.ndarray:
+    """Kendall distance of each row of an (N, n) permutation array to the
+    identity order: the position pairs whose items appear out of order."""
+    i, j = np.triu_indices(perms.shape[1], k=1)
+    return np.count_nonzero(perms[:, i] > perms[:, j], axis=1)
+
+
 def _pair_position(n: int, r: int, s: int) -> int:
     """Position of pair (r, s), r < s, found by walking the upper triangle."""
     k = 0
@@ -104,12 +111,6 @@ def prec_double_loop(perm) -> list[int]:
     n = len(perm)
     pos = {item: i for i, item in enumerate(perm)}
     return [int(pos[r] < pos[s]) for r in range(n - 1) for s in range(r + 1, n)]
-
-
-def is_order_vector(vec, n: int) -> bool:
-    """True iff some permutation of n items has this precedence vector."""
-    target = [int(v) for v in vec]
-    return any(prec_double_loop(p) == target for p in itertools.permutations(range(n)))
 
 
 def exact_min_by_enumeration(upper, n: int, g: int, milli: int = 1000) -> float:

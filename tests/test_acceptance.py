@@ -18,25 +18,22 @@ from mlop import (
     ExactConfig,
     GeneratorSpec,
     HeuristicConfig,
-    LinearOrder,
     PreferenceMatrix,
-    WeightFitProblem,
     fit,
     fit_from_objective,
-    fit_weights,
     generate_instance,
-    kendall_distance,
     lop_exact,
     opt_curve,
-    sample_within_ball,
     solve_exact,
     solve_heuristic,
 )
-from mlop.cli import cumulative_drop, main, relative_drop
+from mlop.cli import fractional_drop, main
 from mlop.geometry import caratheodory_saturation, cycle_residuals
+from mlop.instances import _sample_ball
 from mlop.lop import _dp_solve
+from mlop.simplex_fit import _fit_simplex_l1
 
-from _oracles import grid_min_objective, random_order, random_preference_matrix
+from _oracles import grid_min_objective, inversion_counts, random_order, random_preference_matrix
 
 EX1 = PreferenceMatrix(4, [0.9, 0.9, 0.9, 0.5, 0.9, 0.9])
 
@@ -140,14 +137,13 @@ def test_criterion_06_weight_lp_correctness():
             C = random_preference_matrix(n, rng)
             orders = [random_order(n, rng) for _ in range(g)]
             X = np.stack([o.prec for o in orders]).astype(float)
-            _, obj = fit_weights(WeightFitProblem(X, C.upper))
+            _, obj = _fit_simplex_l1(X, C.upper)
             grid = grid_min_objective(X, C.upper)
             assert obj <= grid + 1e-9
             assert abs(obj - grid) <= 0.002
-        prob = WeightFitProblem(
+        w, obj = _fit_simplex_l1(
             np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), np.array([0.7, 0.8, 0.4])
         )
-        w, obj = fit_weights(prob)
         assert np.allclose(w, [0.7, 0.3], atol=1e-9)
         assert obj == pytest.approx(0.2, abs=1e-9)
 
@@ -155,14 +151,11 @@ def test_criterion_06_weight_lp_correctness():
 def test_criterion_07_generator_statistics(tmp_path):
     with criterion(7, "ball sampler statistics + reproducibility"):
         rng = np.random.default_rng(1_000_003)
-        center = LinearOrder((0, 1, 2, 3, 4))
         trials = 100_000
-        freq = Counter()
-        for _ in range(trials):
-            s = sample_within_ball(center, 2, rng)
-            d = kendall_distance(s, center)
-            assert d <= 2
-            freq[d] += 1
+        draws = np.empty((trials, 5), dtype=np.uint8)
+        _sample_ball(np.arange(5, dtype=np.uint8), 2, draws, rng)
+        freq = Counter(inversion_counts(draws).tolist())  # distances to the center
+        assert max(freq) <= 2
         for d, expect in enumerate((1 / 14, 4 / 14, 9 / 14)):
             assert freq[d] / trials == pytest.approx(expect, abs=0.02)
 
@@ -194,8 +187,8 @@ def test_criterion_09_reference_value_arithmetic():
     with criterion(9, "fit/drop arithmetic vs reference values"):
         assert 100 * fit_from_objective(12.144, 12) == pytest.approx(81.600, abs=0.001)
         assert 100 * fit_from_objective(15.390, 10) == pytest.approx(65.800, abs=0.001)
-        assert 100 * relative_drop(15.390, 4.253) == pytest.approx(72.365, abs=0.001)
-        assert 100 * cumulative_drop(15.390, 1.210) == pytest.approx(92.138, abs=0.001)
+        assert 100 * fractional_drop(15.390, 4.253) == pytest.approx(72.365, abs=0.001)
+        assert 100 * fractional_drop(15.390, 1.210) == pytest.approx(92.138, abs=0.001)
 
 
 SUSHI_ENV = "MLOP_SUSHI_RANKINGS"

@@ -21,11 +21,10 @@ from mlop.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     build_parser,
-    cumulative_drop,
+    fractional_drop,
     load_instance,
     main,
     parse_weights,
-    relative_drop,
 )
 
 EX1_UPPER = [0.9, 0.9, 0.9, 0.5, 0.9, 0.9]
@@ -74,9 +73,9 @@ def test_parse_weights_forms():
 
 
 def test_drop_arithmetic():
-    assert relative_drop(15.390, 4.253) * 100 == pytest.approx(72.365, abs=0.001)
-    assert cumulative_drop(15.390, 1.210) * 100 == pytest.approx(92.138, abs=0.001)
-    assert relative_drop(0.0, 0.0) == 0.0
+    assert fractional_drop(15.390, 4.253) * 100 == pytest.approx(72.365, abs=0.001)
+    assert fractional_drop(15.390, 1.210) * 100 == pytest.approx(92.138, abs=0.001)
+    assert fractional_drop(0.0, 0.0) == 0.0
 
 
 def test_solve_exact_g3_perfect(ex1_path, tmp_path, capsys):
@@ -237,6 +236,18 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(line, comments=True)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+def test_readme_python_runs_and_documents_the_api(capsys):
+    import mlop
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert "(1, 0.9999999999999999), (2, 0.4), (3, 0.0)" in capsys.readouterr().out
+    assert [name for name in mlop.__all__ if f"`{name}`" not in readme] == []
 
 
 def test_numerical_failure_exit_code(ex1_path, monkeypatch, capsys):

@@ -5,12 +5,12 @@ import pytest
 
 from mlop import LinearOrder, PreferenceMatrix, SizeGuardExceeded, opt_curve
 from mlop.geometry import (
+    MEMBERSHIP_TOL,
     caratheodory_saturation,
     cycle_residuals,
-    cycle_violations,
     enumerate_vertices,
     l1_projection_full,
-    polytope_membership,
+    violates_cycle,
 )
 
 from _oracles import random_order
@@ -57,18 +57,19 @@ def test_cycle_residuals_fixtures():
     assert len(residuals) == 1
     assert residuals[0][0] == (0, 1, 2)
     assert residuals[0][1] == pytest.approx(-0.4, abs=1e-12)
-    assert cycle_residuals([0.7, 0.8, 0.4], 3)[0][1] == pytest.approx(0.3, abs=1e-12)
-    assert cycle_violations([0.3, 0.9, 0.2], 3)
-    assert not cycle_violations([0.7, 0.8, 0.4], 3)
+    assert violates_cycle(residuals[0][1])
+    inside = cycle_residuals([0.7, 0.8, 0.4], 3)[0][1]
+    assert inside == pytest.approx(0.3, abs=1e-12)
+    assert not violates_cycle(inside)
 
 
 def test_membership_fixtures():
-    assert polytope_membership([0.7, 0.8, 0.4], 3) is True
-    assert polytope_membership([0.3, 0.9, 0.2], 3) is False
+    assert l1_projection_full([0.7, 0.8, 0.4], 3)[1] <= MEMBERSHIP_TOL
+    assert l1_projection_full([0.3, 0.9, 0.2], 3)[1] > MEMBERSHIP_TOL
     rng = np.random.default_rng(1)
     a, b = random_order(4, rng), random_order(4, rng)
     mid = (a.prec.astype(float) + b.prec.astype(float)) / 2
-    assert polytope_membership(mid, 4) is True
+    assert l1_projection_full(mid, 4)[1] <= MEMBERSHIP_TOL
 
 
 def test_membership_implies_residuals_in_range():
@@ -77,7 +78,7 @@ def test_membership_implies_residuals_in_range():
         w = rng.dirichlet(np.ones(3))
         orders = [random_order(4, rng) for _ in range(3)]
         point = w @ np.stack([o.prec for o in orders]).astype(float)
-        assert polytope_membership(point, 4)
+        assert l1_projection_full(point, 4)[1] <= MEMBERSHIP_TOL
         for _, res in cycle_residuals(point, 4):
             assert -1e-9 <= res <= 1 + 1e-9
 
@@ -87,8 +88,8 @@ def test_n3_residuals_characterize_membership():
     rng = np.random.default_rng(3)
     for _ in range(30):
         point = rng.random(3)
-        expected = not cycle_violations(point, 3, tol=1e-12)
-        assert polytope_membership(point, 3) == expected
+        expected = not violates_cycle(cycle_residuals(point, 3)[0][1], tol=1e-12)
+        assert (l1_projection_full(point, 3)[1] <= MEMBERSHIP_TOL) == expected
 
 
 def test_projection_fixtures():
@@ -96,7 +97,7 @@ def test_projection_fixtures():
     assert dist == pytest.approx(0.0, abs=1e-9)
     point, dist = l1_projection_full([0.3, 0.9, 0.2], 3)
     assert dist == pytest.approx(0.4, abs=1e-9)
-    assert not cycle_violations(point, 3, tol=1e-9)
+    assert not violates_cycle(cycle_residuals(point, 3)[0][1], tol=1e-9)
     v = LinearOrder((1, 0, 2)).prec.astype(float)
     point, dist = l1_projection_full(v, 3)
     assert dist == pytest.approx(0.0, abs=1e-12)
@@ -155,7 +156,7 @@ def test_outside_points_saturate_at_npairs_n3():
     checked = 0
     while checked < 5:
         c = rng.random(3)
-        if not cycle_violations(c, 3, tol=1e-6):
+        if not violates_cycle(cycle_residuals(c, 3)[0][1], tol=1e-6):
             continue
         checked += 1
         _, dist = l1_projection_full(c, 3)

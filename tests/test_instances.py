@@ -23,11 +23,14 @@ from mlop import instances
 from mlop.instances import (
     RankingFormatError,
     SeparationInfeasible,
-    count_matrix,
+    _full_counts,
+    _pair_counts,
+    _ranking_array,
+    _sample_ball,
     mahonian_counts,
 )
 
-from _oracles import random_order
+from _oracles import inversion_counts, random_order
 
 
 def test_dispersion_from_percentage():
@@ -114,13 +117,17 @@ def test_ball_samples_stay_in_ball():
         assert kendall_distance(s, center) <= 3
 
 
+def _ball_draws(center, D, trials, seed):
+    """trials draws around center in one _sample_ball call; the same draws
+    as that many sample_within_ball calls on the same seed."""
+    out = np.empty((trials, len(center)), dtype=np.uint8)
+    _sample_ball(np.array(center, dtype=np.uint8), D, out, np.random.default_rng(seed))
+    return out
+
+
 def test_ball_distance_frequencies_follow_mahonian():
-    rng = np.random.default_rng(6)
-    center = LinearOrder((0, 1, 2, 3, 4))
-    counts = Counter()
     trials = 30_000
-    for _ in range(trials):
-        counts[kendall_distance(sample_within_ball(center, 2, rng), center)] += 1
+    counts = Counter(inversion_counts(_ball_draws((0, 1, 2, 3, 4), 2, trials, 6)).tolist())
     for d, expect in enumerate((1 / 14, 4 / 14, 9 / 14)):
         assert counts[d] / trials == pytest.approx(expect, abs=0.02)
 
@@ -128,12 +135,7 @@ def test_ball_distance_frequencies_follow_mahonian():
 def test_full_radius_ball_is_uniform():
     from scipy.stats import chisquare
 
-    rng = np.random.default_rng(7)
-    center = LinearOrder((1, 3, 0, 2))
-    counts = Counter()
-    trials = 100_000
-    for _ in range(trials):
-        counts[sample_within_ball(center, 6, rng).perm] += 1
+    counts = Counter(map(tuple, _ball_draws((1, 3, 0, 2), 6, 100_000, 7).tolist()))
     assert len(counts) == 24
     stat, pvalue = chisquare(list(counts.values()))
     assert pvalue >= 0.01
@@ -157,13 +159,13 @@ def test_aggregate_mix_matches_direct_counting():
     b = LinearOrder((3, 2, 1, 0))
     C = aggregate([a] * 900 + [b] * 100)
     assert np.allclose(C.upper, [0.9] * 6, atol=1e-12)
-    A = count_matrix([a] * 900 + [b] * 100)
+    A = _full_counts(*_pair_counts(_ranking_array([a] * 900 + [b] * 100)))
     assert A[0, 1] == 900 and A[1, 0] == 100
 
 
 def test_aggregate_half_reverses_is_indifferent():
     a = LinearOrder((0, 1, 2))
-    C = aggregate([a] * 50 + [a.reverse()] * 50)
+    C = aggregate([a] * 50 + [LinearOrder(tuple(reversed(a.perm)))] * 50)
     assert np.allclose(C.upper, 0.5, atol=1e-12)
 
 
@@ -178,8 +180,6 @@ def test_aggregate_counts_are_integral():
 def test_aggregate_empty_raises():
     with pytest.raises(InvalidInput):
         aggregate([])
-    with pytest.raises(InvalidInput):
-        count_matrix([])
 
 
 def test_generate_reproducible():
@@ -322,9 +322,9 @@ def test_ingest_names_the_first_bad_line(tmp_path, text, message):
 
 def test_ingest_layout_variants_give_the_same_counts(tmp_path):
     f = tmp_path / "r.txt"
-    expected = count_matrix(
-        [LinearOrder(tuple(int(t) - 1 for t in line.split())) for line in LONG.splitlines()]
-    )
+    expected = _full_counts(*_pair_counts(
+        np.array([[int(t) - 1 for t in line.split()] for line in LONG.splitlines()])
+    ))
     for text in (
         LONG,
         LONG + "\n",

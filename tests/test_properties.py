@@ -15,11 +15,9 @@ from hypothesis import strategies as st
 from mlop import (
     BenefitMatrix,
     ExactConfig,
-    InvalidInput,
     LinearOrder,
     MixtureSolution,
     PreferenceMatrix,
-    WeightFitProblem,
     aggregate,
     canonicalize,
     lop_exact,
@@ -29,13 +27,18 @@ from mlop import (
 )
 from mlop.cli import main
 from mlop.geometry import cycle_residuals
-from mlop.instances import _sample_ball, count_matrix, sample_within_ball
+from mlop.instances import (
+    _full_counts,
+    _pair_counts,
+    _ranking_array,
+    _sample_ball,
+    sample_within_ball,
+)
 
 from _oracles import (
     cycle_residuals_triple_loop,
     exact_scan_reference,
     is_insertion_local_optimal,
-    is_order_vector,
     lop_lex_smallest_optimum,
     prec_double_loop,
     sample_within_ball_reference,
@@ -62,29 +65,6 @@ def test_cycle_residuals_match_triple_loop(case):
     n, x = case
     x = np.array(x)
     assert cycle_residuals(x, n) == cycle_residuals_triple_loop(x, n)
-
-
-@SETTINGS
-@given(st.integers(2, 6).flatmap(lambda n: st.lists(orders(n), min_size=1, max_size=4)))
-def test_weight_fit_accepts_order_rows(stack):
-    X = np.stack([o.prec for o in stack])
-    prob = WeightFitProblem(X, np.full(X.shape[1], 0.5))
-    assert prob.g == len(stack)
-
-
-@SETTINGS
-@given(st.integers(3, 5).flatmap(lambda n: sized(n, st.integers(0, 1))))
-def test_weight_fit_accepts_exactly_order_rows(case):
-    # every intransitive tournament carries a 3-cycle, so this covers rejection
-    n, row = case
-    order = LinearOrder(tuple(range(n)))
-    X = np.stack([order.prec, np.array(row)])
-    c = np.full(num_pairs(n), 0.5)
-    if is_order_vector(row, n):
-        WeightFitProblem(X, c)
-    else:
-        with pytest.raises(InvalidInput):
-            WeightFitProblem(X, c)
 
 
 @SETTINGS
@@ -120,7 +100,7 @@ def test_lop_exact_is_lex_smallest_optimum(values):
 @given(st.integers(2, 6).flatmap(lambda n: st.lists(orders(n), min_size=1, max_size=30)))
 def test_aggregate_and_count_matrix_agree(rankings):
     n = rankings[0].n
-    A = count_matrix(rankings)
+    A = _full_counts(*_pair_counts(_ranking_array(rankings)))
     rows, cols = np.triu_indices(n, k=1)
     assert np.allclose(aggregate(rankings).upper * len(rankings), A[rows, cols], atol=1e-9)
     assert np.all(A[rows, cols] + A[cols, rows] == len(rankings))
@@ -132,7 +112,8 @@ def test_count_matrix_matches_double_loop(rankings):
     n = rankings[0].n
     rows, cols = np.triu_indices(n, k=1)
     expected = np.sum([prec_double_loop(o.perm) for o in rankings], axis=0)
-    assert np.array_equal(count_matrix(rankings)[rows, cols], expected)
+    A = _full_counts(*_pair_counts(_ranking_array(rankings)))
+    assert np.array_equal(A[rows, cols], expected)
 
 
 @SETTINGS

@@ -1,37 +1,24 @@
 import numpy as np
 import pytest
 
-from mlop import (
-    InvalidInput,
-    LinearOrder,
-    WeightFitProblem,
-    fit_weights,
-    weight_breakpoint_fit_g2,
-)
-from mlop.geometry import polytope_membership
+from mlop import LinearOrder
+from mlop.geometry import MEMBERSHIP_TOL, l1_projection_full
+from mlop.simplex_fit import _breakpoint_g2, _fit_simplex_l1
 
 from _oracles import grid_min_objective, random_order, random_preference_matrix
 
 
 def _problem(orders, c):
+    """(X, c) of a weight fit: one precedence vector per row of X."""
     X = np.stack([o.prec for o in orders]).astype(float)
-    return WeightFitProblem(X, np.asarray(c, dtype=float))
-
-
-def test_problem_validation():
-    with pytest.raises(InvalidInput):
-        WeightFitProblem(np.array([[1.0, 0.5, 0.0]]), np.array([0.5, 0.5, 0.5]))
-    with pytest.raises(InvalidInput):  # 3-cycle is not a linear order
-        WeightFitProblem(np.array([[1.0, 0.0, 1.0]]), np.array([0.5, 0.5, 0.5]))
-    with pytest.raises(InvalidInput):  # length 4 is not C(n,2)
-        WeightFitProblem(np.ones((1, 4)), np.ones(4))
+    return X, np.asarray(c, dtype=float)
 
 
 def test_single_group_is_trivial():
     rng = np.random.default_rng(0)
     o = random_order(4, rng)
     c = rng.random(6)
-    w, obj = fit_weights(_problem([o], c))
+    w, obj = _fit_simplex_l1(*_problem([o], c))
     assert w.tolist() == [1.0]
     assert obj == pytest.approx(float(np.abs(c - o.prec).sum()), abs=1e-12)
 
@@ -39,10 +26,10 @@ def test_single_group_is_trivial():
 def test_three_item_fixture():
     # vertices (1,1,0) and (0,0,1) against c=(0.7,0.8,0.4)
     prob = _problem([LinearOrder((0, 2, 1)), LinearOrder((1, 2, 0))], [0.7, 0.8, 0.4])
-    w, obj = fit_weights(prob)
+    w, obj = _fit_simplex_l1(*prob)
     assert np.allclose(w, [0.7, 0.3], atol=1e-9)
     assert obj == pytest.approx(0.2, abs=1e-9)
-    w2, obj2 = weight_breakpoint_fit_g2(prob)
+    w2, obj2 = _breakpoint_g2(*prob)
     assert np.allclose(w2, [0.7, 0.3], atol=1e-12)
     assert obj2 == pytest.approx(0.2, abs=1e-12)
 
@@ -52,7 +39,7 @@ def test_grid_oracle_n4_g3():
     for _ in range(10):
         C = random_preference_matrix(4, rng)
         orders = [random_order(4, rng) for _ in range(3)]
-        _, obj = fit_weights(_problem(orders, C.upper))
+        _, obj = _fit_simplex_l1(*_problem(orders, C.upper))
         grid = grid_min_objective(np.stack([o.prec for o in orders]), C.upper)
         assert obj <= grid + 1e-9
         assert abs(obj - grid) <= 0.002
@@ -60,9 +47,9 @@ def test_grid_oracle_n4_g3():
 
 def test_breakpoint_identical_columns():
     o = LinearOrder((1, 0, 2))
-    w, obj = weight_breakpoint_fit_g2(_problem([o, o], [0.4, 0.6, 0.1]))
+    w, obj = _breakpoint_g2(*_problem([o, o], [0.4, 0.6, 0.1]))
     assert w.tolist() == [1.0, 0.0]
-    lp_w, lp_obj = fit_weights(_problem([o, o], [0.4, 0.6, 0.1]))
+    lp_w, lp_obj = _fit_simplex_l1(*_problem([o, o], [0.4, 0.6, 0.1]))
     assert lp_w.tolist() == [1.0, 0.0]
     assert obj == pytest.approx(lp_obj, abs=1e-12)
 
@@ -73,7 +60,7 @@ def test_breakpoint_running_example_reverse_pair():
         [LinearOrder((0, 1, 2, 3)), LinearOrder((3, 2, 1, 0))],
         [0.9, 0.9, 0.9, 0.5, 0.9, 0.9],
     )
-    w, obj = weight_breakpoint_fit_g2(prob)
+    w, obj = _breakpoint_g2(*prob)
     assert np.allclose(w, [0.9, 0.1], atol=1e-12)
     assert obj == pytest.approx(0.4, abs=1e-12)
 
@@ -85,16 +72,16 @@ def test_breakpoint_matches_lp_on_random_problems():
         n = int(rng.integers(3, 7))
         C = random_preference_matrix(n, rng)
         orders = [random_order(n, rng) for _ in range(2)]
-        prob = _problem(orders, C.upper)
-        w_lp, obj_lp = fit_weights(prob)
-        w_bp, obj_bp = weight_breakpoint_fit_g2(prob)
+        X, c = _problem(orders, C.upper)
+        w_lp, obj_lp = _fit_simplex_l1(X, c)
+        w_bp, obj_bp = _breakpoint_g2(X, c)
         assert obj_bp == pytest.approx(obj_lp, abs=1e-9)
         if np.allclose(w_bp, w_lp, atol=1e-7):
             continue
         # flat optimal segment: both vertices must evaluate to the optimum
         degenerate += 1
-        f_lp = float(np.abs(prob.c - w_lp @ prob.X).sum())
-        f_bp = float(np.abs(prob.c - w_bp @ prob.X).sum())
+        f_lp = float(np.abs(c - w_lp @ X).sum())
+        f_bp = float(np.abs(c - w_bp @ X).sum())
         assert f_lp == pytest.approx(f_bp, abs=1e-9)
     # an even number of differing pairs yields a flat optimal segment (the
     # weighted median is an interval), so ties are expected but must stay a
@@ -108,8 +95,7 @@ def test_objective_never_worse_than_best_vertex():
         n = int(rng.integers(3, 6))
         C = random_preference_matrix(n, rng)
         orders = [random_order(n, rng) for _ in range(3)]
-        prob = _problem(orders, C.upper)
-        _, obj = fit_weights(prob)
+        _, obj = _fit_simplex_l1(*_problem(orders, C.upper))
         best_vertex = min(float(np.abs(C.upper - o.prec).sum()) for o in orders)
         assert obj <= best_vertex + 1e-9
 
@@ -122,15 +108,15 @@ def test_zero_objective_iff_in_hull():
         X = np.stack([o.prec for o in orders]).astype(float)
         w_true = rng.dirichlet(np.ones(3))
         c_inside = w_true @ X
-        _, obj = fit_weights(WeightFitProblem(X, c_inside))
+        _, obj = _fit_simplex_l1(X, c_inside)
         assert obj <= 1e-9
         C = random_preference_matrix(4, rng)
-        _, obj2 = fit_weights(WeightFitProblem(X, C.upper))
+        _, obj2 = _fit_simplex_l1(X, C.upper)
         if obj2 > 1e-9:
             hits += 1
             # a positive gap over all n! vertices certifies the point is
             # genuinely outside the full polytope, hence outside conv(X)
-            if not polytope_membership(C.upper, 4):
+            if l1_projection_full(C.upper, 4)[1] > MEMBERSHIP_TOL:
                 assert obj2 > 1e-9
     assert hits > 0
 
@@ -140,8 +126,8 @@ def test_duplicate_column_does_not_change_objective():
     for _ in range(10):
         C = random_preference_matrix(4, rng)
         orders = [random_order(4, rng) for _ in range(2)]
-        _, obj2 = fit_weights(_problem(orders, C.upper))
-        _, obj3 = fit_weights(_problem(orders + [orders[0]], C.upper))
+        _, obj2 = _fit_simplex_l1(*_problem(orders, C.upper))
+        _, obj3 = _fit_simplex_l1(*_problem(orders + [orders[0]], C.upper))
         assert obj3 == pytest.approx(obj2, abs=1e-9)
 
 
@@ -150,9 +136,9 @@ def test_objective_invariant_under_column_permutation():
     for _ in range(10):
         C = random_preference_matrix(5, rng)
         orders = [random_order(5, rng) for _ in range(4)]
-        _, obj = fit_weights(_problem(orders, C.upper))
+        _, obj = _fit_simplex_l1(*_problem(orders, C.upper))
         perm = rng.permutation(4)
-        _, obj_p = fit_weights(_problem([orders[i] for i in perm], C.upper))
+        _, obj_p = _fit_simplex_l1(*_problem([orders[i] for i in perm], C.upper))
         assert obj_p == pytest.approx(obj, abs=1e-9)
 
 
@@ -180,7 +166,7 @@ def test_lp_matches_independent_solver():
         orders = [random_order(n, rng) for _ in range(g)]
         C = random_preference_matrix(n, rng)
         X = np.stack([o.prec for o in orders]).astype(float)
-        _, obj = fit_weights(WeightFitProblem(X, C.upper))
+        _, obj = _fit_simplex_l1(X, C.upper)
         assert obj == pytest.approx(_scipy_l1_simplex_objective(X, C.upper), abs=1e-9)
 
 
@@ -189,6 +175,6 @@ def test_weights_are_simplex():
     for _ in range(20):
         C = random_preference_matrix(5, rng)
         orders = [random_order(5, rng) for _ in range(4)]
-        w, _ = fit_weights(_problem(orders, C.upper))
+        w, _ = _fit_simplex_l1(*_problem(orders, C.upper))
         assert w.min() >= 0.0
         assert w.sum() == pytest.approx(1.0, abs=1e-9)
