@@ -16,8 +16,11 @@ is exactly a classical LOP with per-pair benefits |a_k| - |a_k - w_i| (and
 the analogous value from the complementary pair), solved by ``lop_exact``:
 exactly by the subset DP up to ``LOP_DP_MAX_N`` items, and by the
 node-capped branch and bound above that, where a solve may stop on its
-budget (the trace counts those).  Groups are swept cyclically until a full
-sweep yields no improvement, so the step never worsens the incumbent.
+budget (the trace counts those).  The DP runs once per strongly connected
+block of the items' "may come before" graph, so a subproblem whose pairs
+mostly agree on a direction costs far less than one DP over all n items.
+Groups are swept cyclically until a full sweep yields no improvement, so
+the step never worsens the incumbent.
 
 Neither step repeats work whose answer it already has.  ``lop_exact``
 memoizes its subset-DP answers, so an inner subproblem met again (in a

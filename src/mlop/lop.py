@@ -3,15 +3,19 @@ matrix.  Used standalone (single-group solves) and as the inner engine of the
 alternating heuristic's ranking-update step, where benefits may be negative.
 
 The exact solver covers n <= LOP_DP_MAX_N with a subset dynamic program
-(the Held-Karp-style recursion over item subsets, O(2^n n) time), which is
-always optimal and proven.  Its answer depends on the matrix alone, so the
-answers for the last _DP_MEMO_SIZE distinct matrices are memoized by their
-bytes, and a repeated solve (the alternating heuristic makes many) costs one
-hash instead of a DP.  Above that size it runs a best-first branch and
-bound assigning rank positions from the front, with an admissible node bound
-(value fixed so far plus the sum of max(b_rs, b_sr) over undecided pairs),
-capped at DEFAULT_NODE_BUDGET explored nodes unless the caller sets a cap.
-Effort is bounded by n or counted in nodes, never in wall time, so runs are
+(the Held-Karp-style recursion over item subsets), which is always optimal
+and proven.  It first splits the items into the chain of strongly connected
+blocks of the graph in which r may come before s unless b[s, r] exceeds
+b[r, s] by more than a small tolerance; every optimum keeps that chain, so
+one DP per block of k items, O(2^k k) time, gives the same answer as one DP
+over all n.  The answer depends on the matrix alone, so the answers for the
+last _DP_MEMO_SIZE distinct matrices are memoized by their bytes, and a
+repeated solve (the alternating heuristic makes many) costs one hash instead
+of a DP.  Above that size it runs a best-first branch and bound assigning
+rank positions from the front, with an admissible node bound (value fixed
+so far plus the sum of max(b_rs, b_sr) over undecided pairs), capped at
+DEFAULT_NODE_BUDGET explored nodes unless the caller sets a cap.  Effort is
+bounded by n or counted in nodes, never in wall time, so runs are
 machine-independent and reproducible.
 """
 
@@ -40,8 +44,15 @@ DEFAULT_NODE_BUDGET = 50_000
 # rebuilding the DP's order, items whose best values differ by at most this
 # count as tied and the smaller one is placed first
 _TIE_TOL = 1e-12
+# up to this n the DP's table has no low part (h = 0): a popcount layer is
+# then one set of numpy calls, which halves a solve at n <= 8 and is faster
+# through n = 11 (n // 2 low bits win from n = 12)
+_DP_ONE_PART_MAX_N = 11
 # float64 values per temporary array of the DP (1 MiB)
 _DP_CHUNK = 1 << 17
+# a pair counts as ordered, tying the blocks of its items into the chain,
+# when its two benefits differ by more than this times max(1, max |b|)
+_BLOCK_TOL = 1e-9
 # distinct benefit matrices whose DP answers are kept (200 KiB of keys at
 # n = 20); the heuristic's repeats come within a few solves of the original
 _DP_MEMO_SIZE = 64
@@ -90,9 +101,10 @@ def lop_exact(
 ) -> tuple[LinearOrder, float, bool]:
     """Maximize the total benefit of consistent precedences over all orders.
 
-    Up to LOP_DP_MAX_N items the subset DP solves the instance exactly,
-    budget and warm_start play no part, and a matrix solved recently returns
-    its memoized answer; above it the branch and bound runs, uncached.
+    Up to LOP_DP_MAX_N items the subset DP solves the instance exactly, one
+    strongly connected block of items at a time, budget and warm_start play
+    no part, and a matrix solved recently returns its memoized answer; above
+    it the branch and bound runs, uncached.
 
     Args:
         B: benefit matrix.
@@ -118,10 +130,51 @@ def lop_exact(
 def _dp_solve(key: bytes, n: int) -> tuple[LinearOrder, float, bool]:
     """lop_exact's answer for the n x n benefit matrix whose C-order float64
     bytes are key.  Matrices differing in any bit, -0.0 versus 0.0 included,
-    are solved apart."""
+    are solved apart.
+
+    Each block of _blocks' chain with two or more items is solved by
+    _subset_dp on its own, its items in ascending label order so that local
+    indices compare as labels do.  Every optimum keeps the chain, so the
+    concatenated block answers are the whole matrix's lexicographically
+    smallest optimum, the order _subset_dp returns on all n items.
+    """
     b = np.frombuffer(key).reshape(n, n)
-    perm = _subset_dp(b)
+    perm = []
+    for block in _blocks(b):
+        if len(block) == 1:
+            perm += block
+        else:
+            perm += [block[i] for i in _subset_dp(b[np.ix_(block, block)])]
+    perm = tuple(perm)
     return LinearOrder(perm), order_value(perm, b), True
+
+
+def _blocks(b: np.ndarray) -> list[list[int]]:
+    """The strongly connected blocks, in chain order and each in ascending
+    item order, of the graph with an arc r -> s wherever
+    b[r, s] - b[s, r] >= -eps: r may come before s.
+
+    eps is _BLOCK_TOL times max(1, max |b|), far above the n * _TIE_TOL the
+    DP's tie rule may give up and above float noise.  Every pair across two
+    blocks gains more than eps by keeping chain order, so the stable sort by
+    block of any order breaking the chain beats it by more than eps, and the
+    DP never returns such an order.  Every pair has an arc one way or both,
+    so the blocks form a chain and an item of an earlier block has more
+    out-arcs than any item of a later one: sorted by out-degree the blocks
+    are contiguous, and one starts at each position k that no arc from
+    position k or later reaches back past.
+    """
+    n = b.shape[0]
+    arc = b - b.T >= -_BLOCK_TOL * max(1.0, float(np.abs(b).max()))
+    order = np.argsort(-arc.sum(axis=1), kind="stable")
+    back = np.tril(arc[np.ix_(order, order)], -1)  # arcs to earlier positions
+    # reach[k]: the earliest position an arc from position k or later points
+    # to, or k when there is none
+    lowest = np.where(back.any(axis=1), back.argmax(axis=1), np.arange(n))
+    reach = np.minimum.accumulate(lowest[::-1])[::-1]
+    bounds = [0] + [k for k in range(1, n) if reach[k] == k] + [n]
+    order = order.tolist()
+    return [sorted(order[i:j]) for i, j in zip(bounds, bounds[1:])]
 
 
 def _subset_dp(b: np.ndarray) -> tuple[int, ...]:
@@ -131,17 +184,18 @@ def _subset_dp(b: np.ndarray) -> tuple[int, ...]:
 
     where i is the first item of S and f(S) the best value of an order of S
     (b's diagonal is zero).  A subset is a bit mask, split into its low
-    h = n // 2 bits and its high n - h bits, and f is a 2^(n-h) x 2^h table
-    indexed by (high part, low part).  The gain sum is read off two
-    half-width subset-sum tables.  The table is filled one popcount layer of
-    the high part at a time, in chunks of at most _DP_CHUNK values, and
-    within a chunk one popcount layer of the low part at a time.
+    h bits and its high n - h bits, and f is a 2^(n-h) x 2^h table indexed
+    by (high part, low part); h is n // 2, or 0 up to _DP_ONE_PART_MAX_N
+    items.  The gain sum is read off the two parts' subset-sum tables.  The
+    table is filled one popcount layer of the high part at a time, in chunks
+    of at most _DP_CHUNK values, and within a chunk one popcount layer of
+    the low part at a time.
 
     The order is rebuilt from the front: each step takes the smallest item
     whose choice stays within 1e-12 of the best value of the items left.
     """
     n = b.shape[0]
-    h = n // 2
+    h = _low_bits(n)
     width = 1 << h
     low_layers, high_layers = _dp_tables(n)
     gl = _subset_sums(b, 0, h)  # gl[lo, i]: sum of b[i, j] over the low bits j of lo
@@ -201,10 +255,15 @@ def _subset_sums(b: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return sums
 
 
+def _low_bits(n: int) -> int:
+    """Bits in the low part of the subset DP's table index for n items."""
+    return n // 2 if n > _DP_ONE_PART_MAX_N else 0
+
+
 @lru_cache(maxsize=None)
 def _dp_tables(n: int):
     """The subset DP's index tables for n items: (low layers, high layers)."""
-    h = n // 2
+    h = _low_bits(n)
     return _popcount_layers(h, 0), _popcount_layers(n - h, h)
 
 

@@ -198,6 +198,20 @@ def random_order(n: int, rng: np.random.Generator):
     return LinearOrder(tuple(int(v) for v in rng.permutation(n)))
 
 
+def heuristic_shaped_benefits(n: int, rng: np.random.Generator, g: int = 3) -> np.ndarray:
+    """Benefits of one group's reduced LOP in the heuristic's ranking step."""
+    C = random_preference_matrix(n, rng)
+    w = rng.dirichlet(np.ones(g))
+    X = np.stack([random_order(n, rng).prec for _ in range(g)]).astype(np.float64)
+    a = C.upper - (w @ X - w[0] * X[0])
+    a_sr = w[0] - a
+    rows, cols = np.triu_indices(n, k=1)
+    b = np.zeros((n, n))
+    b[rows, cols] = np.abs(a) - np.abs(a - w[0])
+    b[cols, rows] = np.abs(a_sr) - np.abs(a_sr - w[0])
+    return b
+
+
 def exact_scan_reference(C, g: int):
     """`solve_exact`'s enumeration for g >= 2 as one weight fit per multiset.
 

@@ -8,7 +8,9 @@ its RNG stream, the aggregation or the file formats shows up here.
 The SHA-256 of heuristic `sweep` and `solve` reports, with their `time_s`
 fields removed, is pinned on the README walkthrough and the benchmark's
 n = 16 and sushi shapes, so any change to the solver's path (orders, weights,
-objectives, per-start trace) shows up too.
+objectives, per-start trace) shows up too.  So is the report of an exact
+g = 1 solve at the subset DP's size limit (n = 20) on a near-consensus
+instance.
 """
 
 import hashlib
@@ -140,6 +142,23 @@ GOLDEN = {
             ),
         },
     ),
+    "exact_n20": (
+        ('--n', '20', '--g-true', '1', '-p', '1'),
+        {
+            1: (
+                "7a1e8ffd262bc18d1b73d370bd82f279abadcc77641fc370a2c5f94aba9dff65",
+                "1ee9e5afc36f43da1a7e3d9b314a1cd7712fe1a993677c5b351f24e1e51afda1",
+                "fd6ff28fbc932bd154a944b779bfa1ac36f67a3c0b92865dfda6ef29432398e9",
+                "a53fb242e8834db2e9e1a307062aa3bc8c90a977ae6566fbd7d3eaab6aef2a46",
+            ),
+            2: (
+                "06314c5a954bfb67ed0bb173d40a06e045fa8aa847ae4fa85dc7bfedd0dc08e6",
+                "c7d68d4d7c567f0dca01240c62d0a0e1e2e287dc24ef6141df64f1d94d16096f",
+                "a9530f5806b522da08b4b44efd92ac2af13ca81f9b75d2356a016dc52ea0ddec",
+                "4474447951d5194044f29dc2cd25ccf4bd16c9f935702aace5d323a643a50269",
+            ),
+        },
+    ),
 }
 
 
@@ -177,6 +196,8 @@ HEURISTIC_GOLDEN = {
         "e328f74c482818603ff29fbd7db414e9bb9cf0c92d521bfa998a769073b6c906",
     ("sushi_n10", 1, ("solve", "--method", "heuristic", "--g", "3")):
         "b8f52b3f9e83a03c046f6013caaba5a33f53c82f0a055e73c28331add2f7e09b",
+    ("heuristic_n16", 1, ("solve", "--method", "heuristic", "--g", "3")):
+        "d296e214cd507c4527c0c84358bd8b136d754d66ecac104f1e49bedf52054420",
 }
 
 
@@ -188,8 +209,7 @@ def _without_time(obj):
     return obj
 
 
-@pytest.mark.parametrize("shape, seed, command", list(HEURISTIC_GOLDEN))
-def test_heuristic_reports_are_pinned(tmp_path, capsys, shape, seed, command):
+def _report_sha256(tmp_path, capsys, shape, seed, command) -> str:
     prefix = tmp_path / "x"
     assert main(["gen", *GOLDEN[shape][0], "--seed", str(seed), "--out", str(prefix)]) == 0
     capsys.readouterr()
@@ -198,4 +218,24 @@ def test_heuristic_reports_are_pinned(tmp_path, capsys, shape, seed, command):
     assert main([cmd, f"{prefix}.instance.json", *options, *fmt]) == 0
     report = _without_time(json.loads(capsys.readouterr().out))
     text = json.dumps(report, indent=2, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == HEURISTIC_GOLDEN[shape, seed, command]
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("shape, seed, command", list(HEURISTIC_GOLDEN))
+def test_heuristic_reports_are_pinned(tmp_path, capsys, shape, seed, command):
+    sha = _report_sha256(tmp_path, capsys, shape, seed, command)
+    assert sha == HEURISTIC_GOLDEN[shape, seed, command]
+
+
+# the same for exact solves
+EXACT_GOLDEN = {
+    ("exact_n20", 1, ("solve", "--method", "exact", "--g", "1")):
+        "c4300c249fd0d1dc1cbee60a2765175e486dddcaeb67fe59a3eeaeac4d433841",
+    ("exact_n20", 2, ("solve", "--method", "exact", "--g", "1")):
+        "fdd47d2280752ddeed8d11df7ea51e3841949094a204c1788e6de15268e46df1",
+}
+
+
+@pytest.mark.parametrize("shape, seed, command", list(EXACT_GOLDEN))
+def test_exact_reports_are_pinned(tmp_path, capsys, shape, seed, command):
+    assert _report_sha256(tmp_path, capsys, shape, seed, command) == EXACT_GOLDEN[shape, seed, command]

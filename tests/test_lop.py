@@ -11,17 +11,19 @@ from mlop import (
     num_pairs,
     solve_heuristic,
 )
+from mlop import lop
 from mlop.lop import (
+    _BLOCK_TOL,
     LOP_DP_MAX_N,
     _branch_and_bound,
     _dp_solve,
     _dp_tables,
     _subset_dp,
-    benefit_for_pairs,
     order_value,
 )
 
 from _oracles import (
+    heuristic_shaped_benefits,
     is_insertion_local_optimal,
     lop_enumeration_max,
     lop_lex_smallest_optimum,
@@ -201,17 +203,6 @@ def test_heuristic_insertion_local_optimality():
         assert order_value(order.perm, b) == pytest.approx(value, abs=1e-12)
 
 
-def heuristic_shaped_benefits(n, rng, g=3):
-    """Benefits of one group's reduced LOP in the heuristic's ranking step."""
-    C = random_preference_matrix(n, rng)
-    w = rng.dirichlet(np.ones(g))
-    X = np.stack([random_order(n, rng).prec for _ in range(g)]).astype(np.float64)
-    a = C.upper - (w @ X - w[0] * X[0])
-    b_rs = np.abs(a) - np.abs(a - w[0])
-    a_sr = w[0] - a
-    return benefit_for_pairs(n, b_rs, np.abs(a_sr) - np.abs(a_sr - w[0])).b
-
-
 def dp_test_matrices(n, rng):
     normal = rng.normal(size=(n, n))
     quarter = rng.integers(-4, 5, size=(n, n)) / 4  # many tied orders
@@ -255,3 +246,80 @@ def test_dp_tables_built_once_per_n_and_small():
     # README: the cached tables stay under 256 KiB at the DP limit
     tables = _dp_tables(LOP_DP_MAX_N)
     assert sum(a.nbytes for half in tables for layer in half for a in layer) < 256 * 1024
+
+
+def _dp_sizes(monkeypatch) -> list[int]:
+    """Empties the DP memo and returns the list that then records the item
+    count of every matrix handed to the subset DP."""
+    sizes = []
+    dp = lop._subset_dp
+
+    def recording(b):
+        sizes.append(b.shape[0])
+        return dp(b)
+
+    monkeypatch.setattr(lop, "_subset_dp", recording)
+    _dp_solve.cache_clear()
+    return sizes
+
+
+def planted_chain(rng, sizes=(4, 4, 4, 4)):
+    """(benefits, blocks): items shuffled into blocks of the given sizes, each
+    block a directed cycle (b = 1 along it, 0 against it, 1/2 both ways on
+    its other pairs), every earlier block's items preferred to later ones'
+    (1 versus 0)."""
+    n = sum(sizes)
+    labels = [int(v) for v in rng.permutation(n)]
+    blocks, b, end = [], np.zeros((n, n)), 0
+    for size in sizes:
+        block, end = labels[end : end + size], end + size
+        blocks.append(block)
+        b[np.ix_(block, block)] = 0.5
+        for r, s in zip(block, block[1:] + block[:1]):
+            b[r, s], b[s, r] = 1.0, 0.0
+        for s in labels[end:]:
+            b[block, s], b[s, block] = 1.0, 0.0
+    np.fill_diagonal(b, 0.0)
+    return b, blocks
+
+
+def test_planted_chain_runs_one_dp_per_block(monkeypatch):
+    sizes = _dp_sizes(monkeypatch)
+    b, blocks = planted_chain(np.random.default_rng(50))
+    order, value, proven = lop_exact(BenefitMatrix(b))
+    assert sizes == [4, 4, 4, 4]
+    assert [set(order.perm[k : k + 4]) for k in range(0, 16, 4)] == [set(x) for x in blocks]
+    assert order.perm == _subset_dp(b) and value == order_value(order.perm, b) and proven
+
+
+def test_consistent_signs_need_no_dp(monkeypatch):
+    sizes = _dp_sizes(monkeypatch)
+    rng = np.random.default_rng(51)
+    perm = tuple(int(v) for v in rng.permutation(12))
+    b = rng.normal(size=(12, 12))
+    for i, r in enumerate(perm):
+        for s in perm[i + 1 :]:
+            b[r, s] = b[s, r] + rng.random() + 1e-3
+    order, _, _ = lop_exact(BenefitMatrix(b))
+    assert sizes == [] and order.perm == perm
+
+
+@pytest.mark.parametrize("gap", (0.0, _BLOCK_TOL / 2))
+def test_near_tied_cross_pair_merges_its_blocks(monkeypatch, gap):
+    sizes = _dp_sizes(monkeypatch)
+    b, blocks = planted_chain(np.random.default_rng(52))
+    r, s = blocks[1][0], blocks[2][0]
+    b[r, s], b[s, r] = 0.5, 0.5 - gap
+    order, value, _ = lop_exact(BenefitMatrix(b))
+    assert sizes == [4, 8, 4]
+    assert order.perm == _subset_dp(b) and value == order_value(order.perm, b)
+
+
+def test_cross_pair_above_block_tolerance_keeps_its_blocks(monkeypatch):
+    sizes = _dp_sizes(monkeypatch)
+    b, blocks = planted_chain(np.random.default_rng(53))
+    r, s = blocks[1][0], blocks[2][0]
+    b[r, s], b[s, r] = 0.5, 0.5 - 2 * _BLOCK_TOL
+    order, _, _ = lop_exact(BenefitMatrix(b))
+    assert sizes == [4, 4, 4, 4]
+    assert order.perm == _subset_dp(b)

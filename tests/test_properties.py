@@ -34,10 +34,12 @@ from mlop.instances import (
     _sample_ball,
     sample_within_ball,
 )
+from mlop.lop import _BLOCK_TOL, _dp_solve, _subset_dp, order_value
 
 from _oracles import (
     cycle_residuals_triple_loop,
     exact_scan_reference,
+    heuristic_shaped_benefits,
     is_insertion_local_optimal,
     lop_lex_smallest_optimum,
     prec_double_loop,
@@ -94,6 +96,47 @@ def test_lop_exact_is_lex_smallest_optimum(values):
     perm, best = lop_lex_smallest_optimum(b)
     assert proven and order.perm == perm
     assert value == pytest.approx(best, abs=1e-12)
+
+
+@st.composite
+def benefit_matrices(draw):
+    """Zero-diagonal benefits of up to 10 items: normal, quarter-grid (many
+    tied orders), heuristic-shaped, or a quarter-grid planted chain of blocks
+    whose pairs across blocks favour chain order by one margin: 0, just below
+    or just above the block tolerance (entries stay within [-1, 1], so the
+    tolerance is _BLOCK_TOL itself), or a quarter."""
+    family = draw(st.sampled_from(["normal", "quarter", "shaped", "chain"]))
+    n = draw(st.integers(2 if family == "shaped" else 1, 10))
+    if family in ("normal", "shaped"):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        b = rng.normal(size=(n, n)) if family == "normal" else heuristic_shaped_benefits(n, rng)
+    else:
+        top = 4 if family == "quarter" else 2
+        b = np.array(draw(st.lists(st.integers(-4, top), min_size=n * n, max_size=n * n)),
+                     dtype=np.float64).reshape(n, n) / 4
+    if family == "chain":
+        labels = draw(st.permutations(range(n)))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+        margin = draw(st.sampled_from([0.0, 0.999 * _BLOCK_TOL, 1.001 * _BLOCK_TOL, 0.25]))
+        block = np.searchsorted(cuts, np.arange(n), side="right")
+        for i, r in enumerate(labels):
+            for j in range(i + 1, n):
+                if block[j] > block[i]:
+                    b[r, labels[j]] = b[labels[j], r] + margin
+    np.fill_diagonal(b, 0.0)
+    return b
+
+
+@SETTINGS
+@given(benefit_matrices())
+def test_lop_exact_matches_whole_matrix_dp(b):
+    _dp_solve.cache_clear()
+    order, value, proven = lop_exact(BenefitMatrix(b))
+    perm = _subset_dp(b)
+    assert proven and order.perm == perm
+    assert value == order_value(perm, b)
+    if b.shape[0] <= 8:
+        assert perm == lop_lex_smallest_optimum(b)[0]
 
 
 @SETTINGS
