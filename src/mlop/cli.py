@@ -196,6 +196,8 @@ def _default_ratio_weights(g: int) -> str:
 
 def cmd_gen(args) -> int:
     g = args.g_true
+    if g < 1:  # before the default weights, which need g parts
+        raise InvalidInput(f"need g_true >= 1, got {g}")
     weights = parse_weights(args.weights or _default_ratio_weights(g), g)
     spec = GeneratorSpec(
         n=args.n,
@@ -435,8 +437,19 @@ def cmd_ingest(args) -> int:
     return EXIT_OK
 
 
+_REPORT_FIELDS = ("n", "g", "orders", "weights", "objective", "fit", "max_form_value")
+
+
 def cmd_validate(args) -> int:
-    report = json.loads(Path(args.report).read_text(encoding="utf-8"))
+    try:
+        report = json.loads(Path(args.report).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise InvalidInput(f"{args.report}: not valid JSON ({e})") from None
+    if not isinstance(report, dict):
+        raise InvalidInput(f"{args.report}: report JSON must be an object")
+    for key in _REPORT_FIELDS:
+        if key not in report:
+            raise InvalidInput(f"{args.report}: report JSON needs {key!r}")
     C = load_instance(args.instance)
     problems: list[str] = []
 

@@ -7,16 +7,21 @@ The exact solver covers n <= LOP_DP_MAX_N with a subset dynamic program
 and proven.  It first splits the items into the chain of strongly connected
 blocks of the graph in which r may come before s unless b[s, r] exceeds
 b[r, s] by more than a small tolerance; every optimum keeps that chain, so
-one DP per block of k items, O(2^k k) time, gives the same answer as one DP
-over all n.  The answer depends on the matrix alone, so the answers for the
-last _DP_MEMO_SIZE distinct matrices are memoized by their bytes, and a
-repeated solve (the alternating heuristic makes many) costs one hash instead
-of a DP.  Above that size it runs a best-first branch and bound assigning
-rank positions from the front, with an admissible node bound (value fixed
-so far plus the sum of max(b_rs, b_sr) over undecided pairs), capped at
-DEFAULT_NODE_BUDGET explored nodes unless the caller sets a cap.  Effort is
-bounded by n or counted in nodes, never in wall time, so runs are
-machine-independent and reproducible.
+one DP per block gives the same answer as one DP over all n.  A block of
+k <= _DP_ONE_PART_MAX_N items fills the DP's whole table, O(2^k k) time.  A
+larger one runs the same recursion over only the subsets whose upper bound
+still reaches the value of an insertion-search order (DP with bounding,
+Puchinger and Stuckey, PEPM 2008), so its cost follows the subsets kept; it
+fills the whole table instead where the bound keeps too many.  Both give
+the same order bit for bit.  The answer depends on the matrix alone, so the
+answers for the last _DP_MEMO_SIZE distinct matrices are memoized by their
+bytes, and a repeated solve (the alternating heuristic makes many) costs
+one hash instead of a DP.  Above that size it runs a best-first branch and
+bound assigning rank positions from the front, with an admissible node
+bound (value fixed so far plus the sum of max(b_rs, b_sr) over undecided
+pairs), capped at DEFAULT_NODE_BUDGET explored nodes unless the caller sets
+a cap.  Effort is bounded by n or counted in nodes, never in wall time, so
+runs are machine-independent and reproducible.
 """
 
 from __future__ import annotations
@@ -50,6 +55,9 @@ _TIE_TOL = 1e-12
 _DP_ONE_PART_MAX_N = 11
 # float64 values per temporary array of the DP (1 MiB)
 _DP_CHUNK = 1 << 17
+# the bounded DP hands a block of k items to the whole-table DP before a
+# popcount layer would grow more than 2^k / this many candidate subsets
+_BOUNDED_LAYER_DIV = 16
 # a pair counts as ordered, tying the blocks of its items into the chain,
 # when its two benefits differ by more than this times max(1, max |b|)
 _BLOCK_TOL = 1e-9
@@ -132,11 +140,13 @@ def _dp_solve(key: bytes, n: int) -> tuple[LinearOrder, float, bool]:
     bytes are key.  Matrices differing in any bit, -0.0 versus 0.0 included,
     are solved apart.
 
-    Each block of _blocks' chain with two or more items is solved by
-    _subset_dp on its own, its items in ascending label order so that local
-    indices compare as labels do.  Every optimum keeps the chain, so the
-    concatenated block answers are the whole matrix's lexicographically
-    smallest optimum, the order _subset_dp returns on all n items.
+    Each block of _blocks' chain with two or more items is solved on its
+    own, its items in ascending label order so that local indices compare as
+    labels do: by _subset_dp up to _DP_ONE_PART_MAX_N items, by _bounded_dp
+    above.  Both return _subset_dp's order for the block, and every optimum
+    keeps the chain, so the concatenated block answers are the whole
+    matrix's lexicographically smallest optimum, the order _subset_dp
+    returns on all n items.
     """
     b = np.frombuffer(key).reshape(n, n)
     perm = []
@@ -144,7 +154,8 @@ def _dp_solve(key: bytes, n: int) -> tuple[LinearOrder, float, bool]:
         if len(block) == 1:
             perm += block
         else:
-            perm += [block[i] for i in _subset_dp(b[np.ix_(block, block)])]
+            solve = _subset_dp if len(block) <= _DP_ONE_PART_MAX_N else _bounded_dp
+            perm += [block[i] for i in solve(b[np.ix_(block, block)])]
     perm = tuple(perm)
     return LinearOrder(perm), order_value(perm, b), True
 
@@ -189,10 +200,7 @@ def _subset_dp(b: np.ndarray) -> tuple[int, ...]:
     items.  The gain sum is read off the two parts' subset-sum tables.  The
     table is filled one popcount layer of the high part at a time, in chunks
     of at most _DP_CHUNK values, and within a chunk one popcount layer of
-    the low part at a time.
-
-    The order is rebuilt from the front: each step takes the smallest item
-    whose choice stays within 1e-12 of the best value of the items left.
+    the low part at a time.  _rebuild reads the order off it.
     """
     n = b.shape[0]
     h = _low_bits(n)
@@ -231,27 +239,150 @@ def _subset_dp(b: np.ndarray) -> tuple[int, ...]:
                 w[:, lows] = best
             f[hi] = w
 
-    # flat index hi << h | lo is the subset's mask; each candidate below is
-    # summed in the same order as in the table, so the best one equals f
-    f = f.ravel()
+    return _rebuild(f.ravel(), gl, gh, h)
+
+
+def _bounded_dp(b: np.ndarray) -> tuple[int, ...]:
+    """_subset_dp's order, from the same recursion restricted to the subsets
+    that may still lie on an optimal order (_bounded_values), or from
+    _subset_dp itself where that restriction keeps too many of them."""
+    n = b.shape[0]
+    h = _low_bits(n)
+    gl = _subset_sums(b, 0, h)
+    gh = _subset_sums(b, h, n)
+    f = _bounded_values(b, gl, gh, h)
+    return _subset_dp(b) if f is None else _rebuild(f, gl, gh, h)
+
+
+def _bounded_values(b: np.ndarray, gl: np.ndarray, gh: np.ndarray, h: int):
+    """_subset_dp's value table on the subsets that may lie on an optimal
+    order, -inf elsewhere; None once a popcount layer would grow more than
+    2^n / _BOUNDED_LAYER_DIV candidates, checked before it is built.
+
+    The subsets are built one popcount layer at a time from the kept ones,
+    each candidate f(S - i) + gain summed exactly as _subset_dp sums it.
+    S is kept only while f(S) plus the most the items outside S can add in
+    front of it (_keep_floors) reaches the incumbent's value
+    (_insertion_value) minus eps = _BLOCK_TOL * max(1, max |b|).  A subset
+    on any order within eps of the optimum is therefore kept, and by
+    induction on its size its f is _subset_dp's, from the same float sums:
+    the best first item of S leaves a subset on an order at least as good.
+    The rebuild, whose tie rule gives up at most n * _TIE_TOL, far below
+    eps, only visits such subsets, so its order is _subset_dp's bit for bit.
+    """
+    n = b.shape[0]
+    eps = _BLOCK_TOL * max(1.0, float(np.abs(b).max()))
+    need = _keep_floors(b, h, _insertion_value(b, eps) - eps)  # least f(S) keeping S
+    f = np.full(1 << n, -np.inf)
+    f[0] = 0.0
+    stamp = np.empty(1 << n, dtype=np.int32)  # scratch for merging duplicates
+    slots = np.arange((1 << n) // _BOUNDED_LAYER_DIV, dtype=np.int32)
+    low, items = (1 << h) - 1, np.arange(n)
+    bit = np.int64(1) << items
+    masks, values = np.zeros(1, dtype=np.int64), np.zeros(1)
+    for count in range(n):
+        if len(masks) * (n - count) > len(slots):
+            return None
+        # row r, column i: masks[r] with item i added, a new subset unless i
+        # is in it already
+        grown = masks[:, None] | bit
+        t = values[:, None] + gl[grown & low, items]
+        t += gh[grown >> h, items]
+        keep = (t >= need[grown]) & (grown != masks[:, None])
+        subsets, t = grown[keep], t[keep]
+        np.maximum.at(f, subsets, t)
+        # each subset once: the last of its duplicates stamps its slot
+        stamp[subsets] = slots[: len(subsets)]
+        masks = subsets[stamp[subsets] == slots[: len(subsets)]]
+        values = f[masks]
+    return f
+
+
+def _rebuild(f: np.ndarray, gl: np.ndarray, gh: np.ndarray, h: int) -> tuple[int, ...]:
+    """The subset DP's order from its value table f, indexed by mask
+    (hi << h | lo): from the front, each step takes the smallest item whose
+    choice stays within _TIE_TOL of the best value of the items left.  Each
+    candidate is summed in the same order as in the table, so the best one
+    equals f."""
+    n = gl.shape[1]
     left = (1 << n) - 1
     perm = []
     for _ in range(n):
-        lo, hi, floor = left & (width - 1), left >> h, f[left] - _TIE_TOL
+        lo, hi = gl[left & ((1 << h) - 1)].tolist(), gh[left >> h].tolist()
+        floor = f.item(left) - _TIE_TOL
         item = next(
             i for i in range(n)
-            if left >> i & 1 and f[left ^ 1 << i] + gl[lo, i] + gh[hi, i] >= floor
+            if left >> i & 1 and f.item(left ^ 1 << i) + lo[i] + hi[i] >= floor
         )
         perm.append(item)
         left ^= 1 << item
     return tuple(perm)
 
 
+def _keep_floors(b: np.ndarray, h: int, floor: float) -> np.ndarray:
+    """Per subset S of b's items, by mask: floor minus the most the items
+    outside S can add in front of S, that is the sum of b[r, s] over r
+    outside S and s in S plus max(b[r, s], b[s, r]) over the pairs r < s
+    outside S.
+
+    With x the indicator of the complement, that sum is x.row_sums + x'Ax/2
+    for the symmetric A = max(b, b') - b - b'.  Split into the low h items
+    and the rest, it is a low term plus a high term plus a cross term, and
+    all three come from one product of two small matrices, over the
+    complements; the table is read backwards to index it by S.
+    """
+    n = b.shape[0]
+    a = np.maximum(b, b.T) - b - b.T
+    rows = b.sum(axis=1)
+    xl, xh = _mask_bits(h), _mask_bits(n - h)
+    ql = xl @ rows[:h] + 0.5 * ((xl @ a[:h, :h]) * xl).sum(axis=1)
+    qh = xh @ rows[h:] + 0.5 * ((xh @ a[h:, h:]) * xh).sum(axis=1)
+    high = np.column_stack([-(xh @ a[h:, :h]), floor - qh, np.full(len(xh), -1.0)])
+    low = np.vstack([xl.T, np.ones(len(xl)), ql])
+    return (high @ low).ravel()[::-1]
+
+
+@lru_cache(maxsize=None)
+def _mask_bits(width: int) -> np.ndarray:
+    """Row m: the bits of m, m < 2^width, as floats."""
+    bits = ((np.arange(1 << width)[:, None] >> np.arange(width)) & 1).astype(np.float64)
+    bits.flags.writeable = False  # shared by every caller of the cache
+    return bits
+
+
+def _insertion_value(b: np.ndarray, eps: float) -> float:
+    """Value of lop_heuristic's score order after best-improvement insertion
+    moves, each gaining more than eps, until none does.  All O(n^2) moves of
+    a step are scored at once (Schiavinotto and Stuetzle, 2004): with c[i, j]
+    the sum of b[u, v] - b[v, u] over the first j positions v, u at position
+    i, moving u to position j gains c[i, i] - c[i, j] for j < i and
+    c[i, i] - c[i, j + 1] for j > i."""
+    n = b.shape[0]
+    d = b - b.T
+    perm = np.argsort(-(b.sum(axis=1) - b.sum(axis=0)), kind="stable").tolist()
+    pos = np.arange(n)
+    # flat index into c of each move's c[i, j] or c[i, j + 1], and of c[i, i]
+    move = pos[:, None] * (n + 1) + pos + (pos >= pos[:, None])
+    stay = pos * (n + 2)
+    c = np.zeros((n, n + 1))
+    while True:
+        np.cumsum(d[perm][:, perm], axis=1, out=c[:, 1:])
+        flat = c.ravel()
+        gain = flat[stay][:, None] - flat[move]
+        best = int(gain.argmax())
+        if gain.flat[best] <= eps:
+            return order_value(perm, b)
+        i, j = divmod(best, n)
+        perm.insert(j, perm.pop(i))
+
+
 def _subset_sums(b: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Row m, column i: sum of b[i, lo + j] over the bits j of m, m < 2^(hi-lo)."""
-    sums = np.zeros((1, b.shape[0]))
-    for j in range(lo, hi):
-        sums = np.concatenate([sums, sums + b[:, j]])
+    """Row m, column i: sum of b[i, lo + j] over the bits j of m, m < 2^(hi-lo),
+    added in ascending bit order."""
+    sums = np.empty((1 << (hi - lo), b.shape[0]))
+    sums[0] = 0.0
+    for j in range(hi - lo):
+        np.add(sums[: 1 << j], b[:, lo + j], out=sums[1 << j : 2 << j])
     return sums
 
 

@@ -208,6 +208,15 @@ def test_gen_rejects_bad_numbers_by_name(tmp_path, capsys, extra, named):
     assert not Path(f"{prefix}.meta.json").exists()
 
 
+@pytest.mark.parametrize("g_true", ("0", "-1"))
+def test_gen_rejects_g_true_below_one_by_name(tmp_path, capsys, g_true):
+    prefix = tmp_path / "x"
+    gen = ["gen", "--n", "4", "--g-true", g_true, "--D", "1", "--out", str(prefix)]
+    assert main(gen) == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: need g_true >= 1, got {g_true}\n"
+    assert not Path(f"{prefix}.meta.json").exists()
+
+
 def test_parser_defaults_are_the_config_defaults():
     parser = build_parser()
     heuristic = HeuristicConfig()
@@ -492,6 +501,16 @@ def test_validate_flags_non_finite_numbers(ex1_path, tmp_path, capsys):
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["valid"] is False
         assert f"non-finite {key}" in verdict["problems"]
+
+
+def test_validate_names_the_missing_report_field(ex1_path, tmp_path, capsys):
+    # an instance file is JSON with an 'n' but no other report field
+    assert main(["validate", ex1_path, "--instance", ex1_path]) == EXIT_INVALID
+    assert capsys.readouterr().err == f"error: {ex1_path}: report JSON needs 'g'\n"
+    listed = tmp_path / "list.json"
+    listed.write_text("[1, 2]")
+    assert main(["validate", str(listed), "--instance", ex1_path]) == EXIT_INVALID
+    assert "report JSON must be an object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key,value", [("n", 4.7), ("g", 2.9), ("g", "2"), ("n", True)])

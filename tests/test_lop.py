@@ -14,6 +14,7 @@ from mlop import (
 from mlop import lop
 from mlop.lop import (
     _BLOCK_TOL,
+    _DP_ONE_PART_MAX_N,
     LOP_DP_MAX_N,
     _branch_and_bound,
     _dp_solve,
@@ -322,4 +323,41 @@ def test_cross_pair_above_block_tolerance_keeps_its_blocks(monkeypatch):
     b[r, s], b[s, r] = 0.5, 0.5 - 2 * _BLOCK_TOL
     order, _, _ = lop_exact(BenefitMatrix(b))
     assert sizes == [4, 4, 4, 4]
+    assert order.perm == _subset_dp(b)
+
+
+def test_heuristic_shaped_block_needs_no_dense_dp(monkeypatch):
+    sizes = _dp_sizes(monkeypatch)
+    b = heuristic_shaped_benefits(16, np.random.default_rng(61))
+    assert [len(block) for block in lop._blocks(b)] == [16]
+    order, value, proven = lop_exact(BenefitMatrix(b))
+    assert sizes == []
+    assert order.perm == _subset_dp(b) and value == order_value(order.perm, b) and proven
+
+
+def test_uniform_normal_block_falls_back_to_dense_dp_once(monkeypatch):
+    sizes = _dp_sizes(monkeypatch)
+    b = np.random.default_rng(60).normal(size=(16, 16))
+    np.fill_diagonal(b, 0.0)
+    assert [len(block) for block in lop._blocks(b)] == [16]
+    order, value, proven = lop_exact(BenefitMatrix(b))
+    assert sizes == [16]
+    assert order.perm == _subset_dp(b) and value == order_value(order.perm, b) and proven
+
+
+@pytest.mark.parametrize("n", (_DP_ONE_PART_MAX_N, _DP_ONE_PART_MAX_N + 1))
+def test_bounded_dp_runs_only_above_one_part_size(monkeypatch, n):
+    sizes, bounded = [], lop._bounded_dp
+
+    def recording(b):
+        sizes.append(b.shape[0])
+        return bounded(b)
+
+    monkeypatch.setattr(lop, "_bounded_dp", recording)
+    _dp_solve.cache_clear()
+    b = np.random.default_rng(62).normal(size=(n, n))
+    np.fill_diagonal(b, 0.0)
+    assert [len(block) for block in lop._blocks(b)] == [n]
+    order, _, _ = lop_exact(BenefitMatrix(b))
+    assert sizes == ([] if n <= _DP_ONE_PART_MAX_N else [n])
     assert order.perm == _subset_dp(b)

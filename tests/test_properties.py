@@ -34,7 +34,7 @@ from mlop.instances import (
     _sample_ball,
     sample_within_ball,
 )
-from mlop.lop import _BLOCK_TOL, _dp_solve, _subset_dp, order_value
+from mlop.lop import _BLOCK_TOL, _bounded_dp, _dp_solve, _subset_dp, order_value
 
 from _oracles import (
     cycle_residuals_triple_loop,
@@ -99,14 +99,14 @@ def test_lop_exact_is_lex_smallest_optimum(values):
 
 
 @st.composite
-def benefit_matrices(draw):
-    """Zero-diagonal benefits of up to 10 items: normal, quarter-grid (many
-    tied orders), heuristic-shaped, or a quarter-grid planted chain of blocks
-    whose pairs across blocks favour chain order by one margin: 0, just below
-    or just above the block tolerance (entries stay within [-1, 1], so the
-    tolerance is _BLOCK_TOL itself), or a quarter."""
+def benefit_matrices(draw, min_n=1, max_n=10):
+    """Zero-diagonal benefits of min_n to max_n items: normal, quarter-grid
+    (many tied orders), heuristic-shaped, or a quarter-grid planted chain of
+    blocks whose pairs across blocks favour chain order by one margin: 0,
+    just below or just above the block tolerance (entries stay within
+    [-1, 1], so the tolerance is _BLOCK_TOL itself), or a quarter."""
     family = draw(st.sampled_from(["normal", "quarter", "shaped", "chain"]))
-    n = draw(st.integers(2 if family == "shaped" else 1, 10))
+    n = draw(st.integers(max(min_n, 2 if family == "shaped" else 1), max_n))
     if family in ("normal", "shaped"):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         b = rng.normal(size=(n, n)) if family == "normal" else heuristic_shaped_benefits(n, rng)
@@ -137,6 +137,19 @@ def test_lop_exact_matches_whole_matrix_dp(b):
     assert value == order_value(perm, b)
     if b.shape[0] <= 8:
         assert perm == lop_lex_smallest_optimum(b)[0]
+
+
+@SETTINGS
+@given(benefit_matrices(min_n=12, max_n=16))
+def test_bounded_dp_matches_whole_matrix_dp(b):
+    # blocks above 11 items take the bounded DP; run it on the whole matrix
+    # too, whatever its blocks, so that every family reaches it
+    _dp_solve.cache_clear()
+    order, value, proven = lop_exact(BenefitMatrix(b))
+    perm = _subset_dp(b)
+    assert proven and order.perm == perm
+    assert value == order_value(perm, b)
+    assert _bounded_dp(b) == perm
 
 
 @SETTINGS
