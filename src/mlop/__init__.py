@@ -42,7 +42,7 @@ from .instances import (
     sample_centers,
     sample_within_ball,
 )
-from .lop import BenefitMatrix, lop_exact, lop_heuristic
+from .lop import BenefitMatrix, lop_exact
 
 __version__ = "0.1.0"
 
@@ -70,7 +70,6 @@ __all__ = [
     "kendall_distance",
     "l1_objective",
     "lop_exact",
-    "lop_heuristic",
     "lop_value",
     "mixture_point",
     "num_pairs",

@@ -67,7 +67,7 @@ from .instances import (
     generate_instance,
     ingest_rankings,
 )
-from .lop import DEFAULT_NODE_BUDGET, LOP_DP_MAX_N
+from .lop import DEFAULT_LAYER_BUDGET, LOP_DP_MAX_N
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -507,9 +507,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--it-max", type=int, default=HeuristicConfig.it_max)
         p.add_argument("--epsilon", type=float, default=HeuristicConfig.epsilon)
         p.add_argument("--step1-budget", type=int, default=HeuristicConfig.step1_budget,
-                       help="branch-and-bound node cap per inner LOP solve, used only "
-                            f"for n > {LOP_DP_MAX_N}, where the exact subset DP stops "
-                            f"(default: {DEFAULT_NODE_BUDGET:,})")
+                       help="cap on the candidate item sets per popcount layer of the "
+                            f"subset DP on an inner LOP block of more than {LOP_DP_MAX_N} "
+                            "items; a block past it keeps its insertion-search order and "
+                            f"counts as unproven (default: {DEFAULT_LAYER_BUDGET:,})")
 
     p_gen = sub.add_parser("gen", help="generate a synthetic instance")
     p_gen.add_argument("--n", type=int, required=True)

@@ -109,8 +109,9 @@ def check_guards(n: int, g: int) -> None:
     is admitted.
 
     g = 1 is one classical LOP, admitted up to n = LOP_DP_MAX_N, where the
-    subset DP solves it in well under a second; the node-capped branch and
-    bound above that is neither proven nor bounded in memory.  g = 2 reads
+    subset DP solves it in well under a second; above that a block whose
+    bounded DP keeps too many sets cannot fall back to the whole table, and
+    the solve would not be proven.  g = 2 reads
     the vertex table and is admitted up to n = VERTEX_GUARD_N.  g >= 3 fits
     a weight LP of g columns per unscreened multiset and is admitted while
     it visits at most MULTISET_GUARD of them.  n = 2 has only two orders,

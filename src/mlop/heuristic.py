@@ -13,12 +13,12 @@ with the other groups fixed, the subproblem for group i,
     min over orders  sum_k |a_k - w_i x_k|,   a = c - sum_{j != i} w_j x^j,
 
 is exactly a classical LOP with per-pair benefits |a_k| - |a_k - w_i| (and
-the analogous value from the complementary pair), solved by ``lop_exact``:
-exactly by the subset DP up to ``LOP_DP_MAX_N`` items, and by the
-node-capped branch and bound above that, where a solve may stop on its
-budget (the trace counts those).  The DP runs once per strongly connected
-block of the items' "may come before" graph, so a subproblem whose pairs
-mostly agree on a direction costs far less than one DP over all n items.
+the analogous value from the complementary pair), solved by ``lop_exact``'s
+subset DP.  The DP runs once per strongly connected block of the items'
+"may come before" graph, so a subproblem whose pairs mostly agree on a
+direction costs far less than one DP over all n items.  A block of more
+than ``LOP_DP_MAX_N`` items whose DP layers would pass the step-1 budget
+keeps its insertion-search order instead (the trace counts those solves).
 Groups are swept cyclically until a full sweep yields no improvement, so
 the step never worsens the incumbent.
 
@@ -56,9 +56,9 @@ _MAX_SWEEPS = 100
 class HeuristicConfig:
     """Knobs of the multi-start alternation.
 
-    step1_budget is the branch-and-bound node cap per inner LOP solve.  It
-    applies only for n > LOP_DP_MAX_N, where the subset DP stops; None
-    selects the lop module's DEFAULT_NODE_BUDGET.
+    step1_budget is lop_exact's budget for each inner LOP solve: the cap on
+    the candidate subsets per popcount layer of a block of more than
+    LOP_DP_MAX_N items; None selects the lop module's DEFAULT_LAYER_BUDGET.
     Start k derives its RNG seed as base_seed XOR k, so runs are reproducible
     and independent of any scheduling.
     """
@@ -85,7 +85,7 @@ class HeuristicConfig:
 @dataclass
 class HeuristicTrace:
     """Per-start rows (iteration, objective after step 1, after step 2), and
-    the number of inner LOP solves that stopped on their node budget."""
+    the number of inner LOP solves that stopped on their budget."""
 
     starts: list[list[tuple[int, float, float]]] = field(default_factory=list)
     inner_unproven: int = 0
@@ -123,9 +123,9 @@ def step_rankings(
         fixed_weights: simplex vector of length g.
         incumbent_orders: current orders, kept wherever no strict improvement
             is found (zero-weight groups always keep theirs).
-        budget: node cap passed to each inner solve, which uses it only
-            above LOP_DP_MAX_N items; the incumbent order warm-starts the
-            branch and bound, so exhaustion still returns incumbent-or-better.
+        budget: lop_exact's budget for each inner solve, which uses it only
+            on blocks of more than LOP_DP_MAX_N items; an unproven order is
+            kept only if it strictly improves the objective, like any other.
 
     Returns:
         (orders, objective, unproven): the objective at the fixed weights, and
@@ -153,7 +153,7 @@ def step_rankings(
             a_sr = w[i] - a
             b_sr = np.abs(a_sr) - np.abs(a_sr - w[i])
             B = benefit_for_pairs(n, b_rs, b_sr)
-            new_order, _, proven = lop_exact(B, budget=budget, warm_start=orders[i])
+            new_order, _, proven = lop_exact(B, budget=budget)
             unproven += not proven
             if new_order.perm == orders[i].perm:
                 continue

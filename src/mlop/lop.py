@@ -1,32 +1,29 @@
-"""Classical Linear Ordering Problem solvers over an arbitrary real benefit
+"""Classical Linear Ordering Problem solver over an arbitrary real benefit
 matrix.  Used standalone (single-group solves) and as the inner engine of the
 alternating heuristic's ranking-update step, where benefits may be negative.
 
-The exact solver covers n <= LOP_DP_MAX_N with a subset dynamic program
-(the Held-Karp-style recursion over item subsets), which is always optimal
-and proven.  It first splits the items into the chain of strongly connected
-blocks of the graph in which r may come before s unless b[s, r] exceeds
-b[r, s] by more than a small tolerance; every optimum keeps that chain, so
-one DP per block gives the same answer as one DP over all n.  A block of
-k <= _DP_ONE_PART_MAX_N items fills the DP's whole table, O(2^k k) time.  A
-larger one runs the same recursion over only the subsets whose upper bound
-still reaches the value of an insertion-search order (DP with bounding,
-Puchinger and Stuckey, PEPM 2008), so its cost follows the subsets kept; it
-fills the whole table instead where the bound keeps too many.  Both give
-the same order bit for bit.  The answer depends on the matrix alone, so the
-answers for the last _DP_MEMO_SIZE distinct matrices are memoized by their
-bytes, and a repeated solve (the alternating heuristic makes many) costs
-one hash instead of a DP.  Above that size it runs a best-first branch and
-bound assigning rank positions from the front, with an admissible node
-bound (value fixed so far plus the sum of max(b_rs, b_sr) over undecided
-pairs), capped at DEFAULT_NODE_BUDGET explored nodes unless the caller sets
-a cap.  Effort is bounded by n or counted in nodes, never in wall time, so
-runs are machine-independent and reproducible.
+lop_exact runs a subset dynamic program (the Held-Karp-style recursion over
+item subsets).  It first splits the items into the chain of strongly
+connected blocks of the graph in which r may come before s unless b[s, r]
+exceeds b[r, s] by more than a small tolerance; every optimum keeps that
+chain, so one DP per block gives the same answer as one DP over all n.  A
+block of k <= _DP_ONE_PART_MAX_N items fills the DP's whole table, O(2^k k)
+time.  A larger one runs the same recursion one popcount layer at a time
+over only the subsets whose upper bound still reaches the value of an
+insertion-search order (DP with bounding, Puchinger and Stuckey, PEPM 2008),
+so its cost follows the subsets kept, and gives the same order bit for bit.
+Where a layer would keep too many, a block of at most LOP_DP_MAX_N items
+fills the whole table instead, and a larger one keeps the insertion-search
+order, unproven.  That cap counts candidate subsets per layer
+(DEFAULT_LAYER_BUDGET unless the caller sets one), never wall time, so runs
+are machine-independent and reproducible.  The answer depends on the matrix
+and the cap alone, so the answers for the last _DP_MEMO_SIZE distinct pairs
+of them are memoized, and a repeated solve (the alternating heuristic makes
+many) costs one hash instead of a DP.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,18 +31,14 @@ import numpy as np
 
 from .core import InvalidInput, LinearOrder, PreferenceMatrix, pair_rows_cols
 
-# Margin below the incumbent at which subtrees are pruned.  Keeping
-# bound == incumbent nodes alive is what makes the first complete order
-# popped the lex-smallest optimum, up to float noise in the node bounds.
-_PRUNE_TOL = 1e-12
-
-_IMPROVE_TOL = 1e-12
-
-# largest n the subset DP solves; its value table holds 2^n float64 (8 MiB
-# at n = 20) and its cached index tables stay under 256 KiB
+# largest block the whole-table subset DP solves, and so the largest n whose
+# solve is always proven; its value table holds 2^n float64 (8 MiB at n = 20)
+# and its cached index tables stay under 256 KiB
 LOP_DP_MAX_N = 20
-# branch-and-bound node cap above LOP_DP_MAX_N when the caller sets none
-DEFAULT_NODE_BUDGET = 50_000
+# candidate subsets a popcount layer of a block above LOP_DP_MAX_N items may
+# grow, and rows its larger half table may have, when the caller sets no cap;
+# 2^17 admits blocks of up to 34 items
+DEFAULT_LAYER_BUDGET = 1 << 17
 # rebuilding the DP's order, items whose best values differ by at most this
 # count as tied and the smaller one is placed first
 _TIE_TOL = 1e-12
@@ -55,14 +48,15 @@ _TIE_TOL = 1e-12
 _DP_ONE_PART_MAX_N = 11
 # float64 values per temporary array of the DP (1 MiB)
 _DP_CHUNK = 1 << 17
-# the bounded DP hands a block of k items to the whole-table DP before a
-# popcount layer would grow more than 2^k / this many candidate subsets
+# the bounded DP hands a block of k <= LOP_DP_MAX_N items to the whole-table
+# DP before a popcount layer would grow more than 2^k / this many candidates
 _BOUNDED_LAYER_DIV = 16
 # a pair counts as ordered, tying the blocks of its items into the chain,
 # when its two benefits differ by more than this times max(1, max |b|)
 _BLOCK_TOL = 1e-9
-# distinct benefit matrices whose DP answers are kept (200 KiB of keys at
-# n = 20); the heuristic's repeats come within a few solves of the original
+# distinct (benefit matrix, cap) pairs whose answers are kept (200 KiB of
+# keys at n = 20); the heuristic's repeats come within a few solves of the
+# original
 _DP_MEMO_SIZE = 64
 
 
@@ -102,40 +96,30 @@ def order_value(perm, b: np.ndarray) -> float:
     return float(np.triu(sub, k=1).sum())
 
 
-def lop_exact(
-    B: BenefitMatrix,
-    budget: int | None = None,
-    warm_start: LinearOrder | None = None,
-) -> tuple[LinearOrder, float, bool]:
+def lop_exact(B: BenefitMatrix, budget: int | None = None) -> tuple[LinearOrder, float, bool]:
     """Maximize the total benefit of consistent precedences over all orders.
 
-    Up to LOP_DP_MAX_N items the subset DP solves the instance exactly, one
-    strongly connected block of items at a time, budget and warm_start play
-    no part, and a matrix solved recently returns its memoized answer; above
-    it the branch and bound runs, uncached.
+    The subset DP solves each strongly connected block of items on its own,
+    and a matrix solved recently with the same budget returns its memoized
+    answer.
 
     Args:
         B: benefit matrix.
-        budget: branch-and-bound cap on explored (popped) search nodes, for
-            n > LOP_DP_MAX_N only; None means DEFAULT_NODE_BUDGET.  On
-            exhaustion the best incumbent is returned with proven=False.
-        warm_start: optional order used to strengthen the branch and bound's
-            initial incumbent (the insertion heuristic always contributes one
-            as well).
+        budget: cap on the candidate subsets per popcount layer of a block of
+            more than LOP_DP_MAX_N items, and on the rows of its larger half
+            table; None means DEFAULT_LAYER_BUDGET.  A block that would pass
+            it keeps its insertion-search order, and the answer is returned
+            with proven=False.  Up to LOP_DP_MAX_N items it plays no part.
 
     Returns:
         (order, value, proven).  A proven order is the lexicographically
         smallest optimum, with values within 1e-12 counted as ties.
     """
-    if warm_start is not None and warm_start.n != B.n:
-        raise InvalidInput("warm start order has wrong item count")
-    if B.n <= LOP_DP_MAX_N:
-        return _dp_solve(B.b.tobytes(), B.n)
-    return _branch_and_bound(B, DEFAULT_NODE_BUDGET if budget is None else budget, warm_start)
+    return _dp_solve(B.b.tobytes(), B.n, DEFAULT_LAYER_BUDGET if budget is None else budget)
 
 
 @lru_cache(maxsize=_DP_MEMO_SIZE)
-def _dp_solve(key: bytes, n: int) -> tuple[LinearOrder, float, bool]:
+def _dp_solve(key: bytes, n: int, budget: int) -> tuple[LinearOrder, float, bool]:
     """lop_exact's answer for the n x n benefit matrix whose C-order float64
     bytes are key.  Matrices differing in any bit, -0.0 versus 0.0 included,
     are solved apart.
@@ -146,18 +130,27 @@ def _dp_solve(key: bytes, n: int) -> tuple[LinearOrder, float, bool]:
     above.  Both return _subset_dp's order for the block, and every optimum
     keeps the chain, so the concatenated block answers are the whole
     matrix's lexicographically smallest optimum, the order _subset_dp
-    returns on all n items.
+    returns on all n items.  A block that _bounded_dp gives up on keeps its
+    insertion-search order instead, and the answer is unproven.
     """
     b = np.frombuffer(key).reshape(n, n)
-    perm = []
+    perm, proven = [], True
     for block in _blocks(b):
         if len(block) == 1:
             perm += block
-        else:
-            solve = _subset_dp if len(block) <= _DP_ONE_PART_MAX_N else _bounded_dp
-            perm += [block[i] for i in solve(b[np.ix_(block, block)])]
+            continue
+        sub = b[np.ix_(block, block)]
+        local = _subset_dp(sub) if len(block) <= _DP_ONE_PART_MAX_N else _bounded_dp(sub, budget)
+        if local is None:
+            local, proven = _insertion_value(sub, _tolerance(sub))[0], False
+        perm += [block[i] for i in local]
     perm = tuple(perm)
-    return LinearOrder(perm), order_value(perm, b), True
+    return LinearOrder(perm), order_value(perm, b), proven
+
+
+def _tolerance(b: np.ndarray) -> float:
+    """_BLOCK_TOL times max(1, max |b|)."""
+    return _BLOCK_TOL * max(1.0, float(np.abs(b).max()))
 
 
 def _blocks(b: np.ndarray) -> list[list[int]]:
@@ -165,8 +158,8 @@ def _blocks(b: np.ndarray) -> list[list[int]]:
     item order, of the graph with an arc r -> s wherever
     b[r, s] - b[s, r] >= -eps: r may come before s.
 
-    eps is _BLOCK_TOL times max(1, max |b|), far above the n * _TIE_TOL the
-    DP's tie rule may give up and above float noise.  Every pair across two
+    eps = _tolerance(b) is far above the n * _TIE_TOL the DP's tie rule may
+    give up and above float noise.  Every pair across two
     blocks gains more than eps by keeping chain order, so the stable sort by
     block of any order breaking the chain beats it by more than eps, and the
     DP never returns such an order.  Every pair has an arc one way or both,
@@ -176,7 +169,7 @@ def _blocks(b: np.ndarray) -> list[list[int]]:
     position k or later reaches back past.
     """
     n = b.shape[0]
-    arc = b - b.T >= -_BLOCK_TOL * max(1.0, float(np.abs(b).max()))
+    arc = b - b.T >= -_tolerance(b)
     order = np.argsort(-arc.sum(axis=1), kind="stable")
     back = np.tril(arc[np.ix_(order, order)], -1)  # arcs to earlier positions
     # reach[k]: the earliest position an arc from position k or later points
@@ -239,124 +232,121 @@ def _subset_dp(b: np.ndarray) -> tuple[int, ...]:
                 w[:, lows] = best
             f[hi] = w
 
-    return _rebuild(f.ravel(), gl, gh, h)
+    return _rebuild(f.ravel().item, gl, gh, h)
 
 
-def _bounded_dp(b: np.ndarray) -> tuple[int, ...]:
+def _bounded_dp(b: np.ndarray, budget: int = DEFAULT_LAYER_BUDGET) -> tuple[int, ...] | None:
     """_subset_dp's order, from the same recursion restricted to the subsets
-    that may still lie on an optimal order (_bounded_values), or from
-    _subset_dp itself where that restriction keeps too many of them."""
+    that may still lie on an optimal order (_bounded_values).  A block of
+    k <= LOP_DP_MAX_N items falls back to _subset_dp once a layer would
+    grow more than 2^k / _BOUNDED_LAYER_DIV candidates.  A larger block
+    gives up, None, once a layer, or the 2^(k - k // 2) rows of its larger
+    half table, would pass budget."""
     n = b.shape[0]
     h = _low_bits(n)
+    dense = n <= LOP_DP_MAX_N
+    cap = (1 << n) // _BOUNDED_LAYER_DIV if dense else budget
+    if 1 << (n - h) > cap:
+        return None
     gl = _subset_sums(b, 0, h)
     gh = _subset_sums(b, h, n)
-    f = _bounded_values(b, gl, gh, h)
-    return _subset_dp(b) if f is None else _rebuild(f, gl, gh, h)
+    value = _bounded_values(b, gl, gh, h, cap)
+    if value is not None:
+        return _rebuild(value, gl, gh, h)
+    return _subset_dp(b) if dense else None
 
 
-def _bounded_values(b: np.ndarray, gl: np.ndarray, gh: np.ndarray, h: int):
-    """_subset_dp's value table on the subsets that may lie on an optimal
-    order, -inf elsewhere; None once a popcount layer would grow more than
-    2^n / _BOUNDED_LAYER_DIV candidates, checked before it is built.
+def _bounded_values(b: np.ndarray, gl: np.ndarray, gh: np.ndarray, h: int, cap: int):
+    """_subset_dp's value of each subset that may lie on an optimal order,
+    as a lookup from its mask to its value, -inf for the other subsets; None
+    once a popcount layer would grow more than cap candidates, checked
+    before it is built.
 
-    The subsets are built one popcount layer at a time from the kept ones,
-    each candidate f(S - i) + gain summed exactly as _subset_dp sums it.
+    Each layer is a sorted mask array with its values, built from the kept
+    subsets of the one before, each candidate f(S - i) + gain summed exactly
+    as _subset_dp sums it, and the largest of a subset's candidates kept.
     S is kept only while f(S) plus the most the items outside S can add in
-    front of it (_keep_floors) reaches the incumbent's value
-    (_insertion_value) minus eps = _BLOCK_TOL * max(1, max |b|).  A subset
-    on any order within eps of the optimum is therefore kept, and by
-    induction on its size its f is _subset_dp's, from the same float sums:
-    the best first item of S leaves a subset on an order at least as good.
-    The rebuild, whose tie rule gives up at most n * _TIE_TOL, far below
-    eps, only visits such subsets, so its order is _subset_dp's bit for bit.
+    front of it reaches the incumbent's value (_insertion_value) minus
+    eps = _tolerance(b).  A subset on any order within eps of the optimum is
+    therefore kept, and by induction on its size its f is _subset_dp's,
+    from the same float sums: the best first item of S leaves a subset on an
+    order at least as good.  The rebuild, whose tie rule gives up at most
+    n * _TIE_TOL, far below eps, only visits such subsets, so its order is
+    _subset_dp's bit for bit.
+
+    With x the indicator of the items outside S, the most they add is the
+    sum of b[r, s] over r outside S and s in S plus max(b[r, s], b[s, r])
+    over the pairs r < s outside S, that is q = x.row_sums + x'Ax/2 for the
+    symmetric A = max(b, b') - b - b'.  Each subset carries q and Ax, and
+    adding item i to S takes row_sums[i] + (Ax)[i] from q and A[i] from Ax.
     """
     n = b.shape[0]
-    eps = _BLOCK_TOL * max(1.0, float(np.abs(b).max()))
-    need = _keep_floors(b, h, _insertion_value(b, eps) - eps)  # least f(S) keeping S
-    f = np.full(1 << n, -np.inf)
-    f[0] = 0.0
-    stamp = np.empty(1 << n, dtype=np.int32)  # scratch for merging duplicates
-    slots = np.arange((1 << n) // _BOUNDED_LAYER_DIV, dtype=np.int32)
-    low, items = (1 << h) - 1, np.arange(n)
-    bit = np.int64(1) << items
+    eps = _tolerance(b)
+    floor = _insertion_value(b, eps)[1] - eps
+    a = np.maximum(b, b.T) - b - b.T
+    row_sums = b.sum(axis=1)
+    low, bit = (1 << h) - 1, np.int64(1) << np.arange(n)
     masks, values = np.zeros(1, dtype=np.int64), np.zeros(1)
+    q, ax = np.array([row_sums.sum() + 0.5 * a.sum()]), a.sum(axis=1)[None]
+    layers = [(masks, values)]
     for count in range(n):
-        if len(masks) * (n - count) > len(slots):
+        if len(masks) * (n - count) > cap:
             return None
-        # row r, column i: masks[r] with item i added, a new subset unless i
-        # is in it already
-        grown = masks[:, None] | bit
-        t = values[:, None] + gl[grown & low, items]
-        t += gh[grown >> h, items]
-        keep = (t >= need[grown]) & (grown != masks[:, None])
-        subsets, t = grown[keep], t[keep]
-        np.maximum.at(f, subsets, t)
-        # each subset once: the last of its duplicates stamps its slot
-        stamp[subsets] = slots[: len(subsets)]
-        masks = subsets[stamp[subsets] == slots[: len(subsets)]]
-        values = f[masks]
-    return f
+        # candidate k: subset row[k] of the layer with item col[k] added
+        row, col = np.nonzero((masks[:, None] & bit) == 0)
+        grown = masks[row] | bit[col]
+        t = values[row] + gl[grown & low, col]
+        t += gh[grown >> h, col]
+        bound = q[row] - row_sums[col]
+        bound -= ax[row, col]
+        kept = np.flatnonzero(t + bound >= floor)
+        kept = kept[np.argsort(grown[kept], kind="stable")]
+        grown = grown[kept]
+        # each subset once: the best of its candidates, and the bound terms
+        # of the first
+        first = np.flatnonzero(np.concatenate(([True], grown[1:] != grown[:-1])))
+        masks, values = grown[first], np.maximum.reduceat(t[kept], first)
+        pick = kept[first]
+        q, ax = bound[pick], ax[row[pick]] - a[col[pick]]
+        layers.append((masks, values))
+
+    def value(mask: int) -> float:
+        masks, values = layers[bin(mask).count("1")]
+        k = int(masks.searchsorted(mask))
+        return values.item(k) if k < len(masks) and masks.item(k) == mask else -np.inf
+
+    return value
 
 
-def _rebuild(f: np.ndarray, gl: np.ndarray, gh: np.ndarray, h: int) -> tuple[int, ...]:
-    """The subset DP's order from its value table f, indexed by mask
-    (hi << h | lo): from the front, each step takes the smallest item whose
-    choice stays within _TIE_TOL of the best value of the items left.  Each
-    candidate is summed in the same order as in the table, so the best one
-    equals f."""
+def _rebuild(value, gl: np.ndarray, gh: np.ndarray, h: int) -> tuple[int, ...]:
+    """The subset DP's order from value(mask), its value of the subset with
+    mask (hi << h | lo): from the front, each step takes the smallest item
+    whose choice stays within _TIE_TOL of the best value of the items left.
+    Each candidate is summed in the same order as in the table, so the best
+    one equals the value."""
     n = gl.shape[1]
     left = (1 << n) - 1
     perm = []
     for _ in range(n):
         lo, hi = gl[left & ((1 << h) - 1)].tolist(), gh[left >> h].tolist()
-        floor = f.item(left) - _TIE_TOL
+        floor = value(left) - _TIE_TOL
         item = next(
             i for i in range(n)
-            if left >> i & 1 and f.item(left ^ 1 << i) + lo[i] + hi[i] >= floor
+            if left >> i & 1 and value(left ^ 1 << i) + lo[i] + hi[i] >= floor
         )
         perm.append(item)
         left ^= 1 << item
     return tuple(perm)
 
 
-def _keep_floors(b: np.ndarray, h: int, floor: float) -> np.ndarray:
-    """Per subset S of b's items, by mask: floor minus the most the items
-    outside S can add in front of S, that is the sum of b[r, s] over r
-    outside S and s in S plus max(b[r, s], b[s, r]) over the pairs r < s
-    outside S.
-
-    With x the indicator of the complement, that sum is x.row_sums + x'Ax/2
-    for the symmetric A = max(b, b') - b - b'.  Split into the low h items
-    and the rest, it is a low term plus a high term plus a cross term, and
-    all three come from one product of two small matrices, over the
-    complements; the table is read backwards to index it by S.
-    """
-    n = b.shape[0]
-    a = np.maximum(b, b.T) - b - b.T
-    rows = b.sum(axis=1)
-    xl, xh = _mask_bits(h), _mask_bits(n - h)
-    ql = xl @ rows[:h] + 0.5 * ((xl @ a[:h, :h]) * xl).sum(axis=1)
-    qh = xh @ rows[h:] + 0.5 * ((xh @ a[h:, h:]) * xh).sum(axis=1)
-    high = np.column_stack([-(xh @ a[h:, :h]), floor - qh, np.full(len(xh), -1.0)])
-    low = np.vstack([xl.T, np.ones(len(xl)), ql])
-    return (high @ low).ravel()[::-1]
-
-
-@lru_cache(maxsize=None)
-def _mask_bits(width: int) -> np.ndarray:
-    """Row m: the bits of m, m < 2^width, as floats."""
-    bits = ((np.arange(1 << width)[:, None] >> np.arange(width)) & 1).astype(np.float64)
-    bits.flags.writeable = False  # shared by every caller of the cache
-    return bits
-
-
-def _insertion_value(b: np.ndarray, eps: float) -> float:
-    """Value of lop_heuristic's score order after best-improvement insertion
-    moves, each gaining more than eps, until none does.  All O(n^2) moves of
-    a step are scored at once (Schiavinotto and Stuetzle, 2004): with c[i, j]
-    the sum of b[u, v] - b[v, u] over the first j positions v, u at position
-    i, moving u to position j gains c[i, i] - c[i, j] for j < i and
-    c[i, i] - c[i, j + 1] for j > i."""
+def _insertion_value(b: np.ndarray, eps: float) -> tuple[tuple[int, ...], float]:
+    """The order, and its value, that best-improvement insertion moves reach
+    from the order by descending row sum minus column sum, each move gaining
+    more than eps, until none does.  All O(n^2) moves of a step are scored
+    at once (Schiavinotto and Stuetzle, 2004): with c[i, j] the sum of
+    b[u, v] - b[v, u] over the first j positions v, u at position i, moving
+    u to position j gains c[i, i] - c[i, j] for j < i and c[i, i] - c[i, j + 1]
+    for j > i."""
     n = b.shape[0]
     d = b - b.T
     perm = np.argsort(-(b.sum(axis=1) - b.sum(axis=0)), kind="stable").tolist()
@@ -371,7 +361,7 @@ def _insertion_value(b: np.ndarray, eps: float) -> float:
         gain = flat[stay][:, None] - flat[move]
         best = int(gain.argmax())
         if gain.flat[best] <= eps:
-            return order_value(perm, b)
+            return tuple(perm), order_value(perm, b)
         i, j = divmod(best, n)
         perm.insert(j, perm.pop(i))
 
@@ -414,95 +404,6 @@ def _popcount_layers(width: int, offset: int):
             arr.flags.writeable = False  # shared by every caller of the cache
         layers.append(layer)
     return tuple(layers)
-
-
-def _branch_and_bound(
-    B: BenefitMatrix, budget: int, warm_start: LinearOrder | None
-) -> tuple[LinearOrder, float, bool]:
-    """Best-first branch and bound over rank positions from the front.
-
-    budget caps the explored (popped) nodes.
-    """
-    b = B.b
-    n = B.n
-    incumbent, inc_value = lop_heuristic(B)
-    if warm_start is not None:
-        wv = order_value(warm_start.perm, b)
-        if wv > inc_value + _IMPROVE_TOL or (
-            abs(wv - inc_value) <= _IMPROVE_TOL and warm_start.perm < incumbent.perm
-        ):
-            incumbent, inc_value = warm_start, wv
-
-    pm = np.maximum(b, b.T)  # per-pair upper bound max(b_rs, b_sr)
-
-    all_items = tuple(range(n))
-    root_pair_bound = float(np.triu(pm, k=1).sum())
-    # heap entries: (-bound, prefix, fixed_value, pair_bound_rest, remaining)
-    heap = [(-root_pair_bound, (), 0.0, root_pair_bound, all_items)]
-    explored = 0
-
-    while heap:
-        if explored >= budget:
-            return incumbent, inc_value, False
-        negb, prefix, fixed, pbound, remaining = heapq.heappop(heap)
-        explored += 1
-        if not remaining:
-            # first complete order popped: no other node can beat its value
-            return LinearOrder(prefix), order_value(prefix, b), True
-        rest_idx = np.asarray(remaining, dtype=np.int64)
-        # diagonals are zero, so row sums over the remaining block give each
-        # candidate's gain (and bound loss) over the other remaining items
-        gains = b[np.ix_(rest_idx, rest_idx)].sum(axis=1)
-        losses = pm[np.ix_(rest_idx, rest_idx)].sum(axis=1)
-        for pos, item in enumerate(remaining):
-            rest = remaining[:pos] + remaining[pos + 1 :]
-            fixed_c = fixed + float(gains[pos])
-            pbound_c = pbound - float(losses[pos])
-            bound_c = fixed_c + pbound_c
-            if bound_c >= inc_value - _PRUNE_TOL:
-                heapq.heappush(heap, (-bound_c, prefix + (item,), fixed_c, pbound_c, rest))
-
-    # all subtrees pruned against the incumbent: it is optimal
-    return incumbent, inc_value, True
-
-
-def lop_heuristic(B: BenefitMatrix) -> tuple[LinearOrder, float]:
-    """Fast, deterministic insertion local search for the LOP.
-
-    Construction places items by descending row-sum minus column-sum, then
-    single-item relocations are applied (first improvement, items scanned by
-    index) until a fixed point.
-    """
-    b = B.b
-    score = b.sum(axis=1) - b.sum(axis=0)
-    perm, value = _insertion_local_search(np.argsort(-score, kind="stable"), b)
-    return LinearOrder(tuple(perm)), value
-
-
-def _insertion_local_search(perm: list[int], b: np.ndarray) -> tuple[list[int], float]:
-    """Relocate single items until no move improves the value."""
-    perm = [int(v) for v in perm]
-    n = len(perm)
-    improved = True
-    while improved:
-        improved = False
-        for item in range(n):
-            i = perm.index(item)
-            for j in range(n):
-                if j == i:
-                    continue
-                if j > i:
-                    between = perm[i + 1 : j + 1]
-                    delta = sum(b[k, item] - b[item, k] for k in between)
-                else:
-                    between = perm[j:i]
-                    delta = sum(b[item, k] - b[k, item] for k in between)
-                if delta > _IMPROVE_TOL:
-                    perm.pop(i)
-                    perm.insert(j, item)
-                    improved = True
-                    break
-    return perm, order_value(perm, b)
 
 
 def benefit_for_pairs(n: int, upper_rs: np.ndarray, upper_sr: np.ndarray) -> BenefitMatrix:

@@ -41,6 +41,22 @@ def lop_lex_smallest_optimum(b: np.ndarray, tol: float = 1e-12) -> tuple[tuple[i
     return next((p, v) for p, v in zip(perms, values) if v >= best - tol)
 
 
+def lop_subset_dp_max(b) -> float:
+    """Optimal LOP value by the subset recursion: the best order of a set S
+    starts with some i in S, which gains b[i][j] over every other j in S,
+    followed by the best order of S - {i}.  One dict entry per subset."""
+    rows = np.asarray(b).tolist()
+    n = len(rows)
+    best = {frozenset(): 0.0}
+    for size in range(1, n + 1):
+        for items in itertools.combinations(range(n), size):
+            S = frozenset(items)
+            best[S] = max(
+                best[S - {i}] + sum(rows[i][j] for j in items if j != i) for i in items
+            )
+    return best[frozenset(range(n))]
+
+
 def is_insertion_local_optimal(order, B, tol: float = 1e-9) -> bool:
     """True iff no single-item relocation improves the order's value."""
     b = B.b

@@ -2,12 +2,13 @@
 
 The SHA-256 of every file `gen` writes, and of the counts file `ingest`
 writes from its rankings, is pinned for the README walkthrough and the
-benchmark's instance shapes at two seeds each.  Any change to the sampler,
+benchmark's instance shapes at two seeds each (one for n = 24).  Any change to the sampler,
 its RNG stream, the aggregation or the file formats shows up here.
 
 The SHA-256 of heuristic `sweep` and `solve` reports, with their `time_s`
 fields removed, is pinned on the README walkthrough and the benchmark's
-n = 16 and sushi shapes, so any change to the solver's path (orders, weights,
+n = 16 and sushi shapes, and on an n = 24 solve whose inner LOP blocks pass
+the dense DP's size, so any change to the solver's path (orders, weights,
 objectives, per-start trace) shows up too.  So is the report of an exact
 g = 1 solve at the subset DP's size limit (n = 20) on a near-consensus
 instance.
@@ -142,6 +143,17 @@ GOLDEN = {
             ),
         },
     ),
+    "heuristic_n24": (
+        ('--n', '24', '--g-true', '3', '--weights', '3:2:1', '-p', '1', '--num-rankings', '250'),
+        {
+            5: (
+                "3338c8792a6f32caa717a5918302b6c9d3746980a831563b8ee7d95628a007b7",
+                "21d4d492735f136f650a9a37822c079df7c4d951387227a30c258e186b41fa1a",
+                "11e50f56c330ff66e66d5ee73f287da42d0428acdf10c06a1897a1ffa1aafe16",
+                "91ad3c33092907e33e2dc0c4908223bc1b653c1c5c172108c8e6467a63510756",
+            ),
+        },
+    ),
     "exact_n20": (
         ('--n', '20', '--g-true', '1', '-p', '1'),
         {
@@ -198,6 +210,8 @@ HEURISTIC_GOLDEN = {
         "b8f52b3f9e83a03c046f6013caaba5a33f53c82f0a055e73c28331add2f7e09b",
     ("heuristic_n16", 1, ("solve", "--method", "heuristic", "--g", "3")):
         "d296e214cd507c4527c0c84358bd8b136d754d66ecac104f1e49bedf52054420",
+    ("heuristic_n24", 5, ("solve", "--method", "heuristic", "--g", "3", "--n-starts", "2")):
+        "5f5e68fdcd2301202428a6d5a9ee15bdb067b52b1afca02d5866fc747b9911a3",
 }
 
 

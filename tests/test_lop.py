@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from mlop import (
     LinearOrder,
     PreferenceMatrix,
     lop_exact,
-    lop_heuristic,
     num_pairs,
     solve_heuristic,
 )
@@ -16,10 +17,11 @@ from mlop.lop import (
     _BLOCK_TOL,
     _DP_ONE_PART_MAX_N,
     LOP_DP_MAX_N,
-    _branch_and_bound,
     _dp_solve,
     _dp_tables,
+    _insertion_value,
     _subset_dp,
+    _tolerance,
     order_value,
 )
 
@@ -28,6 +30,7 @@ from _oracles import (
     is_insertion_local_optimal,
     lop_enumeration_max,
     lop_lex_smallest_optimum,
+    lop_subset_dp_max,
     random_order,
     random_preference_matrix,
 )
@@ -81,27 +84,15 @@ def test_exact_small_n_enumeration_equality():
 
 
 def test_exact_budget_exhaustion_returns_incumbent():
-    # above the DP limit, so the budgeted branch and bound runs
+    # one block above the dense DP's limit, so the budget binds
     n = LOP_DP_MAX_N + 1
     rng = np.random.default_rng(3)
     b = rng.random((n, n))
     np.fill_diagonal(b, 0.0)
-    order, value, proven = lop_exact(BenefitMatrix(b), budget=3)
+    order, value, proven = lop_exact(BenefitMatrix(b), budget=1)
     assert not proven
-    opt = order_value(_subset_dp(b), b)
-    assert value <= opt + 1e-12
-    assert order_value(order.perm, b) == pytest.approx(value, abs=1e-12)
-
-
-def test_exact_warm_start_never_hurts():
-    n = LOP_DP_MAX_N + 1
-    rng = np.random.default_rng(4)
-    b = rng.random((n, n))
-    np.fill_diagonal(b, 0.0)
-    warm = LinearOrder(tuple(rng.permutation(n)))
-    order, value, proven = lop_exact(BenefitMatrix(b), budget=1, warm_start=warm)
-    assert not proven
-    assert value >= order_value(warm.perm, b) - 1e-12
+    assert value <= order_value(_subset_dp(b), b)
+    assert value == order_value(order.perm, b)
 
 
 def _cold_solve(B, **kwargs):
@@ -139,13 +130,14 @@ def test_dp_memo_misses_on_one_ulp():
     assert (info.hits, info.misses) == (0, 2)
 
 
-def test_branch_and_bound_bypasses_dp_memo():
+def test_dp_memo_keys_on_budget_above_dense_limit():
     n = LOP_DP_MAX_N + 1
-    b = np.random.default_rng(43).random((n, n))
-    before = _dp_solve.cache_info()
-    lop_exact(BenefitMatrix(b), budget=3)
-    lop_exact(BenefitMatrix(b), budget=3)
-    assert _dp_solve.cache_info() == before
+    B = BenefitMatrix(np.random.default_rng(43).random((n, n)))
+    first = _cold_solve(B, budget=3)
+    assert lop_exact(B, budget=3) is first
+    assert (_dp_solve.cache_info().hits, _dp_solve.cache_info().misses) == (1, 1)
+    lop_exact(B, budget=4)
+    assert (_dp_solve.cache_info().hits, _dp_solve.cache_info().misses) == (1, 2)
 
 
 def test_heuristic_dp_memo_hits_repeat_exactly():
@@ -167,8 +159,15 @@ def test_preference_optimum_at_least_half():
         assert value >= num_pairs(6) / 2 - 1e-9
 
 
+def insertion_search(B):
+    """The insertion search's order and value, and the tolerance it stops at."""
+    eps = _tolerance(B.b)
+    perm, value = _insertion_value(B.b, eps)
+    return LinearOrder(perm), value, eps
+
+
 def test_heuristic_running_example():
-    order, value = lop_heuristic(BenefitMatrix.from_preferences(EX1))
+    _, value, _ = insertion_search(BenefitMatrix.from_preferences(EX1))
     assert value == pytest.approx(5.0, abs=1e-12)
 
 
@@ -178,7 +177,7 @@ def test_heuristic_consistent_matrix():
     for r in range(n):
         for s in range(r + 1, n):
             b[r, s] = 1.0
-    order, value = lop_heuristic(BenefitMatrix(b))
+    order, value, _ = insertion_search(BenefitMatrix(b))
     assert order.perm == tuple(range(n))
     assert value == num_pairs(n)
 
@@ -187,11 +186,12 @@ def test_heuristic_close_to_budgeted_exact_on_n12():
     rng = np.random.default_rng(12)
     C = random_preference_matrix(12, rng)
     B = BenefitMatrix.from_preferences(C)
-    h_order, h_value = lop_heuristic(B)
-    _, e_value, proven = lop_exact(B, budget=500_000)
+    h_order, h_value, eps = insertion_search(B)
+    _, e_value, proven = lop_exact(B)
+    assert proven
     assert h_value <= e_value + 1e-9
     assert h_value >= 0.95 * e_value
-    assert is_insertion_local_optimal(h_order, B)
+    assert is_insertion_local_optimal(h_order, B, tol=eps)
 
 
 def test_heuristic_insertion_local_optimality():
@@ -199,9 +199,9 @@ def test_heuristic_insertion_local_optimality():
     for _ in range(10):
         b = rng.normal(size=(7, 7))
         np.fill_diagonal(b, 0.0)
-        order, value = lop_heuristic(BenefitMatrix(b))
-        assert is_insertion_local_optimal(order, BenefitMatrix(b))
-        assert order_value(order.perm, b) == pytest.approx(value, abs=1e-12)
+        order, value, eps = insertion_search(BenefitMatrix(b))
+        assert is_insertion_local_optimal(order, BenefitMatrix(b), tol=eps)
+        assert order_value(order.perm, b) == value
 
 
 def dp_test_matrices(n, rng):
@@ -228,14 +228,12 @@ def test_dp_is_lex_smallest_optimum(n):
 
 
 @pytest.mark.parametrize("n", (9, 10, 11))
-def test_dp_agrees_with_unbudgeted_branch_and_bound(n):
+def test_dp_agrees_with_subset_dp_oracle(n):
     rng = np.random.default_rng(200 + n)
     for b in dp_test_matrices(n, rng):
-        B = BenefitMatrix(b)
-        _, bb_value, bb_proven = _branch_and_bound(B, 10**9, None)
-        _, value, proven = lop_exact(B)
-        assert bb_proven and proven
-        assert value == pytest.approx(bb_value, abs=1e-9)
+        _, value, proven = lop_exact(BenefitMatrix(b))
+        assert proven
+        assert value == pytest.approx(lop_subset_dp_max(b), abs=1e-9)
 
 
 def test_dp_tables_built_once_per_n_and_small():
@@ -349,9 +347,9 @@ def test_uniform_normal_block_falls_back_to_dense_dp_once(monkeypatch):
 def test_bounded_dp_runs_only_above_one_part_size(monkeypatch, n):
     sizes, bounded = [], lop._bounded_dp
 
-    def recording(b):
+    def recording(b, budget):
         sizes.append(b.shape[0])
-        return bounded(b)
+        return bounded(b, budget)
 
     monkeypatch.setattr(lop, "_bounded_dp", recording)
     _dp_solve.cache_clear()
@@ -361,3 +359,40 @@ def test_bounded_dp_runs_only_above_one_part_size(monkeypatch, n):
     order, _, _ = lop_exact(BenefitMatrix(b))
     assert sizes == ([] if n <= _DP_ONE_PART_MAX_N else [n])
     assert order.perm == _subset_dp(b)
+
+
+def test_dense_fallback_costs_little_more_memory_than_dense_dp(monkeypatch):
+    b = np.random.default_rng(60).normal(size=(LOP_DP_MAX_N, LOP_DP_MAX_N))
+    np.fill_diagonal(b, 0.0)
+    assert [len(block) for block in lop._blocks(b)] == [LOP_DP_MAX_N]
+    _subset_dp(b)  # builds the cached index tables outside both peaks
+    tracemalloc.start()
+    try:
+        _subset_dp(b)
+        dense = tracemalloc.get_traced_memory()[1]
+        sizes = _dp_sizes(monkeypatch)
+        tracemalloc.reset_peak()
+        order, _, proven = lop_exact(BenefitMatrix(b))
+        fallback = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [LOP_DP_MAX_N] and proven and order.perm == _subset_dp(b)
+    assert fallback <= 1.1 * dense
+
+
+def test_large_block_keeps_insertion_order_in_little_memory():
+    n = 100
+    b = np.random.default_rng(64).random((n, n))
+    np.fill_diagonal(b, 0.0)
+    assert [len(block) for block in lop._blocks(b)] == [n]
+    _dp_solve.cache_clear()
+    tracemalloc.start()
+    try:
+        order, value, proven = lop_exact(BenefitMatrix(b))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not proven
+    assert order.perm == _insertion_value(b, _tolerance(b))[0]
+    assert value == order_value(order.perm, b)
+    assert peak < 16 * 2**20

@@ -21,7 +21,6 @@ from mlop import (
     aggregate,
     canonicalize,
     lop_exact,
-    lop_heuristic,
     num_pairs,
     solve_exact,
 )
@@ -34,7 +33,16 @@ from mlop.instances import (
     _sample_ball,
     sample_within_ball,
 )
-from mlop.lop import _BLOCK_TOL, _bounded_dp, _dp_solve, _subset_dp, order_value
+from mlop.lop import (
+    _BLOCK_TOL,
+    _blocks,
+    _bounded_dp,
+    _dp_solve,
+    _insertion_value,
+    _subset_dp,
+    _tolerance,
+    order_value,
+)
 
 from _oracles import (
     cycle_residuals_triple_loop,
@@ -76,8 +84,9 @@ def test_cycle_residuals_match_triple_loop(case):
 def test_lop_heuristic_is_insertion_local_optimal(values):
     n = int(round(len(values) ** 0.5))
     B = BenefitMatrix(np.array(values).reshape(n, n))
-    order, _ = lop_heuristic(B)
-    assert is_insertion_local_optimal(order, B)
+    eps = _tolerance(B.b)
+    perm, _ = _insertion_value(B.b, eps)
+    assert is_insertion_local_optimal(LinearOrder(perm), B, tol=eps)
 
 
 @SETTINGS
@@ -150,6 +159,24 @@ def test_bounded_dp_matches_whole_matrix_dp(b):
     assert proven and order.perm == perm
     assert value == order_value(perm, b)
     assert _bounded_dp(b) == perm
+
+
+@settings(max_examples=6, deadline=None)
+@given(benefit_matrices(min_n=21, max_n=22))
+def test_lop_exact_past_dense_limit_matches_whole_matrix_dp(b):
+    _dp_solve.cache_clear()
+    order, value, proven = lop_exact(BenefitMatrix(b))
+    assert value == order_value(order.perm, b)
+    if proven:
+        assert order.perm == _subset_dp(b)
+    else:
+        # only a block of more than 20 items gives up, so at n <= 22 the
+        # others are single items, and each block keeps its insertion order
+        perm = []
+        for block in _blocks(b):
+            sub = b[np.ix_(block, block)]
+            perm += [block[i] for i in _insertion_value(sub, _tolerance(sub))[0]]
+        assert order.perm == tuple(perm)
 
 
 @SETTINGS
