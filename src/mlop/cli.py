@@ -30,6 +30,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -372,7 +373,20 @@ def _sweep_csv(rows: list[SweepRow]) -> str:
 
 
 def _parse_point(arg: str) -> np.ndarray:
-    return np.asarray([float(t) for t in arg.replace(",", " ").split()], dtype=np.float64)
+    """--point's values, separated by commas or whitespace; an empty point,
+    or an empty entry between two commas, is refused rather than dropped."""
+    tokens = re.split(r"\s*,\s*|\s+", arg.strip())
+    if tokens == [""]:
+        raise InvalidInput("--point is empty")
+    values = []
+    for i, token in enumerate(tokens, start=1):
+        if token == "":
+            raise InvalidInput(f"--point entry {i} of {arg!r} is empty")
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise InvalidInput(f"--point entry {i} is not a number: {token!r}") from None
+    return np.asarray(values, dtype=np.float64)
 
 
 def cmd_verify(args) -> int:
@@ -549,7 +563,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="polytope geometry checks")
     p_verify.add_argument("instance", nargs="?", default=None)
     p_verify.add_argument("--point", type=str, default=None,
-                          help="comma/space separated upper-triangle values")
+                          help="comma/space separated upper-triangle values; "
+                               "write a point starting with a minus sign as "
+                               "--point=-0.5,...")
     p_verify.add_argument("--no-saturation", action="store_true",
                           help="skip the g* search (it enumerates exhaustively)")
     p_verify.add_argument("--out", type=str, default=None)

@@ -5,7 +5,7 @@ each group combination is visited exactly once), fit optimal simplex weights
 for each one a lower bound does not rule out, and keep the global best.
 
 The orders come from the cached vertex table of the linear ordering
-polytope, which the geometry utilities read as well.  check_guards admits a
+polytope.  check_guards admits a
 solve by its cost, which depends on (n, g) alone: one group is a single
 classical LOP solved by the subset DP (at most LOP_DP_MAX_N items), two
 groups read the vertex table (at most VERTEX_GUARD_N! orders), and three or
@@ -43,7 +43,9 @@ _ZERO_TOL = 1e-12
 _SCREEN_SLACK = 5e-13
 
 # 7! = 5040 vertices: g = 2 at n = 7 visits 12.7M multisets in 5-7 s,
-# while n = 8 (40,320 vertices, 813M multisets) would take 8-25 minutes
+# while n = 8 (40,320 vertices, 813M multisets) would take 8-25 minutes;
+# the geometry projection, which prices vertices instead of listing them,
+# keeps the same limit
 VERTEX_GUARD_N = 7
 # enumeration_size(5, 3): g >= 3 fits a weight LP per unscreened multiset, and
 # the next size up (n = 4, g = 6: 475,020; n = 6, g = 3: 62.4M) costs minutes

@@ -3,10 +3,12 @@
 3-cycle (transitivity) residuals, L1 projection onto the full polytope (a
 point is a member when its projection distance is at most MEMBERSHIP_TOL),
 and the smallest group count at which the restricted mixture optimum matches
-the full-polytope projection.  The projection is an exact LP over explicit
-vertex weights, since complete facet descriptions are unavailable for
-general n; the vertices come from ``mlop.exact.enumerate_vertices``, whose
-guard keeps the LPs at 7! columns or fewer.
+the full-polytope projection.  Complete facet descriptions are unavailable
+for general n, so the projection is an exact LP over vertex weights, solved
+by column generation: the master starts from one vertex and the weight-fit
+kernel asks the subset DP for the vertex of best reduced cost, since pricing
+a vertex is itself a linear ordering problem.  No vertex table is built.
+The distance is unique; the projected point in general is not.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import InvalidInput, PreferenceMatrix, num_pairs, pair_rows_cols, triple_pair_indices
-from .exact import ExactConfig, SizeGuardExceeded, enumerate_vertices, solve_exact
+from .exact import VERTEX_GUARD_N, ExactConfig, SizeGuardExceeded, solve_exact
+from .lop import benefit_for_pairs, lop_exact
 from .simplex_fit import _fit_simplex_l1
 
 SATURATION_GUARD_N = 4
@@ -57,13 +60,34 @@ def violates_cycle(residual: float, tol: float = CYCLE_TOL) -> bool:
 def l1_projection_full(point, n: int) -> tuple[np.ndarray, float]:
     """Globally optimal L1 projection of a point onto the full polytope.
 
-    Returns (projected point, distance); the optimal point is not unique in
-    general, but the LP's Bland pivoting makes the returned one deterministic.
+    Returns (projected point, distance).  The LP over vertex weights is
+    solved by column generation: the master starts from the LOP order of
+    the point and pricing solves one LOP on the row duals, so only the
+    vertices that enter are ever built.  Admitted up to n = VERTEX_GUARD_N.
+    The distance is unique; the projected point is not in general, but
+    Bland pivoting makes the returned one deterministic.
     """
     arr = _as_point(point, n)
-    V = enumerate_vertices(n)
-    w, dist = _fit_simplex_l1(V.vertices, arr)
-    return w @ V.vertices, dist
+    if n < 2:
+        raise InvalidInput(f"need n >= 2, got {n}")
+    if n > VERTEX_GUARD_N:
+        raise SizeGuardExceeded(f"projection is guarded to n <= {VERTEX_GUARD_N}, got n={n}")
+    start, _, _ = lop_exact(benefit_for_pairs(n, arr, 1.0 - arr))
+    master = [start]
+    zero = np.zeros_like(arr)
+
+    def price(y: np.ndarray, floor: float):
+        # the best vertex for the duals is the LOP order with b[r, s] = y_rs;
+        # one already in the master has a reduced cost of at most zero, up to
+        # float noise, so it ends the search
+        order, value, _ = lop_exact(benefit_for_pairs(n, y, zero))
+        if value <= floor or order in master:
+            return None
+        master.append(order)
+        return order.prec
+
+    w, dist = _fit_simplex_l1(start.prec[None], arr, price)
+    return w @ np.array([o.prec for o in master], dtype=np.float64), dist
 
 
 def caratheodory_saturation(point, n: int, tol: float = MEMBERSHIP_TOL) -> int:

@@ -12,6 +12,13 @@ and solved by dense primal simplex with Bland's rule (no cycling).  A
 feasible starting basis exists in closed form (w_1 plus one residual per
 row), so no phase-1 pass is needed.  Problem sizes here are tiny: g rarely
 exceeds 10 and there are at most 276 pairs at n = 24.
+
+The same kernel also runs with an optional pricing step, which turns it into
+column generation over a set of vectors too large to list (the vertices of
+the linear ordering polytope): the rows of X are then only the master's
+starting columns, and whenever no column of the master improves, the pricer
+is asked for a new vector whose reduced cost, read off the row duals in the
+tableau's objective row, is positive.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ def _breakpoint_g2(X: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
     return np.array([t, 1.0 - t]), objective
 
 
-def _fit_simplex_l1(X: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
+def _fit_simplex_l1(X: np.ndarray, c: np.ndarray, price=None) -> tuple[np.ndarray, float]:
     """Globally optimal simplex weights for the L1 fit of the rows of X to c.
 
     Returns (weights, objective) with weights >= 0 summing to 1.  Among
@@ -55,14 +62,18 @@ def _fit_simplex_l1(X: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
     exact duplicate rows is consolidated onto the first occurrence, and the
     underlying Bland pivoting is index-ordered.  Shared by the mixture
     solvers and the polytope geometry.
+
+    price, when given, adds columns to the master (see _solve_lp), and the
+    weights cover the rows of X and then each vector price returned, in the
+    order returned; the fit is then over every vector price can return.
     """
     X = np.asarray(X, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    g, m = X.shape
-    if g == 1:
+    if X.shape[0] == 1 and price is None:
         return np.array([1.0]), float(np.abs(c - X[0]).sum())
 
-    w = _consolidate_duplicates(X, np.maximum(_solve_lp(X, c), 0.0))
+    w, X = _solve_lp(X, c, price)
+    w = _consolidate_duplicates(X, np.maximum(w, 0.0))
     w /= w.sum()
     objective = float(np.abs(c - w @ X).sum())
     return w, objective
@@ -82,9 +93,22 @@ def _consolidate_duplicates(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     return w
 
 
-def _solve_lp(X: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _solve_lp(X: np.ndarray, c: np.ndarray, price=None) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal weights of the LP above and the rows they weight: X's rows,
+    then the vectors price returned.
+
+    Without price the columns are fixed.  With it, whenever no column
+    improves, price(y, floor) gets the pair rows' duals y and returns a
+    vector a (a row like X's) not yet in the master with y @ a > floor,
+    that is a positive reduced cost, or None when there is none.  A
+    returned vector is appended as the column B^-1 [a; 1] and enters the
+    basis; None ends the solve, and so does a column whose reduced cost in
+    the tableau is not positive after all (float noise), which keeps the
+    loop finite.  The simplex row's dual and B^-1 [a; 1] are read off the
+    tableau through the column of w_1.
+    """
     g, m = X.shape
-    nvar = g + 2 * m  # w_1..w_g, e+_1..e+_m, e-_1..e-_m
+    nvar = g + 2 * m  # w_1..w_g, e+_1..e+_m, e-_1..e-_m, then priced columns
     rows = m + 1
 
     A = np.zeros((rows, nvar + 1))
@@ -113,12 +137,34 @@ def _solve_lp(X: np.ndarray, c: np.ndarray) -> np.ndarray:
     # objective row holds z_j - c_j; entering columns have positive entries
     obj = cost[basis] @ A[:, :nvar] - cost
 
-    max_iter = 2000 + 200 * nvar
-    for _ in range(max_iter):
+    priced = []
+    max_iter, pivots = 2000 + 200 * nvar, 0
+    while True:
         improving = np.nonzero(obj > _PIVOT_TOL)[0]
-        if improving.size == 0:
-            break
-        enter = int(improving[0])  # Bland: smallest improving index
+        if improving.size:
+            enter = int(improving[0])  # Bland: smallest improving index
+        else:
+            if price is None:
+                break
+            # e+_k's column is B^-1 e_k at cost 1, so z_j - c_j = y_k - 1;
+            # w_1's is B^-1 [X[0]; 1] at cost 0, which gives the simplex
+            # row's dual y0 = obj[0] - y @ X[0]
+            y = obj[g : g + m] + 1.0
+            a = price(y, y @ X[0] - obj[0] + _PIVOT_TOL)
+            if a is None:
+                break
+            a = np.asarray(a, dtype=np.float64)
+            col = A[:, g : g + m] @ (a - X[0]) + A[:, 0]
+            A = np.insert(A, nvar, col, axis=1)
+            cost = np.append(cost, 0.0)
+            obj = np.append(obj, cost[basis] @ col)
+            priced.append(a)
+            enter, nvar, max_iter = nvar, nvar + 1, max_iter + 200
+            if obj[enter] <= _PIVOT_TOL:
+                break  # the tableau disagrees with price by float noise
+        if pivots == max_iter:
+            raise ArithmeticError("simplex failed to converge (iteration cap hit)")
+        pivots += 1
         col = A[:, enter]
         ratios = np.full(rows, np.inf)
         ok = col > _PIVOT_TOL
@@ -136,11 +182,14 @@ def _solve_lp(X: np.ndarray, c: np.ndarray) -> np.ndarray:
         obj = obj - obj[enter] * A[leave, :nvar]
         obj[enter] = 0.0
         basis[leave] = enter
-    else:
-        raise ArithmeticError("simplex failed to converge (iteration cap hit)")
 
-    w = np.zeros(g)
+    # a priced column's variable follows the residuals; its weight follows X's
+    w = np.zeros(g + len(priced))
     for r, var in enumerate(basis):
         if var < g:
             w[var] = A[r, -1]
-    return w
+        elif var >= g + 2 * m:
+            w[var - 2 * m] = A[r, -1]
+    if priced:
+        X = np.vstack([X] + priced)
+    return w, X

@@ -267,6 +267,42 @@ def exact_scan_reference(C, g: int):
     return sol, float(best_obj), True
 
 
+def l1_fit_by_highs(X: np.ndarray, c) -> float:
+    """Least L1 distance from c to a convex combination of the rows of X,
+    by scipy's HiGHS on the split-residual LP: an oracle independent of
+    the Bland kernel."""
+    from scipy.optimize import linprog
+
+    g, m = X.shape
+    cost = np.concatenate([np.zeros(g), np.ones(2 * m)])
+    A_eq = np.zeros((m + 1, g + 2 * m))
+    A_eq[:m, :g] = X.T
+    A_eq[:m, g : g + m] = np.eye(m)
+    A_eq[:m, g + m :] = -np.eye(m)
+    A_eq[m, :g] = 1.0
+    b_eq = np.concatenate([c, [1.0]])
+    # HiGHS's default feasibility tolerances (1e-7) let it return a slightly
+    # infeasible optimum, down to -1e-9 for a point 1e-9 outside the polytope
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    res = linprog(cost, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs", options=tight)
+    assert res.success
+    return float(res.fun)
+
+
+def projection_by_enumeration(c, n: int) -> tuple[np.ndarray, float]:
+    """L1 projection of c onto the linear ordering polytope as one weight
+    fit over all n! vertices, columns in lexicographic permutation order.
+
+    `l1_projection_full` prices vertices instead of listing them; this is the
+    full LP it must agree with.  Returns (projected point, distance)."""
+    from mlop.exact import enumerate_vertices
+    from mlop.simplex_fit import _fit_simplex_l1
+
+    V = enumerate_vertices(n)
+    w, dist = _fit_simplex_l1(V.vertices, np.asarray(c, dtype=np.float64))
+    return w @ V.vertices, dist
+
+
 def _draw_index(weights: np.ndarray, rng: np.random.Generator) -> int:
     cum = np.cumsum(weights)
     u = rng.random() * cum[-1]

@@ -461,6 +461,35 @@ def test_verify_point_rejects_non_finite(capsys, point):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "point, problem",
+    [
+        ("0.3,,0.9,0.2", "--point entry 2 of '0.3,,0.9,0.2' is empty"),
+        ("0.3,0.9,0.2,", "--point entry 4 of '0.3,0.9,0.2,' is empty"),
+        ("", "--point is empty"),
+        ("  ", "--point is empty"),
+        ("0.3,x,0.2", "--point entry 2 is not a number: 'x'"),
+    ],
+)
+def test_verify_point_rejects_empty_entries(capsys, point, problem):
+    assert main(["verify", f"--point={point}"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert problem in captured.err
+    assert captured.out == ""
+
+
+def test_verify_point_with_leading_minus(capsys):
+    # argparse reads "-0.5,..." after a space as an option, so the help
+    # names the --point=... form
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "--point=-0.5," in " ".join(capsys.readouterr().out.split())
+    assert main(["verify", "--point=-0.5, 0.9 0.2", "--no-saturation"]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["point"] == [-0.5, 0.9, 0.2]
+    assert report["inside"] is False
+
+
 def test_verify_instance_skips_guarded_parts(tmp_path, capsys):
     rng = np.random.default_rng(1)
     upper = rng.random(28).tolist()

@@ -1,14 +1,17 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from mlop import LinearOrder, PreferenceMatrix, SizeGuardExceeded, opt_curve
+import mlop.geometry
+from mlop import LinearOrder, PreferenceMatrix, SizeGuardExceeded, num_pairs, opt_curve
+from mlop.cli import main
+from mlop.exact import enumerate_vertices
 from mlop.geometry import (
     MEMBERSHIP_TOL,
     caratheodory_saturation,
     cycle_residuals,
-    enumerate_vertices,
     l1_projection_full,
     violates_cycle,
 )
@@ -123,8 +126,6 @@ def test_saturation_fixtures():
 
 
 def test_saturation_solves_projection_lp_once(monkeypatch):
-    import mlop.geometry
-
     calls = []
     real = mlop.geometry._fit_simplex_l1
 
@@ -169,3 +170,57 @@ def test_guards():
         l1_projection_full(np.full(28, 0.5), 8)
     with pytest.raises(SizeGuardExceeded):
         caratheodory_saturation(np.full(10, 0.5), 5)
+
+
+def test_projection_and_verify_build_no_vertex_table(tmp_path, capsys):
+    enumerate_vertices.cache_clear()
+    point = np.random.default_rng(7).random(21)
+    l1_projection_full(point, 7)
+    path = tmp_path / "n7.instance.json"
+    path.write_text(json.dumps({"n": 7, "c_upper": point.tolist()}))
+    assert main(["verify", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["projection_distance"] is not None
+    assert enumerate_vertices.cache_info().misses == 0
+
+
+def test_pricing_never_reappends_a_master_vertex(monkeypatch):
+    real = mlop.geometry._fit_simplex_l1
+    entered = []
+
+    def watching(X, c, price):
+        entered.append(tuple(np.asarray(X[0], dtype=int)))
+
+        def watched(y, floor):
+            a = price(y, floor)
+            if a is not None:
+                key = tuple(np.asarray(a, dtype=int))
+                assert key not in entered
+                entered.append(key)
+            return a
+
+        return real(X, c, watched)
+
+    monkeypatch.setattr(mlop.geometry, "_fit_simplex_l1", watching)
+    rng = np.random.default_rng(8)
+    for n in (4, 6, 7):
+        entered.clear()
+        l1_projection_full(rng.random(num_pairs(n)), n)
+        assert len(entered) > 1
+
+
+def test_pricing_stops_when_the_best_vertex_is_in_the_master(monkeypatch):
+    # a pricer that keeps finding the starting vertex, here with an
+    # unbounded claimed value, ends the search instead of looping
+    real = mlop.geometry.lop_exact
+    start = []
+
+    def stale(B):
+        if not start:
+            start.append(real(B)[0])
+        return start[0], math.inf, True
+
+    monkeypatch.setattr(mlop.geometry, "lop_exact", stale)
+    point = np.random.default_rng(9).random(6)
+    projected, dist = l1_projection_full(point, 4)
+    assert np.array_equal(projected, start[0].prec)
+    assert dist == np.abs(point - start[0].prec).sum()

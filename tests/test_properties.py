@@ -6,6 +6,7 @@ import json
 import tempfile
 from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,8 +25,10 @@ from mlop import (
     num_pairs,
     solve_exact,
 )
+import mlop.geometry
 from mlop.cli import main
-from mlop.geometry import cycle_residuals
+from mlop.exact import enumerate_vertices
+from mlop.geometry import MEMBERSHIP_TOL, cycle_residuals, l1_projection_full
 from mlop.instances import (
     _full_counts,
     _pair_counts,
@@ -49,8 +52,10 @@ from _oracles import (
     exact_scan_reference,
     heuristic_shaped_benefits,
     is_insertion_local_optimal,
+    l1_fit_by_highs,
     lop_lex_smallest_optimum,
     prec_double_loop,
+    projection_by_enumeration,
     sample_within_ball_reference,
 )
 
@@ -254,6 +259,57 @@ def test_solve_exact_matches_reference_scan(case):
     g, (n, upper) = case
     C = PreferenceMatrix(n, np.array(upper))
     assert solve_exact(C, ExactConfig(g=g)) == exact_scan_reference(C, g)
+
+
+@st.composite
+def polytope_points(draw):
+    """(n, point) at n = 2..7: a mixture of random orders (inside the
+    polytope), a point of the unit box, or a point with at least one entry
+    outside the box."""
+    n = draw(st.integers(2, 7))
+    kind = draw(st.sampled_from(["mixture", "box", "outside"]))
+    if kind == "mixture":
+        orders_ = draw(st.lists(orders(n), min_size=1, max_size=4))
+        raw = np.array(draw(st.lists(st.integers(1, 10), min_size=len(orders_),
+                                     max_size=len(orders_))), dtype=np.float64)
+        return n, (raw / raw.sum()) @ np.stack([o.prec for o in orders_]).astype(np.float64)
+    point = np.array(draw(sized(n, st.floats(0.0, 1.0) if kind == "box"
+                                else st.floats(-1.0, 2.0)))[1])
+    if kind == "outside":
+        point[draw(st.integers(0, num_pairs(n) - 1))] = draw(
+            st.floats(-1.0, -1e-3) | st.floats(1.0 + 1e-3, 2.0))
+    return n, point
+
+
+@settings(max_examples=60, deadline=None)
+@given(polytope_points())
+# 1e-9 outside the polytope: the distance is MEMBERSHIP_TOL itself
+@example((3, np.array([1.0, 0.0, 1e-9])))
+@example((4, np.array([0.0, 0.0, 1e-9, 0.242968712, 0.0, 0.0])))
+def test_projection_matches_vertex_enumeration(case):
+    n, point = case
+    fits = []
+    real = mlop.geometry._fit_simplex_l1
+
+    def recording(*args):
+        fits.append(real(*args))
+        return fits[-1]
+
+    with mock.patch.object(mlop.geometry, "_fit_simplex_l1", recording):
+        projected, dist = l1_projection_full(point, n)
+    assert len(fits) == 1
+    weights = fits[0][0]
+    _, expected = projection_by_enumeration(point, n)
+    assert abs(dist - expected) <= 1e-9
+    # two LPs that agree to float noise may still put a distance within that
+    # noise of the threshold on different sides of it
+    if abs(expected - MEMBERSHIP_TOL) > 1e-12:
+        assert (dist <= MEMBERSHIP_TOL) == (expected <= MEMBERSHIP_TOL)
+    assert abs(np.abs(point - projected).sum() - dist) <= 1e-9
+    assert l1_projection_full(projected, n)[1] <= MEMBERSHIP_TOL
+    assert weights.min() >= 0.0 and abs(weights.sum() - 1.0) <= 1e-12
+    if n <= 5:
+        assert abs(dist - l1_fit_by_highs(enumerate_vertices(n).vertices, point)) <= 1e-9
 
 
 def _run(argv):

@@ -5,7 +5,7 @@ from mlop import LinearOrder
 from mlop.geometry import MEMBERSHIP_TOL, l1_projection_full
 from mlop.simplex_fit import _breakpoint_g2, _fit_simplex_l1
 
-from _oracles import grid_min_objective, random_order, random_preference_matrix
+from _oracles import grid_min_objective, l1_fit_by_highs, random_order, random_preference_matrix
 
 
 def _problem(orders, c):
@@ -142,22 +142,6 @@ def test_objective_invariant_under_column_permutation():
         assert obj_p == pytest.approx(obj, abs=1e-9)
 
 
-def _scipy_l1_simplex_objective(X, c):
-    from scipy.optimize import linprog
-
-    g, m = X.shape
-    cost = np.concatenate([np.zeros(g), np.ones(2 * m)])
-    A_eq = np.zeros((m + 1, g + 2 * m))
-    A_eq[:m, :g] = X.T
-    A_eq[:m, g : g + m] = np.eye(m)
-    A_eq[:m, g + m :] = -np.eye(m)
-    A_eq[m, :g] = 1.0
-    b_eq = np.concatenate([c, [1.0]])
-    res = linprog(cost, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-    assert res.success
-    return float(res.fun)
-
-
 def test_lp_matches_independent_solver():
     rng = np.random.default_rng(33)
     for _ in range(50):
@@ -167,7 +151,7 @@ def test_lp_matches_independent_solver():
         C = random_preference_matrix(n, rng)
         X = np.stack([o.prec for o in orders]).astype(float)
         _, obj = _fit_simplex_l1(X, C.upper)
-        assert obj == pytest.approx(_scipy_l1_simplex_objective(X, C.upper), abs=1e-9)
+        assert obj == pytest.approx(l1_fit_by_highs(X, C.upper), abs=1e-9)
 
 
 def test_weights_are_simplex():
