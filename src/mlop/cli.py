@@ -14,11 +14,11 @@ report JSON     emitted by `solve`; `validate` re-checks it independently.
 sweep CSV       columns: g,objective,fit,relative_drop,cumulative_drop,time_s
                 (fractions, not percentages; relative_drop empty at g=1).
 
-Exit codes: 0 success, 2 parse/validation error (non-finite numbers
-included), 3 size guard (an exact solve is admitted by its cost alone, see
-mlop.exact.check_guards; `sweep` checks its --g-max before solving), 4
-infeasible generation, 5 numerical failure (LP iteration cap hit or
-unbounded column).
+Exit codes: 0 success, 2 parse/validation error (non-finite numbers and
+unreadable or unwritable paths included), 3 size guard (an exact solve is
+admitted by its cost alone, see mlop.exact.check_guards; `sweep` checks its
+--g-max before solving), 4 infeasible generation, 5 numerical failure (LP
+iteration cap hit or unbounded column).
 Every randomized command takes --seed and defaults to a fixed constant;
 nothing is ever wall-clock seeded.
 """
@@ -598,7 +598,7 @@ def main(argv=None) -> int:
     except (InvalidInput, DimensionMismatch, RankingFormatError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except ArithmeticError as e:

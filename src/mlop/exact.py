@@ -5,12 +5,12 @@ each group combination is visited exactly once), fit optimal simplex weights
 for each one a lower bound does not rule out, and keep the global best.
 
 The orders come from the cached vertex table of the linear ordering
-polytope.  check_guards admits a
-solve by its cost, which depends on (n, g) alone: one group is a single
-classical LOP solved by the subset DP (at most LOP_DP_MAX_N items), two
-groups read the vertex table (at most VERTEX_GUARD_N! orders), and three or
-more visit at most MULTISET_GUARD multisets.  Refused sizes raise
-SizeGuardExceeded; the alternating heuristic covers them.
+polytope.  check_guards admits a solve by its cost, which depends on (n, g)
+alone: one group is a single classical LOP solved by the subset DP (at most
+LOP_DP_MAX_N items), two groups read the vertex table (at most
+VERTEX_GUARD_N! orders), and three or more visit at most MULTISET_GUARD
+multisets.  Refused sizes raise SizeGuardExceeded; the alternating
+heuristic covers them.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from .simplex_fit import _breakpoint_g2, _fit_simplex_l1
 _IMPROVE_TOL = 1e-12
 _ZERO_TOL = 1e-12
 # screen bounds are sums of at most C(7, 2) = 21 terms of at most 1, taken in
-# another order than the fitters' own sums, so they differ from the fitted
-# objective's float value by well under this; it is also below _IMPROVE_TOL,
-# so a multiset that only ties the incumbent is never fitted
+# another order than the fitters' own sums, so they pass the fitted
+# objective's float value, if at all, by well under this; it is also below
+# _IMPROVE_TOL, so a multiset that only ties the incumbent is never fitted
 _SCREEN_SLACK = 5e-13
 
 # 7! = 5040 vertices: g = 2 at n = 7 visits 12.7M multisets in 5-7 s,
@@ -183,11 +183,10 @@ def _scan_multisets(X: np.ndarray, c: np.ndarray, g: int):
     incumbent are fitted, with the same kernel the plain loop would call.
     """
     fit = _breakpoint_g2 if g == 2 else _fit_simplex_l1
-    screen = _breakpoint_screen if g == 2 else _agreement_screen
     best_obj, best_combo, best_w = math.inf, None, None
     for prefix in _iter_multisets(X.shape[0], g - 1):
         start = prefix[-1]
-        bound = screen(X, c, prefix)
+        bound = _breakpoint_screen(X, c, prefix)
         for j in np.flatnonzero(bound < best_obj - _IMPROVE_TOL + _SCREEN_SLACK):
             if bound[j] >= best_obj - _IMPROVE_TOL + _SCREEN_SLACK:
                 continue  # the incumbent improved earlier in this batch
@@ -200,34 +199,30 @@ def _scan_multisets(X: np.ndarray, c: np.ndarray, g: int):
     return best_combo, best_w, best_obj
 
 
-def _breakpoint_screen(X: np.ndarray, c: np.ndarray, prefix: tuple[int]) -> np.ndarray:
-    """Least g = 2 breakpoint objective of each multiset (i, j), j >= i.
+def _breakpoint_screen(X: np.ndarray, c: np.ndarray, prefix: tuple[int, ...]) -> np.ndarray:
+    """Lower bound on the objective of each multiset prefix + (j,), j >= prefix[-1].
 
-    With x1 = X[i] fixed, the breakpoints, the candidate weights and their
-    distances do not depend on j; only which pairs the two orders disagree
-    on does.  The pair's objective is the residual on agreeing pairs plus
-    the distance sum over disagreeing ones, minimised over the candidates
-    that pair has: its own breakpoints and {0, 1}.
-    """
-    (i,) = prefix
-    x1 = X[i]
-    b = np.where(x1 == 1.0, c, 1.0 - c)
-    cands = np.concatenate([b, [0.0, 1.0]])
-    agree = X[i:] == x1
-    F = agree @ np.abs(c - x1)[:, None] + ~agree @ np.abs(b[:, None] - cands[None, :])
-    F[:, : b.size][agree] = np.inf
-    return F.min(axis=1)
-
-
-def _agreement_screen(X: np.ndarray, c: np.ndarray, prefix: tuple[int, ...]) -> np.ndarray:
-    """Residual of prefix + (j,), j >= prefix[-1], on pairs all g orders agree on.
-
-    No choice of weights moves the mixture on such a pair, so this is a
-    lower bound on the multiset's objective.
+    Where every prefix order agrees with x1 = X[prefix[0]], the mixture is
+    (1 - t) x1 + t x_j for the last weight t, so the g = 2 breakpoint
+    objective of (x1, x_j) over those pairs alone is a lower bound; other
+    pairs add >= 0.  With x1 fixed, the candidate weights (breakpoints and
+    {0, 1}) and their distances do not depend on j, only which pairs x_j
+    disagrees on does; the candidates of pairs the prefix disagrees on also
+    lie in [0, 1], so they cannot lower the minimum.  For g = 2 the bound is
+    the exact breakpoint optimum.
     """
     x1 = X[prefix[0]]
     fixed = np.all(X[list(prefix)] == x1, axis=0)
-    return (X[prefix[-1] :] == x1) @ np.where(fixed, np.abs(c - x1), 0.0)
+    if not fixed.any():
+        return np.zeros(X.shape[0] - prefix[-1])
+    b = np.where(x1 == 1.0, c, 1.0 - c)
+    cands = np.concatenate([b, [0.0, 1.0]])
+    agree = X[prefix[-1] :] == x1
+    residual = np.where(fixed, np.abs(c - x1), 0.0)
+    dist = np.where(fixed[:, None], np.abs(b[:, None] - cands[None, :]), 0.0)
+    F = agree @ residual[:, None] + ~agree @ dist
+    F[:, : b.size][agree] = np.inf
+    return F.min(axis=1)
 
 
 def opt_curve(C: PreferenceMatrix, g_max: int) -> list[tuple[int, float]]:

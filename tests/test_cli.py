@@ -276,6 +276,22 @@ def test_solve_missing_file():
     assert main(["solve", "nope.json", "--method", "exact", "--g", "1"]) == EXIT_INVALID
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{dir}", "--method", "exact", "--g", "1"],
+        ["solve", "{ex1}", "--method", "exact", "--g", "1", "--out", "{dir}"],
+        ["ingest", "{dir}", "--out", "{dir}/x"],
+    ],
+)
+def test_directory_path_is_an_input_error(ex1_path, tmp_path, capsys, argv):
+    argv = [a.format(dir=tmp_path, ex1=ex1_path) for a in argv]
+    assert main(argv) == EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err
+    assert "Traceback" not in err
+
+
 def test_gen_is_deterministic_byte_for_byte(tmp_path):
     args = [
         "gen", "--n", "6", "--g-true", "2", "--weights", "2:1",

@@ -217,7 +217,7 @@ def test_matches_reference_scan(n, g):
         assert solve_exact(C, ExactConfig(g=g)) == exact_scan_reference(C, g)
 
 
-def test_agreement_screen_skips_weight_lps(monkeypatch):
+def test_breakpoint_screen_skips_weight_lps(monkeypatch):
     import mlop.exact
 
     calls = []
@@ -228,10 +228,11 @@ def test_agreement_screen_skips_weight_lps(monkeypatch):
         return real(X, c)
 
     monkeypatch.setattr(mlop.exact, "_fit_simplex_l1", counting)
-    for C in (EX1, random_preference_matrix(4, np.random.default_rng(53))):
+    # the scan is deterministic, so the counts are exact
+    for C, lps in ((EX1, 8), (random_preference_matrix(4, np.random.default_rng(53)), 691)):
         calls.clear()
         solve_exact(C, ExactConfig(g=3))
-        assert 0 < len(calls) < enumeration_size(4, 3)
+        assert len(calls) == lps
 
 
 def test_multiset_guard_refuses_before_enumerating():

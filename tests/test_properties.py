@@ -27,7 +27,7 @@ from mlop import (
 )
 import mlop.geometry
 from mlop.cli import main
-from mlop.exact import enumerate_vertices
+from mlop.exact import _SCREEN_SLACK, _breakpoint_screen, enumerate_vertices
 from mlop.geometry import MEMBERSHIP_TOL, cycle_residuals, l1_projection_full
 from mlop.instances import (
     _full_counts,
@@ -46,6 +46,7 @@ from mlop.lop import (
     _tolerance,
     order_value,
 )
+from mlop.simplex_fit import _breakpoint_g2, _fit_simplex_l1
 
 from _oracles import (
     cycle_residuals_triple_loop,
@@ -259,6 +260,35 @@ def test_solve_exact_matches_reference_scan(case):
     g, (n, upper) = case
     C = PreferenceMatrix(n, np.array(upper))
     assert solve_exact(C, ExactConfig(g=g)) == exact_scan_reference(C, g)
+
+
+@st.composite
+def screen_cases(draw):
+    """(n, prefix, upper) at n = 3..5: g - 1 = 1..3 row indices of the vertex
+    table in scan order, and free or quarter-grid data."""
+    n = draw(st.integers(3, 5))
+    rows = len(enumerate_vertices(n).orders)
+    prefix = sorted(draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=3)))
+    _, upper = draw(sized(n, st.floats(0.0, 1.0))
+                    | sized(n, st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])))
+    return n, tuple(prefix), upper
+
+
+@SETTINGS
+@given(screen_cases())
+# (0, 2, 3, 1) and its reverse (1, 3, 2, 0): the prefix agrees on no pair
+@example((4, (3, 11), [0.9, 0.2, 0.6, 0.3, 0.75, 0.1]))
+def test_breakpoint_screen_never_passes_the_fitted_objective(case):
+    n, prefix, upper = case
+    X, c = enumerate_vertices(n).vertices, np.array(upper)
+    bound = _breakpoint_screen(X, c, prefix)
+    assert bound.shape == (X.shape[0] - prefix[-1],)
+    fit = _breakpoint_g2 if len(prefix) == 1 else _fit_simplex_l1
+    for j, lower in enumerate(bound, start=prefix[-1]):
+        _, obj = fit(X[list(prefix) + [j]], c)
+        assert lower <= obj + _SCREEN_SLACK
+    if any((X[a] + X[b] == 1.0).all() for a in prefix for b in prefix):
+        assert not bound.any()
 
 
 @st.composite
