@@ -15,10 +15,10 @@ sweep CSV       columns: g,objective,fit,relative_drop,cumulative_drop,time_s
                 (fractions, not percentages; relative_drop empty at g=1).
 
 Exit codes: 0 success, 2 parse/validation error (non-finite numbers and
-unreadable or unwritable paths included), 3 size guard (an exact solve is
-admitted by its cost alone, see mlop.exact.check_guards; `sweep` checks its
---g-max before solving), 4 infeasible generation, 5 numerical failure (LP
-iteration cap hit or unbounded column).
+unreadable or unwritable paths included), 3 size guard (an exact g >= 2 solve
+is admitted by its cost alone, see mlop.exact.check_guards, and `sweep` checks
+--g-max first; an exact g = 1 solve is refused when the subset DP gives up),
+4 infeasible generation, 5 numerical failure (LP cap hit or unbounded column).
 Every randomized command takes --seed and defaults to a fixed constant;
 nothing is ever wall-clock seeded.
 """

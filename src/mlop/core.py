@@ -108,12 +108,12 @@ class PreferenceMatrix:
         object.__setattr__(self, "upper", arr)
 
     @classmethod
-    def from_full(cls, matrix, tol: float = NORMALIZATION_TOL) -> "PreferenceMatrix":
+    def from_full(cls, matrix) -> "PreferenceMatrix":
         """Build from a full n x n matrix, ignoring the diagonal.
 
-        Rejects inputs violating |c_rs + c_sr - 1| <= tol, including
-        non-finite off-diagonal entries, rather than silently renormalizing
-        them.
+        Rejects inputs violating |c_rs + c_sr - 1| <= NORMALIZATION_TOL,
+        including non-finite off-diagonal entries, rather than silently
+        renormalizing them.
         """
         a = np.asarray(matrix, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -123,7 +123,7 @@ class PreferenceMatrix:
         with np.errstate(over="ignore", invalid="ignore"):
             gap = np.abs(a[rows, cols] + a[cols, rows] - 1.0)
         # a NaN gap (a null or NaN entry, or inf - inf) fails the test too
-        if not (gap <= tol).all():
+        if not (gap <= NORMALIZATION_TOL).all():
             k = int(np.argmax(np.nan_to_num(gap, nan=np.inf)))
             raise InvalidInput(
                 f"matrix is not normalized: c[{rows[k]},{cols[k]}] + "

@@ -5,12 +5,12 @@ each group combination is visited exactly once), fit optimal simplex weights
 for each one a lower bound does not rule out, and keep the global best.
 
 The orders come from the cached vertex table of the linear ordering
-polytope.  check_guards admits a solve by its cost, which depends on (n, g)
-alone: one group is a single classical LOP solved by the subset DP (at most
-LOP_DP_MAX_N items), two groups read the vertex table (at most
+polytope.  check_guards admits a solve of g >= 2 groups by its cost, which
+depends on (n, g) alone: two groups read the vertex table (at most
 VERTEX_GUARD_N! orders), and three or more visit at most MULTISET_GUARD
-multisets.  Refused sizes raise SizeGuardExceeded; the alternating
-heuristic covers them.
+multisets.  One group, a classical LOP, runs at any n and is refused only
+when the subset DP gives up on it.  Refused solves raise SizeGuardExceeded;
+the alternating heuristic covers them.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .core import (
     PreferenceMatrix,
     canonicalize,
 )
-from .lop import LOP_DP_MAX_N, BenefitMatrix, lop_exact
+from .lop import BenefitMatrix, lop_exact
 from .simplex_fit import _breakpoint_g2, _fit_simplex_l1
 
 # incumbent replaced only on improvement beyond LP float noise, so the first
@@ -110,22 +110,15 @@ def check_guards(n: int, g: int) -> None:
     """Raise SizeGuardExceeded unless an exact solve of g groups at n items
     is admitted.
 
-    g = 1 is one classical LOP, admitted up to n = LOP_DP_MAX_N, where the
-    subset DP solves it in well under a second; above that a block whose
-    bounded DP keeps too many sets cannot fall back to the whole table, and
-    the solve would not be proven.  g = 2 reads
-    the vertex table and is admitted up to n = VERTEX_GUARD_N.  g >= 3 fits
-    a weight LP of g columns per unscreened multiset and is admitted while
-    it visits at most MULTISET_GUARD of them.  n = 2 has only two orders,
-    so its count, g + 1, stops bounding the g-column work; it is held to
-    the n = 3 count (g <= 29), which is larger at every g.
+    g = 1 is admitted at every n: solve_exact refuses it only once the
+    subset DP has given up on it.  g = 2 reads the vertex table and is
+    admitted up to n = VERTEX_GUARD_N.  g >= 3 fits a weight LP of g
+    columns per unscreened multiset and is admitted while it visits at most
+    MULTISET_GUARD of them.  n = 2 has only two orders, so its count, g + 1,
+    stops bounding the g-column work; it is held to the n = 3 count
+    (g <= 29), which is larger at every g.
     The cost grows with g, so admitting g admits every smaller g at the same n.
     """
-    if g == 1 and n > LOP_DP_MAX_N:
-        raise SizeGuardExceeded(
-            f"g=1 is solved exactly up to n <= {LOP_DP_MAX_N}, got n={n}; "
-            "use the heuristic solver"
-        )
     if g == 2 and n > VERTEX_GUARD_N:
         raise SizeGuardExceeded(
             f"g=2 enumerates all n! orders, guarded to n <= {VERTEX_GUARD_N}, got n={n}; "
@@ -148,18 +141,21 @@ def solve_exact(
     proven is True on full enumeration and also on an early exit at objective
     zero, which is a global lower bound.  For a single group the search
     reduces to a classical LOP solved by lop_exact, which returns the
-    identical optimum (objective C(n,2) - LOP value, lex-smallest order).
-    Two or more groups enumerate the vertex table; check_guards says which
-    sizes are admitted.
+    identical optimum (objective C(n,2) - LOP value, lex-smallest order)
+    or gives up, which raises SizeGuardExceeded.  Two or more groups
+    enumerate the vertex table; check_guards says which sizes are admitted.
     """
     g = cfg.g
     check_guards(C.n, g)
     c = C.upper
 
     if g == 1:
-        order, value, proven = lop_exact(BenefitMatrix.from_preferences(C))
+        order, _, proven = lop_exact(BenefitMatrix.from_preferences(C))
+        if not proven:
+            raise SizeGuardExceeded(f"the subset DP gave up on g=1 at n={C.n}; "
+                                    "use the heuristic solver")
         sol = MixtureSolution((order,), (1.0,))
-        return sol, float(np.abs(c - order.prec).sum()), proven
+        return sol, float(np.abs(c - order.prec).sum()), True
 
     V = enumerate_vertices(C.n)
     best_combo, best_w, best_obj = _scan_multisets(V.vertices, c, g)
@@ -207,9 +203,9 @@ def _breakpoint_screen(X: np.ndarray, c: np.ndarray, prefix: tuple[int, ...]) ->
     objective of (x1, x_j) over those pairs alone is a lower bound; other
     pairs add >= 0.  With x1 fixed, the candidate weights (breakpoints and
     {0, 1}) and their distances do not depend on j, only which pairs x_j
-    disagrees on does; the candidates of pairs the prefix disagrees on also
-    lie in [0, 1], so they cannot lower the minimum.  For g = 2 the bound is
-    the exact breakpoint optimum.
+    disagrees on does.  Every candidate is a weight t in [0, 1], and F at
+    any t is the restricted objective at t, so no candidate lowers the
+    minimum.  For g = 2 the bound is the exact breakpoint optimum.
     """
     x1 = X[prefix[0]]
     fixed = np.all(X[list(prefix)] == x1, axis=0)
@@ -221,7 +217,6 @@ def _breakpoint_screen(X: np.ndarray, c: np.ndarray, prefix: tuple[int, ...]) ->
     residual = np.where(fixed, np.abs(c - x1), 0.0)
     dist = np.where(fixed[:, None], np.abs(b[:, None] - cands[None, :]), 0.0)
     F = agree @ residual[:, None] + ~agree @ dist
-    F[:, : b.size][agree] = np.inf
     return F.min(axis=1)
 
 

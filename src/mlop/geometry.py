@@ -3,12 +3,13 @@
 3-cycle (transitivity) residuals, L1 projection onto the full polytope (a
 point is a member when its projection distance is at most MEMBERSHIP_TOL),
 and the smallest group count at which the restricted mixture optimum matches
-the full-polytope projection.  Complete facet descriptions are unavailable
-for general n, so the projection is an exact LP over vertex weights, solved
-by column generation: the master starts from one vertex and the weight-fit
-kernel asks the subset DP for the vertex of best reduced cost, since pricing
-a vertex is itself a linear ordering problem.  No vertex table is built.
-The distance is unique; the projected point in general is not.
+the full-polytope projection, at most the projection's support.  Complete
+facet descriptions are unavailable for general n, so the projection is an
+exact LP over vertex weights, solved by column generation: the master
+starts from one vertex and the weight-fit kernel asks the subset DP for the
+vertex of best reduced cost, since pricing a vertex is itself a linear
+ordering problem.  No vertex table is built.  The distance is unique; the
+projected point in general is not.
 """
 
 from __future__ import annotations
@@ -67,6 +68,12 @@ def l1_projection_full(point, n: int) -> tuple[np.ndarray, float]:
     The distance is unique; the projected point is not in general, but
     Bland pivoting makes the returned one deterministic.
     """
+    w, X, dist = _project(point, n)
+    return w @ X, dist
+
+
+def _project(point, n: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """l1_projection_full's LP: (master weights, master vertex rows, distance)."""
     arr = _as_point(point, n)
     if n < 2:
         raise InvalidInput(f"need n >= 2, got {n}")
@@ -87,28 +94,26 @@ def l1_projection_full(point, n: int) -> tuple[np.ndarray, float]:
         return order.prec
 
     w, dist = _fit_simplex_l1(start.prec[None], arr, price)
-    return w @ np.array([o.prec for o in master], dtype=np.float64), dist
+    return w, np.array([o.prec for o in master], dtype=np.float64), dist
 
 
-def caratheodory_saturation(point, n: int, tol: float = MEMBERSHIP_TOL) -> int:
+def caratheodory_saturation(point, n: int) -> int:
     """Smallest g whose restricted optimum OPT_g matches the full projection.
 
-    Always at most C(n,2) + 1; at most C(n,2) when the point lies outside
-    the polytope (its projection then sits on a proper face).
+    The projection's k support vertices reproduce the projected point, so
+    OPT_k equals the distance: only g < k are solved, and k is returned when
+    none matches.  A g that check_guards refuses raises SizeGuardExceeded.
     """
     if n > SATURATION_GUARD_N:
         raise SizeGuardExceeded(
             f"saturation search is guarded to n <= {SATURATION_GUARD_N}, got n={n}"
         )
     arr = _as_point(point, n)
-    _, dist = l1_projection_full(arr, n)
-    bound = num_pairs(n) + 1 if dist <= tol else num_pairs(n)
+    w, _, dist = _project(arr, n)
+    support = int(np.count_nonzero(w))
     C = PreferenceMatrix(n, arr)
-    for g in range(1, bound + 1):
+    for g in range(1, support):
         _, obj, _ = solve_exact(C, ExactConfig(g))
-        if abs(obj - dist) <= tol:
+        if abs(obj - dist) <= MEMBERSHIP_TOL:
             return g
-    raise ArithmeticError(
-        "no g within the Caratheodory bound reached the projection distance; "
-        "tolerance too tight for this input"
-    )
+    return support

@@ -190,9 +190,8 @@ def solve_heuristic(
 
     for k in range(cfg.n_starts):
         rng = np.random.default_rng(cfg.base_seed ^ k)
-        w_ref = random_simplex_weights(g, rng)
+        w_loc = random_simplex_weights(g, rng)
         orders_loc = [LinearOrder(tuple(int(v) for v in rng.permutation(n))) for _ in range(g)]
-        w_loc = w_ref
         obj_loc = math.inf
         fitted = None  # the orders list the last weight step was fitted on
         rows: list[tuple[int, float, float]] = []
@@ -200,7 +199,7 @@ def solve_heuristic(
         for it in range(1, cfg.it_max + 1):
             obj_start = obj_loc
 
-            orders_new, obj1, unproven = step_rankings(C, w_ref, orders_loc, cfg.step1_budget)
+            orders_new, obj1, unproven = step_rankings(C, w_loc, orders_loc, cfg.step1_budget)
             trace.inner_unproven += unproven
             if obj1 < obj_loc:
                 orders_loc, obj_loc = orders_new, obj1
@@ -212,7 +211,6 @@ def solve_heuristic(
                 if obj2 < obj_loc:
                     w_loc, obj_loc = w_new, obj2
             rows.append((it, after1, obj_loc))
-            w_ref = w_loc  # reference weights for the next ranking update
 
             if abs(obj_start - obj_loc) < cfg.epsilon:
                 break

@@ -341,3 +341,23 @@ def sample_within_ball_reference(center, D: int, rng: np.random.Generator):
     available = list(range(n))
     pi = [available.pop(c) for c in code]
     return LinearOrder(tuple(center.perm[k] for k in pi))
+
+
+def saturation_by_full_loop(point, n: int) -> int:
+    """Smallest g whose exact optimum OPT_g matches the L1 projection
+    distance, searched up to the Caratheodory count: C(n,2) + 1 inside the
+    polytope, C(n,2) outside it, where the projection sits on a proper face.
+
+    `caratheodory_saturation` stops at the projection's support instead;
+    this is the loop over every g up to that count that it must agree with."""
+    from mlop.core import PreferenceMatrix, num_pairs
+    from mlop.exact import ExactConfig, solve_exact
+    from mlop.geometry import MEMBERSHIP_TOL, l1_projection_full
+
+    _, dist = l1_projection_full(point, n)
+    bound = num_pairs(n) + 1 if dist <= MEMBERSHIP_TOL else num_pairs(n)
+    C = PreferenceMatrix(n, point)
+    for g in range(1, bound + 1):
+        if abs(solve_exact(C, ExactConfig(g))[1] - dist) <= MEMBERSHIP_TOL:
+            return g
+    raise AssertionError("no g within the Caratheodory bound reached the projection")

@@ -25,6 +25,7 @@ from mlop.exact import (
     enumerate_vertices,
     enumeration_size,
 )
+from mlop.instances import GeneratorSpec, generate_instance
 
 from _oracles import exact_min_by_enumeration, exact_scan_reference, random_preference_matrix
 
@@ -82,7 +83,7 @@ def test_g1_matches_classical_lop():
 
 
 @pytest.mark.parametrize("n,g,admitted", [
-    (20, 1, True), (21, 1, False),  # one classical LOP, solved by the subset DP
+    (20, 1, True), (21, 1, True), (100, 1, True),  # one LOP: the subset DP decides
     (7, 2, True), (8, 2, False),  # the vertex table stops at 7!
     (5, 3, True), (6, 3, False),  # g >= 3: at most MULTISET_GUARD multisets
     (4, 5, True), (4, 6, False),
@@ -108,6 +109,26 @@ def test_check_guards_is_monotone_in_g():
             except SizeGuardExceeded:
                 admitted.append(False)
         assert admitted == sorted(admitted, reverse=True)
+
+
+def test_g1_past_the_dense_limit_is_proven():
+    # a chain of 50 blocks of one item: the subset DP proves it at once
+    _, C = generate_instance(GeneratorSpec(n=50, g_true=1, weights=(1.0,), p=1, seed=1))
+    sol, obj, proven = solve_exact(C, ExactConfig(g=1))
+    order, _, lop_proven = lop_exact(BenefitMatrix.from_preferences(C))
+    assert proven and lop_proven
+    assert sol.orders[0] == order
+    assert obj == float(np.abs(C.upper - order.prec).sum())
+
+
+def test_g1_refused_only_when_the_subset_dp_gives_up():
+    # every order ties on the all-0.5 matrix, so no subset is ever pruned and
+    # the 21-item block passes the layer budget
+    C = PreferenceMatrix(21, [0.5] * 210)
+    check_guards(21, 1)
+    with pytest.raises(SizeGuardExceeded, match="heuristic") as exc:
+        solve_exact(C, ExactConfig(g=1))
+    assert exc.traceback[-1].name == "solve_exact"  # not check_guards
 
 
 def test_size_guards():

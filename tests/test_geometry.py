@@ -138,6 +138,38 @@ def test_saturation_solves_projection_lp_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.fixture
+def solved(monkeypatch):
+    """The g of every exact solve the saturation search runs, in order."""
+    gs = []
+    real = mlop.geometry.solve_exact
+
+    def recording(C, cfg):
+        gs.append(cfg.g)
+        return real(C, cfg)
+
+    monkeypatch.setattr(mlop.geometry, "solve_exact", recording)
+    return gs
+
+
+def test_saturation_stops_below_the_projection_support(solved):
+    # the projection of the README point has three support vertices, so
+    # g = 3 is returned without a solve
+    assert caratheodory_saturation([0.3, 0.9, 0.2], 3) == 3
+    assert solved == [1, 2]
+    solved.clear()
+    assert caratheodory_saturation(LinearOrder((2, 0, 3, 1)).prec.astype(float), 4) == 1
+    assert solved == []
+
+
+def test_saturation_skips_the_solve_at_the_support(solved):
+    # five support vertices prove g_star = 5 once g = 4 falls short, without
+    # the solve at g = 5, the dearest one admitted at n = 4
+    point = [0.131, 0.081, 0.906, 0.269, 0.306, 0.833]
+    assert caratheodory_saturation(point, 4) == 5
+    assert solved == [1, 2, 3, 4]
+
+
 def test_saturation_two_vertex_mixture_n4():
     a = LinearOrder((0, 1, 2, 3)).prec.astype(float)
     b = LinearOrder((3, 2, 1, 0)).prec.astype(float)

@@ -28,7 +28,12 @@ from mlop import (
 import mlop.geometry
 from mlop.cli import main
 from mlop.exact import _SCREEN_SLACK, _breakpoint_screen, enumerate_vertices
-from mlop.geometry import MEMBERSHIP_TOL, cycle_residuals, l1_projection_full
+from mlop.geometry import (
+    MEMBERSHIP_TOL,
+    caratheodory_saturation,
+    cycle_residuals,
+    l1_projection_full,
+)
 from mlop.instances import (
     _full_counts,
     _pair_counts,
@@ -58,6 +63,7 @@ from _oracles import (
     prec_double_loop,
     projection_by_enumeration,
     sample_within_ball_reference,
+    saturation_by_full_loop,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -340,6 +346,16 @@ def test_projection_matches_vertex_enumeration(case):
     assert weights.min() >= 0.0 and abs(weights.sum() - 1.0) <= 1e-12
     if n <= 5:
         assert abs(dist - l1_fit_by_highs(enumerate_vertices(n).vertices, point)) <= 1e-9
+
+
+@EXACT_SETTINGS
+@given(st.integers(2, 3).flatmap(lambda n: sized(n, st.floats(0.0, 1.0))))
+@example((3, [0.3, 0.9, 0.2]))
+@example((3, [0.7, 0.8, 0.4]))
+def test_saturation_matches_the_caratheodory_loop(case):
+    n, point = case
+    point = np.array(point)
+    assert caratheodory_saturation(point, n) == saturation_by_full_loop(point, n)
 
 
 def _run(argv):
