@@ -54,9 +54,10 @@ from .exact import VERTEX_GUARD_N, ExactConfig, SizeGuardExceeded, check_guards,
 from .geometry import (
     MEMBERSHIP_TOL,
     SATURATION_GUARD_N,
+    _project,
     caratheodory_saturation,
     cycle_residuals,
-    l1_projection_full,
+    l1_projection_full,  # noqa: F401  bound here for perfbench/spans.py's tracer
     violates_cycle,
 )
 from .heuristic import HeuristicConfig, solve_heuristic
@@ -406,13 +407,14 @@ def cmd_verify(args) -> int:
     inside = None
     distance = None
     if n <= VERTEX_GUARD_N:
-        _, distance = l1_projection_full(point, n)
+        weights, _, distance = _project(point, n)
         inside = bool(distance <= MEMBERSHIP_TOL)
     g_star = None
     in_unit_box = bool(point.min() >= 0.0 and point.max() <= 1.0)
     if n <= SATURATION_GUARD_N and not args.no_saturation and in_unit_box:
         try:
-            g_star = caratheodory_saturation(point, n)
+            projection = distance, int(np.count_nonzero(weights))
+            g_star = caratheodory_saturation(point, n, projection=projection)
         except SizeGuardExceeded as e:
             raise SizeGuardExceeded(f"saturation search: {e}; --no-saturation skips it") from None
 

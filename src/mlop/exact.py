@@ -3,6 +3,9 @@ for the heuristic: enumerate every multiset of g linear orders (orders in
 lexicographic permutation order, multisets as non-decreasing index tuples so
 each group combination is visited exactly once), fit optimal simplex weights
 for each one a lower bound does not rule out, and keep the global best.
+The multisets that start with one order are bounded in batches of one
+matrix product each; at g >= 3 the fits that remain run as stacked LPs,
+many problems pivoted in lockstep, and only the winner is refit alone.
 
 The orders come from the cached vertex table of the linear ordering
 polytope.  check_guards admits a solve of g >= 2 groups by its cost, which
@@ -30,7 +33,7 @@ from .core import (
     canonicalize,
 )
 from .lop import BenefitMatrix, lop_exact
-from .simplex_fit import _breakpoint_g2, _fit_simplex_l1
+from .simplex_fit import _breakpoint_g2, _fit_simplex_l1, _fit_simplex_stack
 
 # incumbent replaced only on improvement beyond LP float noise, so the first
 # canonical-minimum multiset encountered is kept deterministically
@@ -41,15 +44,24 @@ _ZERO_TOL = 1e-12
 # objective's float value, if at all, by well under this; it is also below
 # _IMPROVE_TOL, so a multiset that only ties the incumbent is never fitted
 _SCREEN_SLACK = 5e-13
+# g >= 3 screens the multisets that start with one order in chunks of rows
+# that double from _STACK_START, so that a solve ending early at objective
+# zero fits few extra multisets, up to _CHUNK_MAX, and fits a chunk's
+# survivors in stacked LPs of at most _STACK_MAX problems; chunks are larger
+# than stacks because the screen passes few of their rows
+_STACK_START = 16
+_CHUNK_MAX = 4096
+_STACK_MAX = 512
 
 # 7! = 5040 vertices: g = 2 at n = 7 visits 12.7M multisets in 5-7 s,
 # while n = 8 (40,320 vertices, 813M multisets) would take 8-25 minutes;
 # the geometry projection, which prices vertices instead of listing them,
 # keeps the same limit
 VERTEX_GUARD_N = 7
-# enumeration_size(5, 3): g >= 3 fits a weight LP per unscreened multiset, and
-# the next size up (n = 4, g = 6: 475,020; n = 6, g = 3: 62.4M) costs minutes
-# to hours
+# enumeration_size(5, 3), about 0.6 s: g >= 3 fits a weight LP per
+# unscreened multiset, and the next sizes up cost more than an oracle solve
+# should: n = 4, g = 6 (475,020) takes about 5 s, and n = 6, g = 3 visits
+# 62.4M, 211 times as many
 MULTISET_GUARD = 295_240
 
 
@@ -173,21 +185,38 @@ def _scan_multisets(X: np.ndarray, c: np.ndarray, g: int):
 
     Visits the multisets of g rows of X in lexicographic order and keeps the
     first whose fitted objective beats the incumbent by more than
-    _IMPROVE_TOL, stopping at the first objective <= _ZERO_TOL.  Multisets
-    sharing their first g - 1 rows are screened together: each gets a lower
-    bound on its objective, and only those whose bound could still beat the
-    incumbent are fitted, with the same kernel the plain loop would call.
+    _IMPROVE_TOL, stopping at the first objective <= _ZERO_TOL.  The
+    multisets that start with one order are screened together: each gets a
+    lower bound on its objective, and only those whose bound could still
+    beat the incumbent are fitted.  g = 2 fits them one by one with
+    _breakpoint_g2; g >= 3 fits them in stacks of at most _STACK_MAX with
+    _fit_simplex_stack, which gives each the bits _fit_simplex_l1 would,
+    and refits the winner with _fit_simplex_l1 for its weights.
+
+    The screen and each stack read the incumbent as it stood when they
+    started.  That incumbent is never below the one the plain loop would
+    hold at any later multiset, so the screen passes every multiset the
+    plain loop could take, and taking the strict improvements among the
+    fitted ones in order picks the same multiset.
     """
-    fit = _breakpoint_g2 if g == 2 else _fit_simplex_l1
+    if g == 2:
+        return _scan_pairs(X, c)
+    combo = _scan_stacked(X, c, g)
+    w, obj = _fit_simplex_l1(X[list(combo)], c)
+    return combo, w, obj
+
+
+def _scan_pairs(X: np.ndarray, c: np.ndarray):
+    """_scan_multisets for g = 2: one batch per first order, which holds
+    every pair that starts with it."""
     best_obj, best_combo, best_w = math.inf, None, None
-    for prefix in _iter_multisets(X.shape[0], g - 1):
-        start = prefix[-1]
-        bound = _breakpoint_screen(X, c, prefix)
+    for i in range(X.shape[0]):
+        bound = _breakpoint_screen(X[i], c, X[i:] == X[i])
         for j in np.flatnonzero(bound < best_obj - _IMPROVE_TOL + _SCREEN_SLACK):
             if bound[j] >= best_obj - _IMPROVE_TOL + _SCREEN_SLACK:
                 continue  # the incumbent improved earlier in this batch
-            combo = prefix + (start + int(j),)
-            w, obj = fit(X[list(combo)], c)
+            combo = (i, i + int(j))
+            w, obj = _breakpoint_g2(X[list(combo)], c)
             if obj < best_obj - _IMPROVE_TOL:
                 best_obj, best_combo, best_w = obj, combo, w
                 if best_obj <= _ZERO_TOL:
@@ -195,28 +224,72 @@ def _scan_multisets(X: np.ndarray, c: np.ndarray, g: int):
     return best_combo, best_w, best_obj
 
 
-def _breakpoint_screen(X: np.ndarray, c: np.ndarray, prefix: tuple[int, ...]) -> np.ndarray:
-    """Lower bound on the objective of each multiset prefix + (j,), j >= prefix[-1].
+def _scan_stacked(X: np.ndarray, c: np.ndarray, g: int) -> tuple[int, ...]:
+    """The multiset _scan_multisets returns, for g >= 3.
 
-    Where every prefix order agrees with x1 = X[prefix[0]], the mixture is
-    (1 - t) x1 + t x_j for the last weight t, so the g = 2 breakpoint
-    objective of (x1, x_j) over those pairs alone is a lower bound; other
-    pairs add >= 0.  With x1 fixed, the candidate weights (breakpoints and
-    {0, 1}) and their distances do not depend on j, only which pairs x_j
-    disagrees on does.  Every candidate is a weight t in [0, 1], and F at
-    any t is the restricted objective at t, so no candidate lowers the
-    minimum.  For g = 2 the bound is the exact breakpoint optimum.
+    The multisets that start with order i are taken lazily in chunks that
+    grow from _STACK_START to _CHUNK_MAX rows, so a solve that stops at
+    objective zero early fits few multisets past the one it stops at.
     """
-    x1 = X[prefix[0]]
-    fixed = np.all(X[list(prefix)] == x1, axis=0)
-    if not fixed.any():
-        return np.zeros(X.shape[0] - prefix[-1])
+    N = X.shape[0]
+    best_obj, best_combo = math.inf, None
+    size = _STACK_START
+    for i in range(N):
+        # the other g - 1 orders of each multiset, as offsets from i
+        rests = _iter_multisets(N - i, g - 1)
+        agree = X[i:] == X[i]  # row j: where order i + j agrees with order i
+        while True:
+            chunk = itertools.chain.from_iterable(itertools.islice(rests, size))
+            rest = np.fromiter(chunk, dtype=np.intp).reshape(-1, g - 1)
+            if not rest.size:
+                break
+            size = min(2 * size, _CHUNK_MAX)
+            bound = _breakpoint_screen(X[i], c, agree[rest[:, -1]], agree[rest[:, :-1]].all(axis=1))
+            pending = np.flatnonzero(bound < best_obj - _IMPROVE_TOL + _SCREEN_SLACK)
+            while pending.size:
+                stack, pending = pending[:_STACK_MAX], pending[_STACK_MAX:]
+                combos = np.column_stack([np.full(stack.size, i), i + rest[stack]])
+                _, objs = _fit_simplex_stack(X, combos, c)
+                start = 0
+                while True:
+                    hit = np.flatnonzero(objs[start:] < best_obj - _IMPROVE_TOL)
+                    if not hit.size:
+                        break
+                    r = start + int(hit[0])
+                    best_obj, best_combo = objs[r], tuple(int(v) for v in combos[r])
+                    if best_obj <= _ZERO_TOL:
+                        return best_combo
+                    start = r + 1
+                pending = pending[bound[pending] < best_obj - _IMPROVE_TOL + _SCREEN_SLACK]
+    return best_combo
+
+
+def _breakpoint_screen(x1: np.ndarray, c: np.ndarray, agree: np.ndarray,
+                       fixed: np.ndarray | None = None) -> np.ndarray:
+    """Lower bound on the objective of each multiset in a batch that starts
+    with the order x1.
+
+    Row r of agree says on which pairs the multiset's last order agrees
+    with x1; row r of fixed, on which pairs every other order does (None:
+    all pairs, as at g = 2).  On the fixed pairs the mixture is
+    (1 - t) x1 + t x_last for the last weight t, so the g = 2 breakpoint
+    objective of (x1, x_last) over those pairs alone is a lower bound;
+    other pairs add >= 0.  With x1 fixed, the candidate weights
+    (breakpoints and {0, 1}) and their distances do not depend on the
+    multiset, only which pairs are fixed and where x_last disagrees do, so
+    the batch takes one matrix product.  Every candidate is a weight t in
+    [0, 1], and F at any t is the restricted objective at t, so no
+    candidate lowers the minimum.  For g = 2 the bound is the exact
+    breakpoint optimum.
+    """
     b = np.where(x1 == 1.0, c, 1.0 - c)
     cands = np.concatenate([b, [0.0, 1.0]])
-    agree = X[prefix[-1] :] == x1
-    residual = np.where(fixed, np.abs(c - x1), 0.0)
-    dist = np.where(fixed[:, None], np.abs(b[:, None] - cands[None, :]), 0.0)
-    F = agree @ residual[:, None] + ~agree @ dist
+    residual = np.abs(c - x1)[:, None]
+    dist = np.abs(b[:, None] - cands[None, :])
+    if fixed is None:
+        F = agree @ residual + ~agree @ dist
+    else:
+        F = (agree & fixed) @ residual + (fixed & ~agree) @ dist
     return F.min(axis=1)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import InvalidInput, PreferenceMatrix, num_pairs, pair_rows_cols, triple_pair_indices
-from .exact import VERTEX_GUARD_N, ExactConfig, SizeGuardExceeded, solve_exact
+from .exact import VERTEX_GUARD_N, ExactConfig, SizeGuardExceeded, check_guards, solve_exact
 from .lop import benefit_for_pairs, lop_exact
 from .simplex_fit import _fit_simplex_l1
 
@@ -97,20 +97,31 @@ def _project(point, n: int) -> tuple[np.ndarray, np.ndarray, float]:
     return w, np.array([o.prec for o in master], dtype=np.float64), dist
 
 
-def caratheodory_saturation(point, n: int) -> int:
+def caratheodory_saturation(point, n: int, *, projection: tuple[float, int] | None = None) -> int:
     """Smallest g whose restricted optimum OPT_g matches the full projection.
 
     The projection's k support vertices reproduce the projected point, so
     OPT_k equals the distance: only g < k are solved, and k is returned when
-    none matches.  A g that check_guards refuses raises SizeGuardExceeded.
+    none matches.  When check_guards refuses g = k - 1, the search raises
+    SizeGuardExceeded before it solves anything.  projection, when given,
+    is (distance, k) of this point's projection, which is then not solved
+    again.
     """
     if n > SATURATION_GUARD_N:
         raise SizeGuardExceeded(
             f"saturation search is guarded to n <= {SATURATION_GUARD_N}, got n={n}"
         )
     arr = _as_point(point, n)
-    w, _, dist = _project(arr, n)
-    support = int(np.count_nonzero(w))
+    if projection is None:
+        w, _, dist = _project(arr, n)
+        projection = dist, int(np.count_nonzero(w))
+    dist, support = projection
+    try:
+        check_guards(n, support - 1)
+    except SizeGuardExceeded as e:
+        raise SizeGuardExceeded(
+            f"the projection weights {support} vertices, so g_star may need g={support - 1}: {e}"
+        ) from None
     C = PreferenceMatrix(n, arr)
     for g in range(1, support):
         _, obj, _ = solve_exact(C, ExactConfig(g))

@@ -272,6 +272,19 @@ def test_numerical_failure_exit_code(ex1_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_numerical_failure_in_the_stacked_lp_exit_code(ex1_path, monkeypatch, capsys):
+    import mlop.exact
+
+    def failing(V, idx, c):
+        raise ArithmeticError("LP column unbounded; input is inconsistent")
+
+    monkeypatch.setattr(mlop.exact, "_fit_simplex_stack", failing)
+    assert main(["solve", ex1_path, "--method", "exact", "--g", "3"]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "Traceback" not in err
+
+
 def test_solve_missing_file():
     assert main(["solve", "nope.json", "--method", "exact", "--g", "1"]) == EXIT_INVALID
 
@@ -504,6 +517,34 @@ def test_verify_point_with_leading_minus(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["point"] == [-0.5, 0.9, 0.2]
     assert report["inside"] is False
+
+
+def test_verify_projects_once(monkeypatch, capsys):
+    import mlop.geometry
+
+    calls = []
+    real = mlop.geometry._fit_simplex_l1
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(mlop.geometry, "_fit_simplex_l1", counting)
+    for point, g_star in (("0.3,0.9,0.2", 3), ("0.131,0.081,0.906,0.269,0.306,0.833", 5)):
+        calls.clear()
+        assert main(["verify", "--point", point]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["g_star"] == g_star
+        assert len(calls) == 1
+
+
+def test_verify_interior_n4_point_is_refused_at_once(capsys):
+    # a point inside the n = 4 polytope whose projection weights 7 vertices:
+    # its search could need g = 6, which the multiset guard refuses
+    assert main(["verify", "--point", "0.421,0.360,0.398,0.562,0.672,0.620"]) == EXIT_GUARD
+    captured = capsys.readouterr()
+    assert "7 vertices" in captured.err and "g=6" in captured.err
+    assert "--no-saturation" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_instance_skips_guarded_parts(tmp_path, capsys):

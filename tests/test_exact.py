@@ -19,6 +19,7 @@ from mlop import (
     solve_exact,
 )
 from mlop.exact import (
+    _STACK_MAX,
     MULTISET_GUARD,
     _iter_multisets,
     check_guards,
@@ -216,7 +217,10 @@ def _mixture_3_1(n):
     return 0.75 * a.prec + 0.25 * b.prec
 
 
-@pytest.mark.parametrize("n,g", [(3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3)])
+@pytest.mark.parametrize("n,g", [
+    (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3),
+    (4, 4), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8),
+])
 def test_matches_reference_scan(n, g):
     rng = np.random.default_rng(100 * n + g)
     # a 1e-6 share of the order that swaps the top two items of the reversed
@@ -229,10 +233,12 @@ def test_matches_reference_scan(n, g):
         _mixture_3_1(n),
         near_tie,
     ]
-    if (n, g) != (5, 3):  # the plain scan takes about a minute there
-        uppers += [rng.random(num_pairs(n)) for _ in range(3)]
-        # quarter-grid data: many multisets tie on the objective
-        uppers += [rng.integers(0, 5, num_pairs(n)) / 4 for _ in range(3)]
+    # the plain scan takes about a minute at n = 5, g = 3 and 5 s per
+    # instance at n = 4, g = 4
+    draws = {(5, 3): 0, (4, 4): 1}.get((n, g), 3)
+    uppers += [rng.random(num_pairs(n)) for _ in range(draws)]
+    # quarter-grid data: many multisets tie on the objective
+    uppers += [rng.integers(0, 5, num_pairs(n)) / 4 for _ in range(draws)]
     for upper in uppers:
         C = PreferenceMatrix(n, upper)
         assert solve_exact(C, ExactConfig(g=g)) == exact_scan_reference(C, g)
@@ -241,19 +247,28 @@ def test_matches_reference_scan(n, g):
 def test_breakpoint_screen_skips_weight_lps(monkeypatch):
     import mlop.exact
 
-    calls = []
-    real = mlop.exact._fit_simplex_l1
+    stacks, refits = [], []
+    real_stack, real_fit = mlop.exact._fit_simplex_stack, mlop.exact._fit_simplex_l1
 
-    def counting(X, c):
-        calls.append(1)
-        return real(X, c)
+    def counting_stack(V, idx, c):
+        stacks.append(idx.shape[0])
+        return real_stack(V, idx, c)
 
-    monkeypatch.setattr(mlop.exact, "_fit_simplex_l1", counting)
-    # the scan is deterministic, so the counts are exact
-    for C, lps in ((EX1, 8), (random_preference_matrix(4, np.random.default_rng(53)), 691)):
-        calls.clear()
+    def counting_fit(X, c):
+        refits.append(1)
+        return real_fit(X, c)
+
+    monkeypatch.setattr(mlop.exact, "_fit_simplex_stack", counting_stack)
+    monkeypatch.setattr(mlop.exact, "_fit_simplex_l1", counting_fit)
+    # the scan is deterministic, so the counts are exact: of the 2,600
+    # multisets at n = 4, g = 3, the screen sends these to the stacked LP
+    for C, problems in ((EX1, 61), (random_preference_matrix(4, np.random.default_rng(53)), 744)):
+        stacks.clear()
+        refits.clear()
         solve_exact(C, ExactConfig(g=3))
-        assert len(calls) == lps
+        assert sum(stacks) == problems
+        assert max(stacks) <= _STACK_MAX
+        assert len(refits) == 1  # the winner, for its weights
 
 
 def test_multiset_guard_refuses_before_enumerating():

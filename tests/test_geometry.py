@@ -170,6 +170,16 @@ def test_saturation_skips_the_solve_at_the_support(solved):
     assert solved == [1, 2, 3, 4]
 
 
+def test_saturation_refuses_an_interior_n4_point_before_solving(solved):
+    # a mixture of all 24 vertices lies inside the n = 4 polytope, and its
+    # projection weights 7 of them, so the search could need g = 6
+    V = enumerate_vertices(4).vertices
+    point = np.random.default_rng(0).dirichlet(np.ones(24)) @ V
+    with pytest.raises(SizeGuardExceeded, match="weights 7 vertices, so g_star may need g=6"):
+        caratheodory_saturation(point, 4)
+    assert solved == []
+
+
 def test_saturation_two_vertex_mixture_n4():
     a = LinearOrder((0, 1, 2, 3)).prec.astype(float)
     b = LinearOrder((3, 2, 1, 0)).prec.astype(float)

@@ -51,7 +51,13 @@ from mlop.lop import (
     _tolerance,
     order_value,
 )
-from mlop.simplex_fit import _breakpoint_g2, _fit_simplex_l1
+from mlop.simplex_fit import (
+    _breakpoint_g2,
+    _fit_simplex_l1,
+    _fit_simplex_stack,
+    _solve_lp,
+    _solve_stack,
+)
 
 from _oracles import (
     cycle_residuals_triple_loop,
@@ -285,9 +291,15 @@ def screen_cases(draw):
 # (0, 2, 3, 1) and its reverse (1, 3, 2, 0): the prefix agrees on no pair
 @example((4, (3, 11), [0.9, 0.2, 0.6, 0.3, 0.75, 0.1]))
 def test_breakpoint_screen_never_passes_the_fitted_objective(case):
+    # each multiset prefix + (j,), j >= prefix[-1], as one batch
     n, prefix, upper = case
     X, c = enumerate_vertices(n).vertices, np.array(upper)
-    bound = _breakpoint_screen(X, c, prefix)
+    x1 = X[prefix[0]]
+    agree = X[prefix[-1]:] == x1
+    fixed = None
+    if len(prefix) > 1:
+        fixed = np.broadcast_to((X[list(prefix)] == x1).all(axis=0), agree.shape)
+    bound = _breakpoint_screen(x1, c, agree, fixed)
     assert bound.shape == (X.shape[0] - prefix[-1],)
     fit = _breakpoint_g2 if len(prefix) == 1 else _fit_simplex_l1
     for j, lower in enumerate(bound, start=prefix[-1]):
@@ -295,6 +307,38 @@ def test_breakpoint_screen_never_passes_the_fitted_objective(case):
         assert lower <= obj + _SCREEN_SLACK
     if any((X[a] + X[b] == 1.0).all() for a in prefix for b in prefix):
         assert not bound.any()
+
+
+@st.composite
+def lp_stacks(draw):
+    """(V, idx, c): 1-12 weight fits of g = 2..5 rows of the vertex table V
+    at n = 3..5 sharing c.  Rows come from a small pool, so problems often
+    repeat a row, and c is free, quarter-grid or itself a vertex."""
+    n, g = draw(st.integers(3, 5)), draw(st.integers(2, 5))
+    V = enumerate_vertices(n).vertices
+    pool = draw(st.lists(st.integers(0, len(V) - 1), min_size=1, max_size=g + 1, unique=True))
+    problems = draw(st.lists(st.lists(st.sampled_from(pool), min_size=g, max_size=g),
+                             min_size=1, max_size=12))
+    _, upper = draw(sized(n, st.floats(0.0, 1.0))
+                    | sized(n, st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])))
+    c = np.array(upper)
+    if draw(st.booleans()):
+        c = V[draw(st.integers(0, len(V) - 1))].copy()
+    return V, np.array(problems), c
+
+
+@SETTINGS
+@given(lp_stacks())
+def test_stacked_lp_matches_the_single_problem_loop(case):
+    V, idx, c = case
+    X = V[idx]
+    raw = _solve_stack(X, c)
+    w, objs = _fit_simplex_stack(V, idx, c)
+    for p in range(X.shape[0]):
+        assert np.array_equal(raw[p], _solve_lp(X[p], c)[0])
+        w_p, obj_p = _fit_simplex_l1(X[p], c)
+        assert np.array_equal(w[p], w_p)
+        assert objs[p] == obj_p
 
 
 @st.composite
