@@ -34,6 +34,7 @@ import re
 import sys
 import time
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -50,9 +51,10 @@ from .core import (
     l1_objective,
     num_pairs,
 )
-from .exact import VERTEX_GUARD_N, ExactConfig, SizeGuardExceeded, check_guards, solve_exact
+from .exact import ExactConfig, SizeGuardExceeded, check_guards, solve_exact
 from .geometry import (
     MEMBERSHIP_TOL,
+    PROJECTION_GUARD_N,
     SATURATION_GUARD_N,
     _project,
     caratheodory_saturation,
@@ -406,7 +408,7 @@ def cmd_verify(args) -> int:
     ]
     inside = None
     distance = None
-    if n <= VERTEX_GUARD_N:
+    if n <= PROJECTION_GUARD_N:
         weights, _, distance = _project(point, n)
         inside = bool(distance <= MEMBERSHIP_TOL)
     g_star = None
@@ -586,9 +588,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: parsing leaves it as
+    it was, and building it costs twenty times a parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except SizeGuardExceeded as e:

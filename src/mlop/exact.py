@@ -5,7 +5,8 @@ each group combination is visited exactly once), fit optimal simplex weights
 for each one a lower bound does not rule out, and keep the global best.
 The multisets that start with one order are bounded in batches of one
 matrix product each; at g >= 3 the fits that remain run as stacked LPs,
-many problems pivoted in lockstep, and only the winner is refit alone.
+many problems pivoted in lockstep, and the winner keeps the weights its
+stack gave it.
 
 The orders come from the cached vertex table of the linear ordering
 polytope.  check_guards admits a solve of g >= 2 groups by its cost, which
@@ -33,7 +34,8 @@ from .core import (
     canonicalize,
 )
 from .lop import BenefitMatrix, lop_exact
-from .simplex_fit import _breakpoint_g2, _fit_simplex_l1, _fit_simplex_stack
+from .simplex_fit import _breakpoint_g2, _fit_simplex_stack
+from .simplex_fit import _fit_simplex_l1  # noqa: F401  bound here for perfbench/spans.py's tracer
 
 # incumbent replaced only on improvement beyond LP float noise, so the first
 # canonical-minimum multiset encountered is kept deterministically
@@ -54,9 +56,7 @@ _CHUNK_MAX = 4096
 _STACK_MAX = 512
 
 # 7! = 5040 vertices: g = 2 at n = 7 visits 12.7M multisets in 5-7 s,
-# while n = 8 (40,320 vertices, 813M multisets) would take 8-25 minutes;
-# the geometry projection, which prices vertices instead of listing them,
-# keeps the same limit
+# while n = 8 (40,320 vertices, 813M multisets) would take 8-25 minutes
 VERTEX_GUARD_N = 7
 # enumeration_size(5, 3), about 0.6 s: g >= 3 fits a weight LP per
 # unscreened multiset, and the next sizes up cost more than an oracle solve
@@ -190,8 +190,8 @@ def _scan_multisets(X: np.ndarray, c: np.ndarray, g: int):
     lower bound on its objective, and only those whose bound could still
     beat the incumbent are fitted.  g = 2 fits them one by one with
     _breakpoint_g2; g >= 3 fits them in stacks of at most _STACK_MAX with
-    _fit_simplex_stack, which gives each the bits _fit_simplex_l1 would,
-    and refits the winner with _fit_simplex_l1 for its weights.
+    _fit_simplex_stack, which gives each the bits a stack of one would, and
+    keeps the weights of the stack that scored the winner.
 
     The screen and each stack read the incumbent as it stood when they
     started.  That incumbent is never below the one the plain loop would
@@ -201,9 +201,7 @@ def _scan_multisets(X: np.ndarray, c: np.ndarray, g: int):
     """
     if g == 2:
         return _scan_pairs(X, c)
-    combo = _scan_stacked(X, c, g)
-    w, obj = _fit_simplex_l1(X[list(combo)], c)
-    return combo, w, obj
+    return _scan_stacked(X, c, g)
 
 
 def _scan_pairs(X: np.ndarray, c: np.ndarray):
@@ -224,15 +222,15 @@ def _scan_pairs(X: np.ndarray, c: np.ndarray):
     return best_combo, best_w, best_obj
 
 
-def _scan_stacked(X: np.ndarray, c: np.ndarray, g: int) -> tuple[int, ...]:
-    """The multiset _scan_multisets returns, for g >= 3.
+def _scan_stacked(X: np.ndarray, c: np.ndarray, g: int):
+    """_scan_multisets for g >= 3.
 
     The multisets that start with order i are taken lazily in chunks that
     grow from _STACK_START to _CHUNK_MAX rows, so a solve that stops at
     objective zero early fits few multisets past the one it stops at.
     """
     N = X.shape[0]
-    best_obj, best_combo = math.inf, None
+    best_obj, best_combo, best_w = math.inf, None, None
     size = _STACK_START
     for i in range(N):
         # the other g - 1 orders of each multiset, as offsets from i
@@ -249,19 +247,19 @@ def _scan_stacked(X: np.ndarray, c: np.ndarray, g: int) -> tuple[int, ...]:
             while pending.size:
                 stack, pending = pending[:_STACK_MAX], pending[_STACK_MAX:]
                 combos = np.column_stack([np.full(stack.size, i), i + rest[stack]])
-                _, objs = _fit_simplex_stack(X, combos, c)
+                ws, objs = _fit_simplex_stack(X, combos, c)
                 start = 0
                 while True:
                     hit = np.flatnonzero(objs[start:] < best_obj - _IMPROVE_TOL)
                     if not hit.size:
                         break
                     r = start + int(hit[0])
-                    best_obj, best_combo = objs[r], tuple(int(v) for v in combos[r])
+                    best_obj, best_combo, best_w = objs[r], tuple(int(v) for v in combos[r]), ws[r]
                     if best_obj <= _ZERO_TOL:
-                        return best_combo
+                        return best_combo, best_w, best_obj
                     start = r + 1
                 pending = pending[bound[pending] < best_obj - _IMPROVE_TOL + _SCREEN_SLACK]
-    return best_combo
+    return best_combo, best_w, best_obj
 
 
 def _breakpoint_screen(x1: np.ndarray, c: np.ndarray, agree: np.ndarray,

@@ -17,10 +17,16 @@ from __future__ import annotations
 import numpy as np
 
 from .core import InvalidInput, PreferenceMatrix, num_pairs, pair_rows_cols, triple_pair_indices
-from .exact import VERTEX_GUARD_N, ExactConfig, SizeGuardExceeded, check_guards, solve_exact
+from .exact import ExactConfig, SizeGuardExceeded, check_guards, solve_exact
 from .lop import benefit_for_pairs, lop_exact
 from .simplex_fit import _fit_simplex_l1
 
+# the projection is admitted up to the largest n <= 10 at which, at every
+# n from 8 up, 20 interior points (mixtures of three random orders) come out
+# inside and 5 exterior ones match HiGHS over the generated vertices with no
+# vertex pricing positive on the final duals; at n = 10 an interior point
+# takes 0.1-0.5 s and 60-150 priced vertices on one core of a 2-vCPU Xeon
+PROJECTION_GUARD_N = 10
 SATURATION_GUARD_N = 4
 
 MEMBERSHIP_TOL = 1e-9
@@ -64,9 +70,10 @@ def l1_projection_full(point, n: int) -> tuple[np.ndarray, float]:
     Returns (projected point, distance).  The LP over vertex weights is
     solved by column generation: the master starts from the LOP order of
     the point and pricing solves one LOP on the row duals, so only the
-    vertices that enter are ever built.  Admitted up to n = VERTEX_GUARD_N.
-    The distance is unique; the projected point is not in general, but
-    Bland pivoting makes the returned one deterministic.
+    vertices that enter are ever built.  Admitted up to
+    n = PROJECTION_GUARD_N.  The distance is unique; the projected point is
+    not in general, but the walk's index-ordered choices make the returned
+    one deterministic.
     """
     w, X, dist = _project(point, n)
     return w @ X, dist
@@ -77,8 +84,8 @@ def _project(point, n: int) -> tuple[np.ndarray, np.ndarray, float]:
     arr = _as_point(point, n)
     if n < 2:
         raise InvalidInput(f"need n >= 2, got {n}")
-    if n > VERTEX_GUARD_N:
-        raise SizeGuardExceeded(f"projection is guarded to n <= {VERTEX_GUARD_N}, got n={n}")
+    if n > PROJECTION_GUARD_N:
+        raise SizeGuardExceeded(f"projection is guarded to n <= {PROJECTION_GUARD_N}, got n={n}")
     start, _, _ = lop_exact(benefit_for_pairs(n, arr, 1.0 - arr))
     master = [start]
     zero = np.zeros_like(arr)

@@ -1,33 +1,31 @@
 """Exact solver for the weight-update subproblem: given fixed precedence
 vectors, find simplex weights minimizing the L1 gap to the observed
-preference vector.
+preference vector,
 
-The problem is written with split residuals, one equality row per pair,
+    minimize  sum_k |c_k - sum_i w_i x_k^i|   over   w >= 0,  sum_i w_i = 1.
+
+One problem at a time (_fit_simplex_l1) is solved by an edge walk in weight
+space in the style of Barrodale and Roberts (1973).  A vertex is fixed by
+its basic groups B and |B| - 1 pairs K whose residual it holds at zero, so
+its basis matrix is at most min(g, m + 1) square whatever the number of
+pairs m.  Each step leaves the vertex along the edge that frees one zero
+weight or one held residual, and walks it past every residual that changes
+sign while the objective still falls (the bound-flipping ratio test of the
+dual, where each pair's dual sits at -1 or +1 until its residual is held),
+so a pivot costs O(m g).  The same walk runs with an optional pricing step,
+which turns it into column generation over a set of vectors too large to
+list (the vertices of the linear ordering polytope).
+
+The exact scan fits thousands of small problems that share c.  It runs
+them as a stack (_solve_stack): Bland pivots on a dense
+(P, m + 1, g + 2m + 1) tableau array of the split-residual form
 
     minimize  sum_k (e+_k + e-_k)
     s.t.      sum_i w_i x_k^i + e+_k - e-_k = c_k      for every pair k
-              sum_i w_i = 1,   w, e+, e- >= 0
+              sum_i w_i = 1,   w, e+, e- >= 0,
 
-and solved by dense primal simplex with Bland's rule (no cycling).  A
-feasible starting basis exists in closed form (w_1 plus one residual per
-row), so no phase-1 pass is needed.  g rarely exceeds 10, but there is one
-row per pair at any n the heuristic runs: 1,225 rows at n = 50.
-
-The exact scan fits thousands of small problems that share c.  It runs
-them as a stack (_solve_stack): the same loop over a (P, m + 1, g + 2m + 1)
-tableau array, where each problem makes its own Bland choices and its pivot
-is the same elementwise arithmetic, so each problem gets exactly the
-weights the single-problem loop (_solve_lp) gives it alone.  The
-single-problem loop stays for one problem at a time, where the stack's
-indexing costs more than it saves, and for pricing.  Both share the
-tableau set-up (_tableau) and the read-off (_read_weights, _finish).
-
-The same kernel also runs with an optional pricing step, which turns it into
-column generation over a set of vectors too large to list (the vertices of
-the linear ordering polytope): the rows of X are then only the master's
-starting columns, and whenever no column of the master improves, the pricer
-is asked for a new vector whose reduced cost, read off the row duals in the
-tableau's objective row, is positive.
+where each problem makes its own choices and its pivot is the same
+elementwise arithmetic, so a problem gets the same bits in any stack.
 """
 
 from __future__ import annotations
@@ -37,6 +35,23 @@ import numpy as np
 _PIVOT_TOL = 1e-11
 _TIE_TOL = 1e-12
 _NO_ROW = np.iinfo(np.int64).max  # above every variable index
+# the edge walk: a reduced cost below -_OPT_TOL improves; an edge moves a
+# weight or a residual only by a rate above _EDGE_TOL; residuals and
+# weights within _ZERO_TOL of zero count as zero in the ratio test, and an
+# objective within it of zero ends the walk
+_OPT_TOL = 1e-10
+_EDGE_TOL = 1e-9
+_ZERO_TOL = 1e-12
+# steps in a row that leave the walk's vertex where it was before Bland's
+# rule takes over: 10 took 15% fewer steps than 1 on projections of
+# interior points at n = 8 and 10, and with no switch at all 2 of 10 at
+# n = 11 hit the step cap
+_BLAND_AFTER = 10
+# the walk updates its basis inverse step by step, and computes it afresh
+# after this many updates or after a pivot below _REFACTOR_PIVOT, before
+# float error can build up
+_REFACTOR_AFTER = 32
+_REFACTOR_PIVOT = 1e-3
 
 
 def _breakpoint_g2(X: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
@@ -67,36 +82,247 @@ def _breakpoint_g2(X: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
 def _fit_simplex_l1(X: np.ndarray, c: np.ndarray, price=None) -> tuple[np.ndarray, float]:
     """Globally optimal simplex weights for the L1 fit of the rows of X to c.
 
-    Returns (weights, objective) with weights >= 0 summing to 1.  Among
-    degenerate optima the result is deterministic: weight spread across
-    exact duplicate rows is consolidated onto the first occurrence, and the
-    underlying Bland pivoting is index-ordered.  Shared by the mixture
-    solvers and the polytope geometry.
+    Returns (weights, objective) with weights >= 0 summing to 1.  The walk
+    runs on the distinct rows of X only, so exact duplicate rows carry no
+    weight past their first occurrence, and its choices are index-ordered,
+    so the result is deterministic.  Shared by the mixture heuristic and the
+    polytope geometry.
 
-    price, when given, adds columns to the master (see _solve_lp), and the
+    price, when given, adds rows to the master (see _edge_walk), and the
     weights cover the rows of X and then each vector price returned, in the
     order returned; the fit is then over every vector price can return.
+    Without it the walk runs on _merged_pairs.
     """
     X = np.asarray(X, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    if X.shape[0] == 1 and price is None:
-        return np.array([1.0]), float(np.abs(c - X[0]).sum())
-
-    w, X = _solve_lp(X, c, price)
     seen: dict[bytes, int] = {}
-    first = [seen.setdefault(row.tobytes(), i) for i, row in enumerate(X)]
-    w, objective = _finish(X[None], c, w[None], np.array([first]))
-    return w[0], float(objective[0])
+    first = np.array([seen.setdefault(row.tobytes(), i) for i, row in enumerate(X)])
+    distinct = np.flatnonzero(first == np.arange(len(X)))
+    if price is None:
+        w_distinct, _ = _edge_walk(*_merged_pairs(X[distinct], c))
+    else:
+        w_distinct, master = _edge_walk(X[distinct], c, np.ones_like(c), price)
+        X = np.vstack([X, master[len(distinct):]])
+    w = np.zeros(len(X))
+    w[distinct] = np.maximum(w_distinct[: len(distinct)], 0.0)  # float noise
+    w[len(first):] = np.maximum(w_distinct[len(distinct):], 0.0)
+    w /= w.sum()
+    return w, float(np.abs(c - w @ X).sum())
+
+
+def _merged_pairs(X: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fit of the rows of X to c as a weighted one with fewer pairs:
+    (X', c', mult) with the same objective, sum_k mult_k |c'_k - w @ X'_k|,
+    up to a constant, for every w on the simplex.
+
+    Each pair is oriented so that the first row holds a 1 there (x -> 1 - x
+    and c -> 1 - c leave |c - w @ x| as it is when w sums to 1).  Pairs on
+    which every row then holds a 1 add a constant and are dropped, and
+    pairs equal in X' and c' are merged into one, with their count as its
+    multiplicity.  Equal pairs would otherwise tie in every ratio test.
+    """
+    pairs = np.vstack([c, X])  # one column per pair: its target, then X's
+    pairs = np.where(X[0] == 0.0, 1.0 - pairs, pairs)
+    pairs = pairs[:, (pairs[1:] != 1.0).any(axis=0)]
+    pairs = pairs[:, np.lexsort(pairs)]  # equal pairs side by side
+    new = np.ones(pairs.shape[1], dtype=bool)
+    new[1:] = (pairs[:, 1:] != pairs[:, :-1]).any(axis=0)
+    start = np.flatnonzero(new)
+    mult = np.diff(start, append=pairs.shape[1]).astype(np.float64)
+    return pairs[1:, start], pairs[0, start], mult
+
+
+def _edge_walk(X: np.ndarray, c: np.ndarray, mult: np.ndarray,
+               price=None) -> tuple[np.ndarray, np.ndarray]:
+    """Optimal weights of the fit of the distinct rows of X to c, pair k
+    counted mult_k times, and the rows they weight: X's rows, then the
+    vectors price returned.
+
+    The walk starts at the row nearest c (the first of any tie).  A vertex
+    is its basic groups B and held pairs K, one fewer, plus a sign s_k of
+    the residual of each other pair (kept while that residual is zero).
+    With M = [1; X[B, K]^T] its weights solve M w_B = [1; c_K], and its row
+    duals M^T [lam; -u] = X[B] y for y = mult s off K and 0 on K; then
+    y = u on K.  The reduced cost of a zero weight i is lam - X[i] y, and
+    of freeing held pair k towards sign sigma, mult_k - sigma u_k.  The
+    most negative one enters, the first in the order weights by index, then
+    + and then - residuals in K's order.  Once _BLAND_AFTER steps in a row
+    have left the vertex where it was, the steps take the first improving
+    one by index instead and stop at the first basic variable to reach zero
+    (Bland's rule on the split-residual form), until one moves: Bland's
+    rule cannot cycle, so the walk ends.  Otherwise a long step walks past
+    each residual that crosses zero, which adds twice its weighted rate to
+    the slope, until the slope is no longer negative, and stops earlier
+    where a weight reaches zero; ties go to weights, the smallest index
+    first.  M^-1 is updated in O(b^2) per step, for a basis of b groups,
+    and computed afresh every _REFACTOR_AFTER steps.
+
+    Without price the rows are fixed.  With it, whenever nothing improves,
+    price(y, floor) gets the duals y and returns a vector a (a row like
+    X's) not yet in the master with y @ a > floor, that is a negative
+    reduced cost, or None when there is none.  None ends the solve, and so
+    does a vector whose reduced cost here is not negative after all (float
+    noise), which keeps the loop finite; that vector stays in the master at
+    weight zero.
+    """
+    g, m = X.shape
+    # each row with a trailing 1: its column is the simplex row, held like a
+    # pair with target 1, first in K and never freed
+    rows = np.ones((max(2 * g, 16), m + 1))
+    rows[:g, :m] = X
+    target = np.append(c, 1.0)
+    start = int((np.abs(c - X) @ mult).argmin())
+    # Minv = M^-1 with M = rows[B][:, K].T: its rows follow B, its columns K
+    B, K, Minv, updates = [start], [m], np.ones((1, 1)), 0
+    s = np.where(c < X[start], -1.0, 1.0)
+    y = np.zeros(m + 1)
+    stalled = pivots = 0
+    while True:
+        XB = rows[B]
+        if updates >= _REFACTOR_AFTER:
+            try:
+                Minv = np.linalg.inv(XB[:, K].T)
+            except np.linalg.LinAlgError:
+                raise ArithmeticError("weight fit basis is singular") from None
+            updates = 0
+        wB = Minv @ target[K]
+        r = c - wB @ XB[:, :m]
+        size = np.abs(r)
+        if size @ mult <= _ZERO_TOL:
+            break  # a zero objective is optimal over every vector
+        np.copysign(1.0, r, out=s, where=size > _ZERO_TOL)
+        np.multiply(s, mult, out=y[:m])
+        y[K] = 0.0
+        y[K] = -((XB @ y) @ Minv)  # -lam on the simplex row, u on the held pairs
+        held = K[1:]
+        u = y[held]
+        cost = np.concatenate([-(rows[:g] @ y), mult[held] - u, mult[held] + u])
+        cost[B] = 0.0
+        improving = cost < -_OPT_TOL
+        if not improving.any():
+            if price is None:
+                break
+            a = price(y[:m], _OPT_TOL - y[m])
+            if a is None:
+                break
+            if g == len(rows):
+                rows = np.vstack([rows, np.ones_like(rows)])
+            rows[g, :m] = a
+            enter, g = g, g + 1
+            slope = -(rows[enter] @ y)
+            if slope >= -_OPT_TOL:
+                break  # price and the duals disagree by float noise
+        elif stalled < _BLAND_AFTER:
+            enter = int(cost.argmin())
+            slope = cost[enter]
+        elif improving[:g].any():
+            enter = int(improving.argmax())
+        else:  # Bland: the held pair of the smallest index, + before -
+            key = np.concatenate([held, np.add(held, m)])
+            enter = g + int(np.where(improving[g:], key, 2 * m).argmin())
+
+        # the edge: the weights move by dB (and an entering weight by 1),
+        # the fit by delta per unit step
+        if enter < g:
+            dB = -(Minv @ rows[enter, K])
+            delta = rows[enter, :m] + dB @ XB[:, :m]
+        else:
+            t = 1 + (enter - g) % len(held)  # in K
+            sigma = 1.0 if enter - g < len(held) else -1.0
+            dB = -sigma * Minv[:, t]
+            delta = dB @ XB[:, :m]
+
+        blocking = np.flatnonzero(dB < -_EDGE_TOL)
+        tau_w = wB[blocking]
+        tau_w = np.where(tau_w > _ZERO_TOL, tau_w, 0.0) / -dB[blocking]
+        rate = s * delta
+        rate[held] = 0.0
+        k = np.flatnonzero(rate > _EDGE_TOL)
+        gap = s[k] * r[k]
+        tau_k = np.where(gap > _ZERO_TOL, gap, 0.0) / rate[k]
+
+        passed = k[:0]
+        step_w = tau_w.min(initial=np.inf)
+        if stalled >= _BLAND_AFTER:
+            step = min(step_w, tau_k.min(initial=np.inf))
+            leave_pair = step_w > step + _TIE_TOL
+            if leave_pair:  # the basic residual of the smallest index
+                tied = k[tau_k <= step + _TIE_TOL]
+                p = int(tied[np.argmin(np.where(s[tied] > 0, tied, tied + m))])
+        else:
+            order = np.argsort(tau_k, kind="stable")
+            k, tau_k = k[order], tau_k[order]
+            climb = np.cumsum(mult[k] * np.abs(delta[k]))
+            climb *= 2.0
+            climb += slope
+            stop = int(np.argmax(climb > -_OPT_TOL)) if climb.size and climb[-1] > -_OPT_TOL else -1
+            step_k = tau_k[stop] if stop >= 0 else np.inf
+            leave_pair = step_w > step_k + _TIE_TOL
+            if leave_pair:
+                p, passed, step = int(k[stop]), k[:stop], step_k
+            else:
+                passed, step = k[: np.searchsorted(tau_k, step_w)], step_w
+        if not np.isfinite(step):
+            raise ArithmeticError("weight fit edge unbounded; input is inconsistent")
+        s[passed] *= -1.0
+        if enter >= g:
+            s[K[t]] = sigma
+
+        # the basis change, and M^-1 updated for it in O(b^2)
+        if leave_pair:
+            vrow = XB[:, p] @ Minv
+            if enter < g:  # grow: a column for the weight, a row for p
+                piv = delta[p]
+                b = len(B)
+                grown = np.empty((b + 1, b + 1))
+                grown[:b, :b] = Minv
+                grown[:b, :b] -= np.outer(dB, vrow / piv)
+                grown[:b, b] = dB / piv
+                grown[b, :b] = -vrow / piv
+                grown[b, b] = 1.0 / piv
+                Minv = grown
+                B.append(enter)
+                K.append(p)
+            else:  # p takes the freed pair's row
+                piv = vrow[t]
+                col = Minv[:, t] / piv
+                Minv = Minv - np.outer(col, vrow)
+                Minv[:, t] = col
+                K[t] = p
+        else:
+            tied = blocking[tau_w <= step_w + _TIE_TOL]
+            q = min(tied.tolist(), key=B.__getitem__)  # the smallest tied weight
+            if enter < g:  # the weight takes the leaving one's column
+                piv = -dB[q]
+                row = Minv[q] / piv
+                Minv = Minv + np.outer(dB, row)
+                Minv[q] = row
+                B[q] = enter
+            else:  # shrink: the leaving weight's column, the freed pair's row
+                piv = Minv[q, t]
+                Minv = Minv - np.outer(Minv[:, t] / piv, Minv[q])
+                Minv = np.delete(np.delete(Minv, q, axis=0), t, axis=1)
+                del B[q], K[t]
+        updates = _REFACTOR_AFTER if abs(piv) < _REFACTOR_PIVOT else updates + 1
+        stalled = stalled + 1 if step == 0.0 else 0
+        pivots += 1
+        if pivots > 1000 + 50 * (g + m):  # Bland's rule rules out cycling; float noise may not
+            raise ArithmeticError("weight fit failed to converge")
+
+    w = np.zeros(g)
+    w[B] = wB
+    return w, rows[:g, :m]
 
 
 def _fit_simplex_stack(V: np.ndarray, idx: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_fit_simplex_l1 for each problem of a stack sharing c: problem p fits
-    the rows idx[p] of V, whose rows are distinct.
+    """Optimal simplex weights for each problem of a stack sharing c:
+    problem p fits the rows idx[p] of V, whose rows are distinct.
 
-    Returns (weights (P, g), objectives (P,)), the bits _fit_simplex_l1
-    gives each problem alone: _solve_stack makes the same pivots with the
-    same arithmetic, and both finish through _finish.  Rows of a problem are
-    equal exactly where their indices are.
+    Returns (weights (P, g), objectives (P,)).  Each problem gets the bits
+    it gets in any other stack, a stack of one included: _solve_stack makes
+    its pivots with elementwise arithmetic, and _finish sums each problem
+    alone.  Rows of a problem are equal exactly where their indices are,
+    and weight on a repeated row moves to its first occurrence.
     """
     X = V[idx]
     first = (idx[:, :, None] == idx[:, None, :]).argmax(axis=2)
@@ -116,7 +342,7 @@ def _finish(X: np.ndarray, c: np.ndarray, w: np.ndarray,
         w[p, i] = 0.0
     w /= w.sum(axis=1, keepdims=True)
     # one vector-matrix product per problem, the BLAS call w @ X makes for
-    # a single one, so a stack and a lone fit get the same bits
+    # a single one, so a problem gets the same bits in any stack
     objective = np.abs(c - np.matmul(w[:, None, :], X)[:, 0]).sum(axis=1)
     return w, objective
 
@@ -157,25 +383,14 @@ def _tableau(X: np.ndarray, c: np.ndarray):
     return A, basis, obj
 
 
-def _read_weights(basis: np.ndarray, rhs: np.ndarray, g: int, m: int, k: int) -> np.ndarray:
-    """Weights (P, k) read off final bases and right-hand sides (P, m + 1):
-    the basic columns of X's g rows and then of any priced vectors, whose
-    variables follow the residuals."""
-    p, r = np.nonzero((basis < g) | (basis >= g + 2 * m))
-    var = basis[p, r]
-    w = np.zeros((basis.shape[0], k))
-    w[p, np.where(var < g, var, var - 2 * m)] = rhs[p, r]
-    return w
-
-
 def _solve_stack(X: np.ndarray, c: np.ndarray) -> np.ndarray:
     """LP weights (P, g) of each problem of a stack X (P, g, m) sharing c.
 
-    The loop of _solve_lp without pricing, run in lockstep: every live
-    problem makes its own Bland choices of entering and leaving variable,
-    and its pivot is the same elementwise arithmetic, so each problem gets
-    exactly the weights _solve_lp gives it alone.  A problem leaves the
-    stack once no column improves it.
+    Dense primal simplex with Bland's rule (no cycling), run in lockstep:
+    every live problem makes its own choices of entering and leaving
+    variable, and its pivot is the same elementwise arithmetic whatever
+    else the stack holds.  A problem leaves the stack once no column
+    improves it, and its weights are read off its final basis.
     """
     P, g, m = X.shape
     A, basis, obj = _tableau(X, c)
@@ -192,7 +407,10 @@ def _solve_stack(X: np.ndarray, c: np.ndarray) -> np.ndarray:
             live, A, basis, obj, improving = (
                 live[keep], A[keep], basis[keep], obj[keep], improving[keep])
             if not live.size:
-                return _read_weights(final_basis, final_rhs, g, m, g)
+                p, r = np.nonzero(final_basis < g)
+                w = np.zeros((P, g))
+                w[p, final_basis[p, r]] = final_rhs[p, r]
+                return w
         if pivots == max_iter:
             raise ArithmeticError("simplex failed to converge (iteration cap hit)")
         pivots += 1
@@ -206,7 +424,6 @@ def _solve_stack(X: np.ndarray, c: np.ndarray) -> np.ndarray:
             raise ArithmeticError("LP column unbounded; input is inconsistent")
         tied = ratios <= best[:, None] + _TIE_TOL
         leave = np.where(tied, basis, _NO_ROW).argmin(axis=1)  # Bland on leaving variable
-
         row = A[L, leave] / A[L, leave, enter][:, None]
         A[L, leave] = row
         factors = A[L, :, enter]
@@ -215,76 +432,3 @@ def _solve_stack(X: np.ndarray, c: np.ndarray) -> np.ndarray:
         obj = obj - obj[L, enter][:, None] * row[:, :nvar]
         obj[L, enter] = 0.0
         basis[L, leave] = enter
-
-
-def _solve_lp(X: np.ndarray, c: np.ndarray, price=None) -> tuple[np.ndarray, np.ndarray]:
-    """Optimal weights of the LP above and the rows they weight: X's rows,
-    then the vectors price returned.
-
-    Without price the columns are fixed.  With it, whenever no column
-    improves, price(y, floor) gets the pair rows' duals y and returns a
-    vector a (a row like X's) not yet in the master with y @ a > floor,
-    that is a positive reduced cost, or None when there is none.  A
-    returned vector is appended as the column B^-1 [a; 1] and enters the
-    basis; None ends the solve, and so does a column whose reduced cost in
-    the tableau is not positive after all (float noise), which keeps the
-    loop finite.  The simplex row's dual and B^-1 [a; 1] are read off the
-    tableau through the column of w_1.
-    """
-    g, m = X.shape
-    A, basis, obj = (a[0] for a in _tableau(X[None], c))
-    nvar = g + 2 * m  # then priced columns
-    rows = m + 1
-    cost = np.zeros(nvar)
-    cost[g:] = 1.0
-
-    priced = []
-    max_iter, pivots = 2000 + 200 * nvar, 0
-    while True:
-        improving = np.nonzero(obj > _PIVOT_TOL)[0]
-        if improving.size:
-            enter = int(improving[0])  # Bland: smallest improving index
-        else:
-            if price is None:
-                break
-            # e+_k's column is B^-1 e_k at cost 1, so z_j - c_j = y_k - 1;
-            # w_1's is B^-1 [X[0]; 1] at cost 0, which gives the simplex
-            # row's dual y0 = obj[0] - y @ X[0]
-            y = obj[g : g + m] + 1.0
-            a = price(y, y @ X[0] - obj[0] + _PIVOT_TOL)
-            if a is None:
-                break
-            a = np.asarray(a, dtype=np.float64)
-            col = A[:, g : g + m] @ (a - X[0]) + A[:, 0]
-            A = np.insert(A, nvar, col, axis=1)
-            cost = np.append(cost, 0.0)
-            obj = np.append(obj, cost[basis] @ col)
-            priced.append(a)
-            enter, nvar, max_iter = nvar, nvar + 1, max_iter + 200
-            if obj[enter] <= _PIVOT_TOL:
-                break  # the tableau disagrees with price by float noise
-        if pivots == max_iter:
-            raise ArithmeticError("simplex failed to converge (iteration cap hit)")
-        pivots += 1
-        col = A[:, enter]
-        ratios = np.full(rows, np.inf)
-        ok = col > _PIVOT_TOL
-        ratios[ok] = A[ok, -1] / col[ok]
-        best = ratios.min()
-        if not np.isfinite(best):
-            raise ArithmeticError("LP column unbounded; input is inconsistent")
-        tied = np.nonzero(ratios <= best + _TIE_TOL)[0]
-        leave = int(tied[np.argmin(basis[tied])])  # Bland on leaving variable
-
-        A[leave] /= A[leave, enter]
-        factors = A[:, enter].copy()
-        factors[leave] = 0.0
-        A -= np.outer(factors, A[leave])
-        obj = obj - obj[enter] * A[leave, :nvar]
-        obj[enter] = 0.0
-        basis[leave] = enter
-
-    w = _read_weights(basis[None], A[None, :, -1], g, m, nvar - 2 * m)[0]
-    if priced:
-        X = np.vstack([X] + priced)
-    return w, X

@@ -232,13 +232,14 @@ def exact_scan_reference(C, g: int):
     """`solve_exact`'s enumeration for g >= 2 as one weight fit per multiset.
 
     The plain loop the batched scan must reproduce exactly: every multiset of
-    g orders in lexicographic order, fitted with the same kernels, the
-    incumbent replaced only on improvement beyond _IMPROVE_TOL and the
-    search stopped at the first objective <= _ZERO_TOL.
+    g orders in lexicographic order, fitted with the same kernels (g >= 3 as
+    a stack of one problem), the incumbent replaced only on improvement
+    beyond _IMPROVE_TOL and the search stopped at the first objective
+    <= _ZERO_TOL.
     Returns (solution, objective, proven)."""
     from mlop.core import MixtureSolution, canonicalize
     from mlop.exact import _IMPROVE_TOL, _ZERO_TOL, _iter_multisets, enumerate_vertices
-    from mlop.simplex_fit import _breakpoint_g2, _fit_simplex_l1
+    from mlop.simplex_fit import _breakpoint_g2, _fit_simplex_stack
 
     c = C.upper
     V = enumerate_vertices(C.n)
@@ -247,11 +248,11 @@ def exact_scan_reference(C, g: int):
     best_combo: tuple[int, ...] | None = None
     best_w: np.ndarray | None = None
     for combo in _iter_multisets(len(V.orders), g):
-        cols = V.vertices[list(combo)]
         if g == 2:
-            w, obj = _breakpoint_g2(cols, c)
+            w, obj = _breakpoint_g2(V.vertices[list(combo)], c)
         else:
-            w, obj = _fit_simplex_l1(cols, c)
+            ws, objs = _fit_simplex_stack(V.vertices, np.array([combo]), c)
+            w, obj = ws[0], objs[0]
         if obj < best_obj - _IMPROVE_TOL:
             best_obj, best_combo, best_w = obj, combo, w
             if best_obj <= _ZERO_TOL:
@@ -270,7 +271,7 @@ def exact_scan_reference(C, g: int):
 def l1_fit_by_highs(X: np.ndarray, c) -> float:
     """Least L1 distance from c to a convex combination of the rows of X,
     by scipy's HiGHS on the split-residual LP: an oracle independent of
-    the Bland kernel."""
+    the weight-fit kernels."""
     from scipy.optimize import linprog
 
     g, m = X.shape

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mlop import GeneratorSpec, HeuristicConfig
+from mlop import GeneratorSpec, HeuristicConfig, num_pairs
 from mlop.cli import (
     EXIT_GUARD,
     EXIT_INFEASIBLE,
@@ -26,6 +26,7 @@ from mlop.cli import (
     main,
     parse_weights,
 )
+from mlop.geometry import PROJECTION_GUARD_N
 
 EX1_UPPER = [0.9, 0.9, 0.9, 0.5, 0.9, 0.9]
 
@@ -234,6 +235,19 @@ def test_parser_defaults_are_the_config_defaults():
     )
 
 
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    import mlop.cli
+
+    built = []
+    real = mlop.cli.build_parser
+    monkeypatch.setattr(mlop.cli, "build_parser", lambda: built.append(1) or real())
+    mlop.cli._parser.cache_clear()
+    for point in ("0.3,0.9,0.2", "0.7,0.8,0.4"):
+        assert main(["verify", "--point", point, "--no-saturation"]) == EXIT_OK
+    assert main(["solve", "nope.json", "--method", "exact", "--g", "1"]) == EXIT_INVALID
+    assert len(built) == 1
+
+
 def test_readme_commands_parse():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     blocks = re.findall(r"```bash\n(.*?)```", readme.read_text(encoding="utf-8"), flags=re.S)
@@ -260,13 +274,13 @@ def test_readme_python_runs_and_documents_the_api(capsys):
 
 
 def test_numerical_failure_exit_code(ex1_path, monkeypatch, capsys):
-    import mlop.exact
+    import mlop.heuristic
 
     def failing(X, c):
-        raise ArithmeticError("simplex failed to converge (iteration cap hit)")
+        raise ArithmeticError("weight fit failed to converge")
 
-    monkeypatch.setattr(mlop.exact, "_fit_simplex_l1", failing)
-    assert main(["solve", ex1_path, "--method", "exact", "--g", "3"]) == EXIT_NUMERICAL
+    monkeypatch.setattr(mlop.heuristic, "_fit_simplex_l1", failing)
+    assert main(["solve", ex1_path, "--method", "heuristic", "--g", "3"]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "numerical failure" in err
     assert "Traceback" not in err
@@ -548,15 +562,16 @@ def test_verify_interior_n4_point_is_refused_at_once(capsys):
 
 
 def test_verify_instance_skips_guarded_parts(tmp_path, capsys):
+    n = PROJECTION_GUARD_N + 1
     rng = np.random.default_rng(1)
-    upper = rng.random(28).tolist()
-    path = tmp_path / "n8.instance.json"
-    path.write_text(json.dumps({"n": 8, "c_upper": upper}))
+    upper = rng.random(num_pairs(n)).tolist()
+    path = tmp_path / f"n{n}.instance.json"
+    path.write_text(json.dumps({"n": n, "c_upper": upper}))
     assert main(["verify", str(path)]) == EXIT_OK
     report = json.loads(capsys.readouterr().out)
     assert report["inside"] is None
     assert report["g_star"] is None
-    assert len(report["residuals"]) == 56
+    assert len(report["residuals"]) == math.comb(n, 3)
 
 
 def test_validate_roundtrip(ex1_path, tmp_path, capsys):

@@ -10,13 +10,15 @@ from mlop.cli import main
 from mlop.exact import enumerate_vertices
 from mlop.geometry import (
     MEMBERSHIP_TOL,
+    PROJECTION_GUARD_N,
     caratheodory_saturation,
     cycle_residuals,
     l1_projection_full,
     violates_cycle,
 )
+from mlop.lop import benefit_for_pairs, lop_exact
 
-from _oracles import random_order
+from _oracles import l1_fit_by_highs, random_order
 
 # the six n=3 orders and their incidence vectors (x12, x13, x23)
 N3_TABLE = {
@@ -208,8 +210,10 @@ def test_outside_points_saturate_at_npairs_n3():
 
 
 def test_guards():
-    with pytest.raises(SizeGuardExceeded):
-        l1_projection_full(np.full(28, 0.5), 8)
+    n = PROJECTION_GUARD_N + 1
+    with pytest.raises(SizeGuardExceeded, match=f"projection is guarded to n <= {n - 1}"):
+        l1_projection_full(np.full(num_pairs(n), 0.5), n)
+    assert main(["verify", "--point", ",".join(["0.5"] * num_pairs(n)), "--no-saturation"]) == 0
     with pytest.raises(SizeGuardExceeded):
         caratheodory_saturation(np.full(10, 0.5), 5)
 
@@ -266,3 +270,37 @@ def test_pricing_stops_when_the_best_vertex_is_in_the_master(monkeypatch):
     projected, dist = l1_projection_full(point, 4)
     assert np.array_equal(projected, start[0].prec)
     assert dist == np.abs(point - start[0].prec).sum()
+
+
+@pytest.mark.parametrize("n", range(8, PROJECTION_GUARD_N + 1))
+def test_projection_guard_holds_at_every_admitted_n(monkeypatch, capsys, n):
+    # PROJECTION_GUARD_N is the largest n up to which this passes at every n:
+    # interior points report inside, with no numerical failure, and the
+    # distance of exterior points matches HiGHS over the vertices the master
+    # generated, with no vertex pricing positive on the final duals
+    calls = []
+    real = mlop.geometry._fit_simplex_l1
+
+    def recording(X, c, price):
+        def recorded(y, floor):
+            calls.append((y.copy(), floor, price(y, floor)))
+            return calls[-1][2]
+
+        return real(X, c, recorded)
+
+    monkeypatch.setattr(mlop.geometry, "_fit_simplex_l1", recording)
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        X = np.stack([random_order(n, rng).prec for _ in range(3)]).astype(float)
+        point = rng.dirichlet(np.ones(3)) @ X
+        argv = ["verify", "--point", ",".join(map(repr, point.tolist())), "--no-saturation"]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["inside"] is True
+    for _ in range(5):
+        point = rng.random(num_pairs(n))
+        calls.clear()
+        w, V, dist = mlop.geometry._project(point, n)
+        assert abs(dist - l1_fit_by_highs(V, point)) <= 1e-9
+        y, floor, _ = calls[-1]
+        _, value, proven = lop_exact(benefit_for_pairs(n, y, np.zeros(num_pairs(n))))
+        assert proven and value <= floor + 1e-9

@@ -197,21 +197,21 @@ def test_gen_and_ingest_files_are_pinned(tmp_path, capsys, shape, seed):
 # -> sha256 of the report with every time_s removed; the instance is x.instance.json
 HEURISTIC_GOLDEN = {
     ("readme", 1, ("sweep", "--method", "heuristic", "--g-max", "4", "--seed", "0")):
-        "0ac9e91330dfa91e37fa86d09efbdfddc818f0109a68f25acb8e8a96ea6f2b6e",
+        "2a306c8219330232d60ff81b59c12a178b164a3f65c159346385ca6d32dd042c",
     ("readme", 1, ("solve", "--method", "heuristic", "--g", "2", "--seed", "0")):
-        "e1226d20578a67ea765a5f0dc6e5cee4a6eb14c5ef0426b367f9bd69fc418565",
+        "876baf5b235159411387ad5e23a1ff807ad08ae00a1b97fb71f20f451b00e062",
     ("readme", 2, ("sweep", "--method", "heuristic", "--g-max", "4", "--seed", "0")):
-        "0070c275a9ea420de3eba8ed536e0bd6a6f69c80b7d2983c93c6ed96640405d7",
+        "da7238a4f2a876612ef1f2f442b698cb8bd3dfd804388d30baaeefe1f8be219a",
     ("readme", 2, ("solve", "--method", "heuristic", "--g", "2", "--seed", "0")):
-        "2fd4dfdcf7f5bbfab08eb5ff65ce0db73be84157a525ec07e6fdad20adf01258",
+        "6a9286c6f0adb198625f8050cd29f231a6a5ca5b0c4433b99c4de84efb6427e3",
     ("heuristic_n16", 1, ("sweep", "--method", "heuristic", "--g-max", "3", "--n-starts", "1")):
-        "e328f74c482818603ff29fbd7db414e9bb9cf0c92d521bfa998a769073b6c906",
+        "71b9a02dbaed7f8fc92c444768ad7a9654b099e11f8202777bbd57b1e1945359",
     ("sushi_n10", 1, ("solve", "--method", "heuristic", "--g", "3")):
-        "b8f52b3f9e83a03c046f6013caaba5a33f53c82f0a055e73c28331add2f7e09b",
+        "e3e4202afd75a66fd8c33b464e07bc6fccba2a1e53102c791b84a99026d1e693",
     ("heuristic_n16", 1, ("solve", "--method", "heuristic", "--g", "3")):
-        "d296e214cd507c4527c0c84358bd8b136d754d66ecac104f1e49bedf52054420",
+        "a59ad753488b196a8a13c389757d6170220c4039c77e0303c1913ab881acb9b1",
     ("heuristic_n24", 5, ("solve", "--method", "heuristic", "--g", "3", "--n-starts", "2")):
-        "5f5e68fdcd2301202428a6d5a9ee15bdb067b52b1afca02d5866fc747b9911a3",
+        "2802250dc219ab5db6c91d8228a84d55ebc1be47e674e5da2560b47eae9aa5e7",
 }
 
 

@@ -55,8 +55,6 @@ from mlop.simplex_fit import (
     _breakpoint_g2,
     _fit_simplex_l1,
     _fit_simplex_stack,
-    _solve_lp,
-    _solve_stack,
 )
 
 from _oracles import (
@@ -330,15 +328,49 @@ def lp_stacks(draw):
 @SETTINGS
 @given(lp_stacks())
 def test_stacked_lp_matches_the_single_problem_loop(case):
+    # each problem gets the bits a stack of one gives it, and the optimum
+    # the single-problem edge walk reaches
     V, idx, c = case
-    X = V[idx]
-    raw = _solve_stack(X, c)
     w, objs = _fit_simplex_stack(V, idx, c)
-    for p in range(X.shape[0]):
-        assert np.array_equal(raw[p], _solve_lp(X[p], c)[0])
-        w_p, obj_p = _fit_simplex_l1(X[p], c)
-        assert np.array_equal(w[p], w_p)
-        assert objs[p] == obj_p
+    for p in range(idx.shape[0]):
+        w_p, obj_p = _fit_simplex_stack(V, idx[p : p + 1], c)
+        assert np.array_equal(w[p], w_p[0])
+        assert objs[p] == obj_p[0]
+        assert abs(objs[p] - _fit_simplex_l1(V[idx[p]], c)[1]) <= 1e-9
+
+
+@st.composite
+def weight_fits(draw):
+    """(X, c): g = 1..8 precedence rows at n = 3..8, drawn from a pool of at
+    most g orders, so rows often repeat; c is free, quarter-grid (exact
+    zero residuals), a mixture of the rows, or one of them."""
+    n, g = draw(st.integers(3, 8)), draw(st.integers(1, 8))
+    pool = draw(st.lists(orders(n), min_size=1, max_size=g))
+    X = np.stack([draw(st.sampled_from(pool)).prec for _ in range(g)]).astype(np.float64)
+    kind = draw(st.sampled_from(["free", "quarter", "mixture", "vertex"]))
+    if kind == "mixture":
+        raw = np.array(draw(st.lists(st.integers(0, 4), min_size=g, max_size=g)), dtype=np.float64)
+        raw[draw(st.integers(0, g - 1))] += 1.0
+        return X, (raw / raw.sum()) @ X
+    if kind == "vertex":
+        return X, X[draw(st.integers(0, g - 1))].copy()
+    values = st.floats(0.0, 1.0) if kind == "free" else st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+    return X, np.array(draw(sized(n, values))[1])
+
+
+@SETTINGS
+@given(weight_fits())
+def test_weight_fit_matches_highs(case):
+    X, c = case
+    w, obj = _fit_simplex_l1(X, c)
+    assert abs(obj - l1_fit_by_highs(X, c)) <= 1e-9
+    assert w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12
+    assert obj == np.abs(c - w @ X).sum()
+    for i in range(1, len(X)):
+        if (X[:i] == X[i]).all(axis=1).any():
+            assert w[i] == 0.0  # a repeated row: its weight is on the first
+    w2, obj2 = _fit_simplex_l1(X, c)
+    assert np.array_equal(w, w2) and obj == obj2
 
 
 @st.composite
