@@ -393,6 +393,8 @@ def _parse_point(arg: str) -> np.ndarray:
 
 
 def cmd_verify(args) -> int:
+    if args.point is not None and args.instance is not None:
+        raise InvalidInput("verify takes an instance file or --point, not both")
     if args.point is not None:
         point = _parse_point(args.point)
         n, label = _n_from_pairs(point.shape[0]), "point"

@@ -302,7 +302,8 @@ def sample_within_ball(
 
 def _separation_impossible(n: int, g_true: int, min_separation: int) -> str | None:
     """Why no g_true >= 2 orders can lie at pairwise distance >= min_separation,
-    or None when this packing bound does not rule it out."""
+    or None when neither the packing bound nor the distance-sum bound rules
+    it out."""
     if g_true < 2:
         return None
     if min_separation > num_pairs(n):
@@ -316,6 +317,11 @@ def _separation_impossible(n: int, g_true: int, min_separation: int) -> str | No
             f"{g_true} disjoint balls of radius {t} would hold {need} "
             f"of the {math.factorial(n)} orders"
         )
+    # on one item pair, g_true orders disagree in at most
+    # floor(g/2) * ceil(g/2) of their C(g, 2) order pairs
+    most, need = num_pairs(n) * (g_true * g_true // 4), math.comb(g_true, 2) * min_separation
+    if most < need:
+        return f"their pairwise distances sum to at most {most}, not {need}"
     return None
 
 

@@ -11,10 +11,11 @@ its basis matrix is at most min(g, m + 1) square whatever the number of
 pairs m.  Each step leaves the vertex along the edge that frees one zero
 weight or one held residual, and walks it past every residual that changes
 sign while the objective still falls (the bound-flipping ratio test of the
-dual, where each pair's dual sits at -1 or +1 until its residual is held),
-so a pivot costs O(m g).  The same walk runs with an optional pricing step,
-which turns it into column generation over a set of vectors too large to
-list (the vertices of the linear ordering polytope).
+dual, where each pair's dual sits at -1 or +1 until its residual is held).
+A step inverts the basis matrix afresh, O(b^3) for b <= min(g, m + 1), and
+prices every weight and pair, O(m g).  The same walk runs with an optional
+pricing step, which turns it into column generation over a set of vectors
+too large to list (the vertices of the linear ordering polytope).
 
 The exact scan fits thousands of small problems that share c.  It runs
 them as a stack (_solve_stack): Bland pivots on a dense
@@ -47,11 +48,6 @@ _ZERO_TOL = 1e-12
 # interior points at n = 8 and 10, and with no switch at all 2 of 10 at
 # n = 11 hit the step cap
 _BLAND_AFTER = 10
-# the walk updates its basis inverse step by step, and computes it afresh
-# after this many updates or after a pivot below _REFACTOR_PIVOT, before
-# float error can build up
-_REFACTOR_AFTER = 32
-_REFACTOR_PIVOT = 1e-3
 
 
 def _breakpoint_g2(X: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
@@ -154,8 +150,9 @@ def _edge_walk(X: np.ndarray, c: np.ndarray, mult: np.ndarray,
     each residual that crosses zero, which adds twice its weighted rate to
     the slope, until the slope is no longer negative, and stops earlier
     where a weight reaches zero; ties go to weights, the smallest index
-    first.  M^-1 is updated in O(b^2) per step, for a basis of b groups,
-    and computed afresh every _REFACTOR_AFTER steps.
+    first.  Each step computes M^-1 afresh, O(b^3) for a basis of
+    b <= min(g, m + 1) groups, so a singular basis raises ArithmeticError at
+    whatever step it appears, and the basis change only edits B and K.
 
     Without price the rows are fixed.  With it, whenever nothing improves,
     price(y, floor) gets the duals y and returns a vector a (a row like
@@ -168,23 +165,20 @@ def _edge_walk(X: np.ndarray, c: np.ndarray, mult: np.ndarray,
     g, m = X.shape
     # each row with a trailing 1: its column is the simplex row, held like a
     # pair with target 1, first in K and never freed
-    rows = np.ones((max(2 * g, 16), m + 1))
-    rows[:g, :m] = X
+    rows = np.hstack([X, np.ones((g, 1))])
     target = np.append(c, 1.0)
     start = int((np.abs(c - X) @ mult).argmin())
-    # Minv = M^-1 with M = rows[B][:, K].T: its rows follow B, its columns K
-    B, K, Minv, updates = [start], [m], np.ones((1, 1)), 0
+    B, K = [start], [m]
     s = np.where(c < X[start], -1.0, 1.0)
     y = np.zeros(m + 1)
     stalled = pivots = 0
     while True:
         XB = rows[B]
-        if updates >= _REFACTOR_AFTER:
-            try:
-                Minv = np.linalg.inv(XB[:, K].T)
-            except np.linalg.LinAlgError:
-                raise ArithmeticError("weight fit basis is singular") from None
-            updates = 0
+        # Minv = M^-1 with M = rows[B][:, K].T: its rows follow B, its columns K
+        try:
+            Minv = np.linalg.inv(XB[:, K].T)
+        except np.linalg.LinAlgError:
+            raise ArithmeticError("weight fit basis is singular") from None
         wB = Minv @ target[K]
         r = c - wB @ XB[:, :m]
         size = np.abs(r)
@@ -196,7 +190,7 @@ def _edge_walk(X: np.ndarray, c: np.ndarray, mult: np.ndarray,
         y[K] = -((XB @ y) @ Minv)  # -lam on the simplex row, u on the held pairs
         held = K[1:]
         u = y[held]
-        cost = np.concatenate([-(rows[:g] @ y), mult[held] - u, mult[held] + u])
+        cost = np.concatenate([-(rows @ y), mult[held] - u, mult[held] + u])
         cost[B] = 0.0
         improving = cost < -_OPT_TOL
         if not improving.any():
@@ -205,9 +199,7 @@ def _edge_walk(X: np.ndarray, c: np.ndarray, mult: np.ndarray,
             a = price(y[:m], _OPT_TOL - y[m])
             if a is None:
                 break
-            if g == len(rows):
-                rows = np.vstack([rows, np.ones_like(rows)])
-            rows[g, :m] = a
+            rows = np.vstack([rows, np.append(a, 1.0)])
             enter, g = g, g + 1
             slope = -(rows[enter] @ y)
             if slope >= -_OPT_TOL:
@@ -268,42 +260,20 @@ def _edge_walk(X: np.ndarray, c: np.ndarray, mult: np.ndarray,
         if enter >= g:
             s[K[t]] = sigma
 
-        # the basis change, and M^-1 updated for it in O(b^2)
+        # the basis change
         if leave_pair:
-            vrow = XB[:, p] @ Minv
-            if enter < g:  # grow: a column for the weight, a row for p
-                piv = delta[p]
-                b = len(B)
-                grown = np.empty((b + 1, b + 1))
-                grown[:b, :b] = Minv
-                grown[:b, :b] -= np.outer(dB, vrow / piv)
-                grown[:b, b] = dB / piv
-                grown[b, :b] = -vrow / piv
-                grown[b, b] = 1.0 / piv
-                Minv = grown
+            if enter < g:  # a column for the weight, a row for p
                 B.append(enter)
                 K.append(p)
             else:  # p takes the freed pair's row
-                piv = vrow[t]
-                col = Minv[:, t] / piv
-                Minv = Minv - np.outer(col, vrow)
-                Minv[:, t] = col
                 K[t] = p
         else:
             tied = blocking[tau_w <= step_w + _TIE_TOL]
             q = min(tied.tolist(), key=B.__getitem__)  # the smallest tied weight
             if enter < g:  # the weight takes the leaving one's column
-                piv = -dB[q]
-                row = Minv[q] / piv
-                Minv = Minv + np.outer(dB, row)
-                Minv[q] = row
                 B[q] = enter
-            else:  # shrink: the leaving weight's column, the freed pair's row
-                piv = Minv[q, t]
-                Minv = Minv - np.outer(Minv[:, t] / piv, Minv[q])
-                Minv = np.delete(np.delete(Minv, q, axis=0), t, axis=1)
+            else:  # the leaving weight's column goes, and the freed pair's row
                 del B[q], K[t]
-        updates = _REFACTOR_AFTER if abs(piv) < _REFACTOR_PIVOT else updates + 1
         stalled = stalled + 1 if step == 0.0 else 0
         pivots += 1
         if pivots > 1000 + 50 * (g + m):  # Bland's rule rules out cycling; float noise may not
@@ -311,7 +281,7 @@ def _edge_walk(X: np.ndarray, c: np.ndarray, mult: np.ndarray,
 
     w = np.zeros(g)
     w[B] = wB
-    return w, rows[:g, :m]
+    return w, rows[:, :m]
 
 
 def _fit_simplex_stack(V: np.ndarray, idx: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -320,26 +290,13 @@ def _fit_simplex_stack(V: np.ndarray, idx: np.ndarray, c: np.ndarray) -> tuple[n
 
     Returns (weights (P, g), objectives (P,)).  Each problem gets the bits
     it gets in any other stack, a stack of one included: _solve_stack makes
-    its pivots with elementwise arithmetic, and _finish sums each problem
-    alone.  Rows of a problem are equal exactly where their indices are,
-    and weight on a repeated row moves to its first occurrence.
+    its pivots with elementwise arithmetic, and each objective is summed
+    alone.  A repeated index gives a problem equal columns, which get equal
+    arithmetic, so Bland's rule enters only the first of them and a later
+    copy keeps weight 0.
     """
     X = V[idx]
-    first = (idx[:, :, None] == idx[:, None, :]).argmax(axis=2)
-    return _finish(X, c, _solve_stack(X, c), first)
-
-
-def _finish(X: np.ndarray, c: np.ndarray, w: np.ndarray,
-            first: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(weights, objectives) of a stack X (P, k, m) from its LP weights
-    w (P, k): negative float noise clipped, the weight of each row moved
-    onto first[p, i], the first row of its problem equal to it, then
-    normalised to sum 1."""
-    w = np.maximum(w, 0.0)
-    for i in np.flatnonzero((first != np.arange(X.shape[1])).any(axis=0)):
-        p = np.flatnonzero(first[:, i] != i)
-        w[p, first[p, i]] += w[p, i]
-        w[p, i] = 0.0
+    w = np.maximum(_solve_stack(X, c), 0.0)  # float noise
     w /= w.sum(axis=1, keepdims=True)
     # one vector-matrix product per problem, the BLAS call w @ X makes for
     # a single one, so a problem gets the same bits in any stack

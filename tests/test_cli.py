@@ -561,6 +561,13 @@ def test_verify_interior_n4_point_is_refused_at_once(capsys):
     assert captured.out == ""
 
 
+def test_verify_refuses_instance_and_point(ex1_path, capsys):
+    assert main(["verify", ex1_path, "--point", "0.3,0.9,0.2"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert "not both" in captured.err
+    assert captured.out == ""
+
+
 def test_verify_instance_skips_guarded_parts(tmp_path, capsys):
     n = PROJECTION_GUARD_N + 1
     rng = np.random.default_rng(1)

@@ -86,6 +86,10 @@ def test_sample_centers_infeasible_raises():
         (3, 2, 4),  # beyond the largest distance C(3,2) = 3
         (5, 3, 10),  # three pairwise reverses: 3 balls of 49 orders need 147 > 5!
         (6, 40, 5),  # 40 radius-2 balls of 20 orders need 800 > 6!
+        # the distance sum: C(n,2) floor(g^2/4) < C(g,2) s
+        (5, 3, 8),  # 10 * 2 = 20 < 3 * 8
+        (6, 3, 11),  # 15 * 2 = 30 < 3 * 11
+        (8, 4, 19),  # 28 * 4 = 112 < 6 * 19
     ],
 )
 def test_separation_certificate_raises_before_any_draw(n, g_true, min_separation):

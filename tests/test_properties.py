@@ -329,9 +329,11 @@ def lp_stacks(draw):
 @given(lp_stacks())
 def test_stacked_lp_matches_the_single_problem_loop(case):
     # each problem gets the bits a stack of one gives it, and the optimum
-    # the single-problem edge walk reaches
+    # the single-problem edge walk reaches; a repeated row keeps weight 0
     V, idx, c = case
     w, objs = _fit_simplex_stack(V, idx, c)
+    repeated = (idx[:, :, None] == idx[:, None, :]).argmax(axis=2) != np.arange(idx.shape[1])
+    assert not w[repeated].any()
     for p in range(idx.shape[0]):
         w_p, obj_p = _fit_simplex_stack(V, idx[p : p + 1], c)
         assert np.array_equal(w[p], w_p[0])
