@@ -153,9 +153,9 @@ class LinearOrder:
     prec: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        perm = tuple(int(v) for v in self.perm)
+        perm = tuple(map(int, self.perm))
         n = len(perm)
-        if n < 1 or sorted(perm) != list(range(n)):
+        if n < 1 or set(perm) != set(range(n)):
             raise InvalidInput(f"perm must be a permutation of 0..n-1, got {perm}")
         object.__setattr__(self, "perm", perm)
         pos = np.empty(n, dtype=np.int64)

@@ -22,12 +22,23 @@ keeps its insertion-search order instead (the trace counts those solves).
 Groups are swept cyclically until a full sweep yields no improvement, so
 the step never worsens the incumbent.
 
+The starts run in lockstep.  Each start is a generator that yields the
+benefit matrix of every inner LOP its ranking step meets and waits for the
+answer; a driver collects the matrices all live starts wait on and answers
+them together.  Up to _DP_ONE_PART_MAX_N (11) items they go to one stacked
+subset DP (``lop._lop_exact_batch``), whose answers are ``lop_exact``'s bit
+for bit, so a start's arithmetic, the trace and the best-start rule are
+those of starts run one after another.  Larger matrices, and a lone one,
+go to ``lop_exact`` one by one.
+
 Neither step repeats work whose answer it already has.  ``lop_exact``
-memoizes its subset-DP answers, so an inner subproblem met again (in a
-confirmation sweep, in a start's last iteration, or at g = 1 on every step)
-costs one lookup.  The weight step is skipped when the ranking step kept the
-orders it was last fitted on: the refit would return the same objective,
-which can never strictly improve the start's best.
+memoizes its subset-DP answers, so an inner subproblem that a single solve
+meets again (in a confirmation sweep, in a start's last iteration, or at
+g = 1 on every step) costs one lookup; a stacked solve skips the memo, and
+a repeated matrix costs one row of the stack.  The weight step is skipped
+when the ranking step kept the orders it was last fitted on: the refit
+would return the same objective, which can never strictly improve the
+start's best.
 """
 
 from __future__ import annotations
@@ -44,7 +55,7 @@ from .core import (
     PreferenceMatrix,
     canonicalize,
 )
-from .lop import benefit_for_pairs, lop_exact
+from .lop import _lop_exact_batch, benefit_for_pairs, lop_exact
 from .simplex_fit import _fit_simplex_l1
 
 _WEIGHT_EPS = 1e-12
@@ -131,6 +142,13 @@ def step_rankings(
         (orders, objective, unproven): the objective at the fixed weights, and
         the number of inner solves that stopped on their budget.
     """
+    return _lockstep([_ranking_step(C, fixed_weights, incumbent_orders)], budget)[0]
+
+
+def _ranking_step(C: PreferenceMatrix, fixed_weights, incumbent_orders):
+    """step_rankings as a generator: it yields each inner LOP's benefit
+    matrix, is sent lop_exact's (order, value, proven) for it, and returns
+    step_rankings' result."""
     w = np.asarray(fixed_weights, dtype=np.float64)
     orders = list(incumbent_orders)
     if w.shape != (len(orders),):
@@ -152,8 +170,7 @@ def step_rankings(
             b_rs = np.abs(a) - np.abs(a - w[i])
             a_sr = w[i] - a
             b_sr = np.abs(a_sr) - np.abs(a_sr - w[i])
-            B = benefit_for_pairs(n, b_rs, b_sr)
-            new_order, _, proven = lop_exact(B, budget=budget)
+            new_order, _, proven = yield benefit_for_pairs(n, b_rs, b_sr)
             unproven += not proven
             if new_order.perm == orders[i].perm:
                 continue
@@ -181,41 +198,16 @@ def solve_heuristic(
     if g < 1:
         raise InvalidInput(f"g must be >= 1, got {g}")
     cfg = cfg if cfg is not None else HeuristicConfig()
-    n = C.n
+    starts = [_start(C, g, cfg, k) for k in range(cfg.n_starts)]
+    results = _lockstep(starts, cfg.step1_budget)
 
     best_obj = math.inf
     best_orders: list[LinearOrder] | None = None
     best_weights: np.ndarray | None = None
     trace = HeuristicTrace()
-
-    for k in range(cfg.n_starts):
-        rng = np.random.default_rng(cfg.base_seed ^ k)
-        w_loc = random_simplex_weights(g, rng)
-        orders_loc = [LinearOrder(tuple(int(v) for v in rng.permutation(n))) for _ in range(g)]
-        obj_loc = math.inf
-        fitted = None  # the orders list the last weight step was fitted on
-        rows: list[tuple[int, float, float]] = []
-
-        for it in range(1, cfg.it_max + 1):
-            obj_start = obj_loc
-
-            orders_new, obj1, unproven = step_rankings(C, w_loc, orders_loc, cfg.step1_budget)
-            trace.inner_unproven += unproven
-            if obj1 < obj_loc:
-                orders_loc, obj_loc = orders_new, obj1
-            after1 = obj_loc
-
-            if orders_loc is not fitted:
-                w_new, obj2 = step_weights(C, orders_loc)
-                fitted = orders_loc
-                if obj2 < obj_loc:
-                    w_loc, obj_loc = w_new, obj2
-            rows.append((it, after1, obj_loc))
-
-            if abs(obj_start - obj_loc) < cfg.epsilon:
-                break
-
+    for orders_loc, w_loc, obj_loc, rows, unproven in results:
         trace.starts.append(rows)
+        trace.inner_unproven += unproven
         if obj_loc < best_obj - _IMPROVE_TOL:
             best_obj = obj_loc
             best_orders = orders_loc
@@ -226,3 +218,55 @@ def solve_heuristic(
         MixtureSolution(tuple(best_orders), tuple(float(v) for v in best_weights))
     )
     return sol, float(best_obj), trace
+
+
+def _lockstep(steps, budget: int | None) -> list:
+    """Runs generators that yield benefit matrices and are sent lop_exact's
+    answers side by side: each round answers the matrices that all live
+    generators wait on with one _lop_exact_batch call, then resumes each in
+    turn.  Returns what each generator returns, in order."""
+    results = [None] * len(steps)
+    answers = dict.fromkeys(range(len(steps)))  # None starts a generator
+    while answers:
+        pending = {}
+        for k, answer in answers.items():
+            try:
+                pending[k] = steps[k].send(answer)
+            except StopIteration as done:
+                results[k] = done.value
+        solved = _lop_exact_batch(list(pending.values()), budget, lop_exact) if pending else []
+        answers = dict(zip(pending, solved))
+    return results
+
+
+def _start(C: PreferenceMatrix, g: int, cfg: HeuristicConfig, k: int):
+    """Start k of solve_heuristic as a generator that yields the benefit
+    matrix of each inner LOP its ranking steps solve and is sent lop_exact's
+    answer.  Returns (orders, weights, objective, trace rows, unproven)."""
+    rng = np.random.default_rng(cfg.base_seed ^ k)
+    w_loc = random_simplex_weights(g, rng)
+    orders_loc = [LinearOrder(tuple(int(v) for v in rng.permutation(C.n))) for _ in range(g)]
+    obj_loc = math.inf
+    fitted = None  # the orders list the last weight step was fitted on
+    rows: list[tuple[int, float, float]] = []
+    inner_unproven = 0
+
+    for it in range(1, cfg.it_max + 1):
+        obj_start = obj_loc
+
+        orders_new, obj1, unproven = yield from _ranking_step(C, w_loc, orders_loc)
+        inner_unproven += unproven
+        if obj1 < obj_loc:
+            orders_loc, obj_loc = orders_new, obj1
+        after1 = obj_loc
+
+        if orders_loc is not fitted:
+            w_new, obj2 = step_weights(C, orders_loc)
+            fitted = orders_loc
+            if obj2 < obj_loc:
+                w_loc, obj_loc = w_new, obj2
+        rows.append((it, after1, obj_loc))
+
+        if abs(obj_start - obj_loc) < cfg.epsilon:
+            break
+    return orders_loc, w_loc, obj_loc, rows, inner_unproven

@@ -19,7 +19,9 @@ order, unproven.  That cap counts candidate subsets per layer
 are machine-independent and reproducible.  The answer depends on the matrix
 and the cap alone, so the answers for the last _DP_MEMO_SIZE distinct pairs
 of them are memoized, and a repeated solve (the alternating heuristic makes
-many) costs one hash instead of a DP.
+many) costs one hash instead of a DP.  _lop_exact_batch answers a list of
+small matrices, the inner LOPs of the heuristic's starts, with one subset
+DP over their stack, which gives lop_exact's answers without its memo.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ _TIE_TOL = 1e-12
 _DP_ONE_PART_MAX_N = 11
 # float64 values per temporary array of the DP (1 MiB)
 _DP_CHUNK = 1 << 17
+# float64 values the gain tables of one stacked solve (_lop_exact_batch) may
+# hold, the ceiling of the whole-table DP's own value table (8 MiB)
+_STACK_VALUES = 1 << LOP_DP_MAX_N
 # the bounded DP hands a block of k <= LOP_DP_MAX_N items to the whole-table
 # DP before a popcount layer would grow more than 2^k / this many candidates
 _BOUNDED_LAYER_DIV = 16
@@ -89,11 +94,15 @@ class BenefitMatrix:
         return cls(C.full())
 
 
-def order_value(perm, b: np.ndarray) -> float:
-    """Sum of b[u, v] over all pairs with u before v in perm."""
+def order_value(perm, b: np.ndarray):
+    """Sum of b[u, v] over all pairs with u before v in perm.  Given a
+    (P, n) stack of orders of a (P, n, n) stack of matrices, the array of
+    the P sums, each summed as it would be alone."""
     idx = np.asarray(perm, dtype=np.int64)
-    sub = b[np.ix_(idx, idx)]
-    return float(np.triu(sub, k=1).sum())
+    if idx.ndim == 1:
+        return float(np.triu(b[np.ix_(idx, idx)], k=1).sum())
+    sub = b[np.arange(len(idx))[:, None, None], idx[:, :, None], idx[:, None, :]]
+    return np.triu(sub, k=1).reshape(len(idx), -1).sum(axis=1)
 
 
 def lop_exact(B: BenefitMatrix, budget: int | None = None) -> tuple[LinearOrder, float, bool]:
@@ -148,6 +157,34 @@ def _dp_solve(key: bytes, n: int, budget: int) -> tuple[LinearOrder, float, bool
     return LinearOrder(perm), order_value(perm, b), proven
 
 
+def _lop_exact_batch(matrices, budget: int | None = None, solve=lop_exact):
+    """lop_exact's answers for a list of benefit matrices of one size.
+
+    Two or more matrices of at most _DP_ONE_PART_MAX_N items are stacked
+    and solved by one whole-matrix subset DP (_subset_table, h = 0), in
+    slices whose gain tables hold at most _STACK_VALUES float64 values.
+    The whole matrix's DP gives the order lop_exact's blocks give, and the
+    order is read off and valued as lop_exact does it, so each answer is
+    lop_exact's bit for bit; the stacked path skips the memo.  Otherwise
+    each matrix goes through solve: lop_exact as the caller binds it, so
+    that a wrapper the caller installs there sees those solves.
+    """
+    n = matrices[0].n
+    if len(matrices) == 1 or n > _DP_ONE_PART_MAX_N:
+        return [solve(B, budget=budget) for B in matrices]
+    b = np.stack([B.b for B in matrices])
+    step = max(1, _STACK_VALUES // ((1 << n) * n))
+    answers = []
+    for k in range(0, len(b), step):
+        part = b[k : k + step]
+        f, _, gh, _ = _subset_table(part)
+        perms = _rebuild_stack(f, gh)
+        values = order_value(perms, part)
+        answers += [(LinearOrder(perm), value, True)
+                    for perm, value in zip(perms.tolist(), values.tolist())]
+    return answers
+
+
 def _tolerance(b: np.ndarray) -> float:
     """_BLOCK_TOL times max(1, max |b|)."""
     return _BLOCK_TOL * max(1.0, float(np.abs(b).max()))
@@ -182,57 +219,71 @@ def _blocks(b: np.ndarray) -> list[list[int]]:
 
 
 def _subset_dp(b: np.ndarray) -> tuple[int, ...]:
-    """Lexicographically smallest optimal order by the subset recursion
+    """Lexicographically smallest optimal order of b's items: _subset_table's
+    table, read by _rebuild."""
+    f, gl, gh, h = _subset_table(b[None])
+    return _rebuild(f[..., 0].ravel().item, gl[..., 0], gh[..., 0], h)
+
+
+def _subset_table(b: np.ndarray):
+    """The subset recursion's table for each matrix b[p] of a (P, n, n) stack,
 
         f(S) = max over i in S of  f(S - i) + sum over j in S of b[i, j],
 
     where i is the first item of S and f(S) the best value of an order of S
     (b's diagonal is zero).  A subset is a bit mask, split into its low
-    h bits and its high n - h bits, and f is a 2^(n-h) x 2^h table indexed
-    by (high part, low part); h is n // 2, or 0 up to _DP_ONE_PART_MAX_N
-    items.  The gain sum is read off the two parts' subset-sum tables.  The
-    table is filled one popcount layer of the high part at a time, in chunks
-    of at most _DP_CHUNK values, and within a chunk one popcount layer of
-    the low part at a time.  _rebuild reads the order off it.
+    h bits and its high n - h bits, and f is a 2^(n-h) x 2^h x P table
+    indexed by (high part, low part, matrix); h is n // 2, or 0 up to
+    _DP_ONE_PART_MAX_N items.  The gain sum is read off the two parts'
+    subset-sum tables.  The table is filled one popcount layer of the high
+    part at a time, in chunks of at most _DP_CHUNK values, and within a
+    chunk one popcount layer of the low part at a time.  Each matrix's
+    values are summed as they would be alone.  At h = 0 the low sums are
+    all 0.0 and are not added: f(empty) is 0.0 and a sum is -0.0 only when
+    both terms are, so f holds no -0.0 and adding 0.0 would change no bit.
+
+    Returns (f, gl, gh, h), gl and gh the low and high subset-sum tables.
     """
-    n = b.shape[0]
+    stack, n = b.shape[0], b.shape[-1]
     h = _low_bits(n)
     width = 1 << h
     low_layers, high_layers = _dp_tables(n)
-    gl = _subset_sums(b, 0, h)  # gl[lo, i]: sum of b[i, j] over the low bits j of lo
-    gh = _subset_sums(b, h, n)  # gh[hi, i]: sum of b[i, h + j] over the bits j of hi
-    gl_items = gl.T
+    gl = _subset_sums(b, 0, h)  # gl[lo, i, p]: sum of b[p, i, j] over the low bits j of lo
+    gh = _subset_sums(b, h, n)  # gh[hi, i, p]: sum of b[p, i, h + j] over the bits j of hi
+    gl_items = gl.transpose(1, 0, 2)
+    gh_flat = gh.reshape(-1, stack)  # row hi * n + i is gh[hi, i]
     # the low layers past the empty one, each with its items' gains over it
-    low_steps = [(lows, items, preds, gl[lows[:, None], items])
+    low_steps = [(lows, items, preds, gl[lows, items])
                  for lows, items, preds in low_layers[1:]]
 
-    f = np.empty((1 << (n - h), width))
+    f = np.empty((1 << (n - h), width, stack))
     for count, (highs, items, preds) in enumerate(high_layers):
-        step = max(1, _DP_CHUNK // (max(count, 1) * width))
+        step = max(1, _DP_CHUNK // (max(count, 1) * width * stack))
         for r0 in range(0, len(highs), step):
             hi = highs[r0 : r0 + step]
             if count == 0:
-                w = np.full((1, width), -np.inf)
+                w = np.full((1, width, stack), -np.inf)
                 w[0, 0] = 0.0
             else:
                 # the first item is a high one: drop its bit from the high part
-                first = items[r0 : r0 + step]
-                t = f[preds[r0 : r0 + step]]
-                t += gl_items[first]
-                t += gh[hi[:, None], first][:, :, None]
-                w = t.max(axis=1)
-            gh_rows = gh[hi]
+                first = items[:, r0 : r0 + step]
+                t = np.take(f, preds[:, r0 : r0 + step], axis=0)
+                if h:
+                    t += gl_items[first]
+                t += np.take(gh_flat, hi * n + first, axis=0)[:, :, None]
+                w = t.max(axis=0)
+            gh_rows = gh[hi] if h else None
             for lows, first, low_preds, gain in low_steps:
                 # the first item is a low one: drop its bit from the low part
                 t = w[:, low_preds]
                 t += gain
                 t += gh_rows[:, first]
-                best = t.max(axis=2)
+                best = t.max(axis=1)
                 np.maximum(w[:, lows], best, out=best)
                 w[:, lows] = best
             f[hi] = w
 
-    return _rebuild(f.ravel().item, gl, gh, h)
+    return f, gl, gh, h
 
 
 def _bounded_dp(b: np.ndarray, budget: int = DEFAULT_LAYER_BUDGET) -> tuple[int, ...] | None:
@@ -311,7 +362,7 @@ def _bounded_values(b: np.ndarray, gl: np.ndarray, gh: np.ndarray, h: int, cap: 
         layers.append((masks, values))
 
     def value(mask: int) -> float:
-        masks, values = layers[bin(mask).count("1")]
+        masks, values = layers[mask.bit_count()]
         k = int(masks.searchsorted(mask))
         return values.item(k) if k < len(masks) and masks.item(k) == mask else -np.inf
 
@@ -337,6 +388,28 @@ def _rebuild(value, gl: np.ndarray, gh: np.ndarray, h: int) -> tuple[int, ...]:
         perm.append(item)
         left ^= 1 << item
     return tuple(perm)
+
+
+def _rebuild_stack(f: np.ndarray, gh: np.ndarray) -> np.ndarray:
+    """_rebuild's order for each table of _subset_table's stack at h = 0, as
+    a (P, n) array: every step scores all items of all tables at once, each
+    candidate summed as _rebuild sums it (the low sums it also adds are 0.0
+    there, which changes no bit of f)."""
+    n, stack = gh.shape[1:]
+    f = f.reshape(-1, stack)
+    rows = np.arange(stack)
+    bit = np.int64(1) << np.arange(n)
+    left = np.full(stack, (1 << n) - 1, dtype=np.int64)
+    perms = np.empty((stack, n), dtype=np.int64)
+    for k in range(n - 1):
+        floor = f[left, rows] - _TIE_TOL
+        cand = f[left[:, None] ^ bit, rows[:, None]]
+        cand += gh[left[:, None], np.arange(n), rows[:, None]]
+        ok = (left[:, None] & bit != 0) & (cand >= floor[:, None])
+        perms[:, k] = item = ok.argmax(axis=1)
+        left ^= bit[item]
+    perms[:, -1] = bit.searchsorted(left)  # the one item left
+    return perms
 
 
 def _insertion_value(b: np.ndarray, eps: float) -> tuple[tuple[int, ...], float]:
@@ -368,11 +441,13 @@ def _insertion_value(b: np.ndarray, eps: float) -> tuple[tuple[int, ...], float]
 
 def _subset_sums(b: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Row m, column i: sum of b[i, lo + j] over the bits j of m, m < 2^(hi-lo),
-    added in ascending bit order."""
-    sums = np.empty((1 << (hi - lo), b.shape[0]))
+    added in ascending bit order.  For a (P, n, n) stack, entry [m, i, p]
+    is that sum for b[p]."""
+    cols = np.swapaxes(b, 0, -1)  # cols[j] is column j, one per matrix
+    sums = np.empty((1 << (hi - lo),) + cols.shape[1:])
     sums[0] = 0.0
     for j in range(hi - lo):
-        np.add(sums[: 1 << j], b[:, lo + j], out=sums[1 << j : 2 << j])
+        np.add(sums[: 1 << j], cols[lo + j], out=sums[1 << j : 2 << j])
     return sums
 
 
@@ -390,16 +465,18 @@ def _dp_tables(n: int):
 
 def _popcount_layers(width: int, offset: int):
     """Per popcount c, for the width-bit masks with c bits set (ascending):
-    the masks, the items their bits stand for (bit j is item offset + j),
-    and each mask with one of those bits cleared."""
+    the masks, and as c x masks arrays the items their bits stand for (bit
+    j is item offset + j) and each mask with one of those bits cleared.
+    Candidates of one mask run down a column, so that the DP's max over
+    them is a reduction over rows of contiguous values."""
     masks = np.arange(1 << width, dtype=np.int64)
     bits = (masks[:, None] >> np.arange(width)) & 1
     count = bits.sum(axis=1)
     layers = []
     for c in range(width + 1):
         m = masks[count == c]
-        pos = np.nonzero(bits[m])[1].reshape(len(m), c)
-        layer = (m, pos + offset, m[:, None] ^ (np.int64(1) << pos))
+        pos = np.nonzero(bits[m])[1].reshape(len(m), c).T
+        layer = (m, pos + offset, m ^ (np.int64(1) << pos))
         for arr in layer:
             arr.flags.writeable = False  # shared by every caller of the cache
         layers.append(layer)

@@ -268,6 +268,50 @@ def exact_scan_reference(C, g: int):
     return sol, float(best_obj), True
 
 
+def sequential_heuristic_reference(C, g: int, cfg):
+    """`solve_heuristic` as a plain loop: each start runs to its end before
+    the next one begins, its ranking step through `step_rankings` (one
+    `lop_exact` call per inner LOP) and its weight step through
+    `step_weights` after every ranking step, and the best start is the first
+    one that beats all earlier ones by more than _IMPROVE_TOL.
+    Returns (solution, objective, per-start trace rows, inner_unproven)."""
+    from mlop.core import LinearOrder, MixtureSolution, canonicalize
+    from mlop.heuristic import (
+        _IMPROVE_TOL,
+        random_simplex_weights,
+        step_rankings,
+        step_weights,
+    )
+
+    best_obj, best_orders, best_w = math.inf, None, None
+    starts, unproven = [], 0
+    for k in range(cfg.n_starts):
+        rng = np.random.default_rng(cfg.base_seed ^ k)
+        w = random_simplex_weights(g, rng)
+        orders = [LinearOrder(tuple(int(v) for v in rng.permutation(C.n))) for _ in range(g)]
+        obj = math.inf
+        rows = []
+        for it in range(1, cfg.it_max + 1):
+            obj_start = obj
+            new_orders, obj1, missed = step_rankings(C, w, orders, cfg.step1_budget)
+            unproven += missed
+            if obj1 < obj:
+                orders, obj = new_orders, obj1
+            after1 = obj
+            new_w, obj2 = step_weights(C, orders)
+            if obj2 < obj:
+                w, obj = new_w, obj2
+            rows.append((it, after1, obj))
+            if abs(obj_start - obj) < cfg.epsilon:
+                break
+        starts.append(rows)
+        if obj < best_obj - _IMPROVE_TOL:
+            best_obj, best_orders, best_w = obj, orders, w
+
+    sol = canonicalize(MixtureSolution(tuple(best_orders), tuple(float(v) for v in best_w)))
+    return sol, float(best_obj), starts, unproven
+
+
 def l1_fit_by_highs(X: np.ndarray, c) -> float:
     """Least L1 distance from c to a convex combination of the rows of X,
     by scipy's HiGHS on the split-residual LP: an oracle independent of

@@ -18,9 +18,15 @@ from mlop import (
     step_weights,
 )
 
+import mlop.lop as lop
 from mlop.lop import LOP_DP_MAX_N
 
-from _oracles import grid_min_objective, random_order, random_preference_matrix
+from _oracles import (
+    grid_min_objective,
+    random_order,
+    random_preference_matrix,
+    sequential_heuristic_reference,
+)
 
 EX1 = PreferenceMatrix(4, [0.9, 0.9, 0.9, 0.5, 0.9, 0.9])
 
@@ -181,6 +187,45 @@ def test_no_start_refits_the_orders_it_just_fitted(monkeypatch):
         iterations += trace.total_iterations
         fitted += len(fits)
     assert fitted < iterations  # the last iteration of a start keeps its orders
+
+
+# (n, g, n_starts): every n from 4 to 13, each g and every start count
+# from 1 to 10; up to n = 11 the starts' inner LOPs are stacked
+LOCKSTEP_CASES = [(4, 1, 10), (5, 2, 1), (6, 3, 2), (7, 1, 3), (8, 2, 4), (9, 3, 5),
+                  (10, 3, 10), (11, 2, 6), (12, 3, 7), (13, 1, 8), (10, 1, 9), (11, 3, 9)]
+
+
+@pytest.mark.parametrize("n, g, n_starts", LOCKSTEP_CASES)
+def test_lockstep_matches_sequential_starts(n, g, n_starts):
+    C = random_preference_matrix(n, np.random.default_rng(n * 100 + g))
+    cfg = HeuristicConfig(n_starts=n_starts, base_seed=n + g)
+    sol, obj, trace = solve_heuristic(C, g, cfg)
+    ref_sol, ref_obj, ref_rows, ref_unproven = sequential_heuristic_reference(C, g, cfg)
+    assert sol == ref_sol and sol.weights == ref_sol.weights
+    assert obj == ref_obj
+    assert trace.starts == ref_rows
+    assert trace.inner_unproven == ref_unproven
+
+
+def test_stack_split_into_chunks_changes_nothing(monkeypatch):
+    # a ceiling of three 10-item gain tables cuts each stack of up to ten
+    # starts' inner LOPs into several chunks
+    C = random_preference_matrix(10, np.random.default_rng(12))
+    cfg = HeuristicConfig(n_starts=10, base_seed=4)
+    whole = solve_heuristic(C, 3, cfg)
+    chunks = []
+    table = lop._subset_table
+
+    def recording(b):
+        chunks.append(len(b))
+        return table(b)
+
+    monkeypatch.setattr(lop, "_STACK_VALUES", 3 * (1 << 10) * 10)
+    monkeypatch.setattr(lop, "_subset_table", recording)
+    split = solve_heuristic(C, 3, cfg)
+    assert max(chunks) == 3 and chunks.count(3) > 1
+    assert split[0] == whole[0] and split[1] == whole[1]
+    assert split[2].starts == whole[2].starts
 
 
 def test_inner_solves_proven_up_to_dp_limit():

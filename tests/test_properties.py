@@ -47,6 +47,7 @@ from mlop.lop import (
     _bounded_dp,
     _dp_solve,
     _insertion_value,
+    _lop_exact_batch,
     _subset_dp,
     _tolerance,
     order_value,
@@ -162,6 +163,39 @@ def test_lop_exact_matches_whole_matrix_dp(b):
     assert value == order_value(perm, b)
     if b.shape[0] <= 8:
         assert perm == lop_lex_smallest_optimum(b)[0]
+
+
+@st.composite
+def benefit_stacks(draw):
+    """2 to 8 benefit matrices of one size, 1 to 11 items: each one from
+    benefit_matrices, or with integer entries in [-3, 3] (exact ties) or
+    those times 1e-13 (every difference inside the DP's tie tolerance)."""
+    n = draw(st.integers(1, 11))
+    stack = []
+    for _ in range(draw(st.integers(2, 8))):
+        scale = draw(st.sampled_from([None, 1.0, 1e-13] if n > 1 else [1.0, 1e-13]))
+        if scale is None:
+            stack.append(draw(benefit_matrices(min_n=n, max_n=n)))
+            continue
+        entries = draw(st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n))
+        b = np.array(entries, dtype=np.float64).reshape(n, n) * scale
+        np.fill_diagonal(b, 0.0)
+        stack.append(b)
+    return stack
+
+
+@SETTINGS
+@given(benefit_stacks())
+def test_stacked_lop_matches_lop_exact(stack):
+    matrices = [BenefitMatrix(b) for b in stack]
+    _dp_solve.cache_clear()
+    answers = _lop_exact_batch(matrices)
+    assert _dp_solve.cache_info().misses == 0  # one stacked DP, not lop_exact
+    for B, (order, value, proven) in zip(matrices, answers):
+        _dp_solve.cache_clear()
+        want_order, want_value, want_proven = lop_exact(B)
+        assert order.perm == want_order.perm and proven == want_proven
+        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
 
 
 @SETTINGS
