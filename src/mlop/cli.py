@@ -257,8 +257,6 @@ def _run_solver(C: PreferenceMatrix, method: str, g: int, args):
         return sol, obj, proven, None
     cfg = HeuristicConfig(
         n_starts=args.n_starts,
-        it_max=args.it_max,
-        epsilon=args.epsilon,
         step1_budget=args.step1_budget,
         base_seed=args.seed,
     )
@@ -524,8 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=HeuristicConfig.base_seed,
                        help="base RNG seed (fixed default; never wall-clock)")
         p.add_argument("--n-starts", type=int, default=HeuristicConfig.n_starts)
-        p.add_argument("--it-max", type=int, default=HeuristicConfig.it_max)
-        p.add_argument("--epsilon", type=float, default=HeuristicConfig.epsilon)
         p.add_argument("--step1-budget", type=int, default=HeuristicConfig.step1_budget,
                        help="cap on the candidate item sets per popcount layer of the "
                             f"subset DP on an inner LOP block of more than {LOP_DP_MAX_N} "

@@ -94,12 +94,13 @@ class PreferenceMatrix:
     def __post_init__(self):
         if self.n < 2:
             raise InvalidInput(f"need at least 2 items, got n={self.n}")
-        arr = np.ascontiguousarray(np.asarray(self.upper, dtype=np.float64))
+        arr = np.asarray(self.upper, dtype=np.float64)
         if arr.shape != (num_pairs(self.n),):
             raise InvalidInput(
                 f"upper triangle for n={self.n} must have length "
                 f"{num_pairs(self.n)}, got shape {arr.shape}"
             )
+        arr = np.ascontiguousarray(arr)
         if not np.all(np.isfinite(arr)):
             raise InvalidInput("preference entries must be finite")
         if arr.min() < 0.0 or arr.max() > 1.0:

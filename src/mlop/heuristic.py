@@ -1,11 +1,12 @@
 """Multi-start alternating-direction matheuristic.
 
-Each start draws random simplex weights, then alternates two steps until the
-objective stops improving: a ranking-update step that re-optimizes the group
-orders at fixed weights, and a weight-update step that re-fits the simplex
-weights at fixed orders (an exact LP).  Step results are accepted only when
-they strictly improve the start's best objective, and the best solution over
-all starts is returned.
+Each start draws random simplex weights, then alternates two steps until an
+iteration moves the objective by less than 1e-5, or for 12 iterations at
+most: a ranking-update step that re-optimizes the group orders at fixed
+weights, and a weight-update step that re-fits the simplex weights at fixed
+orders (an exact LP).  Step results are accepted only when they strictly
+improve the start's best objective, and the best solution over all starts
+is returned.
 
 The ranking update is realized as block coordinate descent over the groups:
 with the other groups fixed, the subproblem for group i,
@@ -28,17 +29,17 @@ answer; a driver collects the matrices all live starts wait on and answers
 them together.  Up to _DP_ONE_PART_MAX_N (11) items they go to one stacked
 subset DP (``lop._lop_exact_batch``), whose answers are ``lop_exact``'s bit
 for bit, so a start's arithmetic, the trace and the best-start rule are
-those of starts run one after another.  Larger matrices, and a lone one,
-go to ``lop_exact`` one by one.
+those of starts run one after another.  Larger matrices go to
+``lop_exact`` one by one.
 
 Neither step repeats work whose answer it already has.  ``lop_exact``
-memoizes its subset-DP answers, so an inner subproblem that a single solve
-meets again (in a confirmation sweep, in a start's last iteration, or at
-g = 1 on every step) costs one lookup; a stacked solve skips the memo, and
-a repeated matrix costs one row of the stack.  The weight step is skipped
-when the ranking step kept the orders it was last fitted on: the refit
-would return the same objective, which can never strictly improve the
-start's best.
+memoizes its subset-DP answers, so an inner subproblem of more than 11
+items that a solve meets again (in a confirmation sweep, in a start's last
+iteration, or at g = 1 on every step) costs one lookup; a stacked solve
+skips the memo, and a repeated matrix costs one row of the stack.  The
+weight step is skipped when the ranking step kept the orders it was last
+fitted on: the refit would return the same objective, which can never
+strictly improve the start's best.
 """
 
 from __future__ import annotations
@@ -61,11 +62,16 @@ from .simplex_fit import _fit_simplex_l1
 _WEIGHT_EPS = 1e-12
 _IMPROVE_TOL = 1e-15
 _MAX_SWEEPS = 100
+# a start stops after _IT_MAX iterations, or after one that moved its
+# objective by less than _CONVERGED
+_IT_MAX = 12
+_CONVERGED = 1e-5
 
 
 @dataclass(frozen=True)
 class HeuristicConfig:
-    """Knobs of the multi-start alternation.
+    """Settings of the multi-start alternation; its stopping rule is fixed
+    (_IT_MAX, _CONVERGED).
 
     step1_budget is lop_exact's budget for each inner LOP solve: the cap on
     the candidate subsets per popcount layer of a block of more than
@@ -75,18 +81,12 @@ class HeuristicConfig:
     """
 
     n_starts: int = 10
-    it_max: int = 12
-    epsilon: float = 1e-5
     step1_budget: int | None = None
     base_seed: int = 0
 
     def __post_init__(self):
         if self.n_starts < 1:
             raise InvalidInput(f"n_starts must be >= 1, got {self.n_starts}")
-        if self.it_max < 1:
-            raise InvalidInput(f"it_max must be >= 1, got {self.it_max}")
-        if not self.epsilon > 0:
-            raise InvalidInput(f"epsilon must be > 0, got {self.epsilon}")
         if self.step1_budget is not None and self.step1_budget < 1:
             raise InvalidInput("step1_budget must be positive when given")
         if self.base_seed < 0:
@@ -147,7 +147,7 @@ def step_rankings(
 
 def _ranking_step(C: PreferenceMatrix, fixed_weights, incumbent_orders):
     """step_rankings as a generator: it yields each inner LOP's benefit
-    matrix, is sent lop_exact's (order, value, proven) for it, and returns
+    matrix, is sent lop_exact's (order, proven) for it, and returns
     step_rankings' result."""
     w = np.asarray(fixed_weights, dtype=np.float64)
     orders = list(incumbent_orders)
@@ -170,7 +170,7 @@ def _ranking_step(C: PreferenceMatrix, fixed_weights, incumbent_orders):
             b_rs = np.abs(a) - np.abs(a - w[i])
             a_sr = w[i] - a
             b_sr = np.abs(a_sr) - np.abs(a_sr - w[i])
-            new_order, _, proven = yield benefit_for_pairs(n, b_rs, b_sr)
+            new_order, proven = yield benefit_for_pairs(n, b_rs, b_sr)
             unproven += not proven
             if new_order.perm == orders[i].perm:
                 continue
@@ -222,9 +222,9 @@ def solve_heuristic(
 
 def _lockstep(steps, budget: int | None) -> list:
     """Runs generators that yield benefit matrices and are sent lop_exact's
-    answers side by side: each round answers the matrices that all live
-    generators wait on with one _lop_exact_batch call, then resumes each in
-    turn.  Returns what each generator returns, in order."""
+    (order, proven) side by side: each round answers the matrices that all
+    live generators wait on with one _lop_exact_batch call, then resumes
+    each in turn.  Returns what each generator returns, in order."""
     results = [None] * len(steps)
     answers = dict.fromkeys(range(len(steps)))  # None starts a generator
     while answers:
@@ -242,7 +242,8 @@ def _lockstep(steps, budget: int | None) -> list:
 def _start(C: PreferenceMatrix, g: int, cfg: HeuristicConfig, k: int):
     """Start k of solve_heuristic as a generator that yields the benefit
     matrix of each inner LOP its ranking steps solve and is sent lop_exact's
-    answer.  Returns (orders, weights, objective, trace rows, unproven)."""
+    (order, proven) for it.  Returns (orders, weights, objective, trace
+    rows, unproven)."""
     rng = np.random.default_rng(cfg.base_seed ^ k)
     w_loc = random_simplex_weights(g, rng)
     orders_loc = [LinearOrder(tuple(int(v) for v in rng.permutation(C.n))) for _ in range(g)]
@@ -251,7 +252,7 @@ def _start(C: PreferenceMatrix, g: int, cfg: HeuristicConfig, k: int):
     rows: list[tuple[int, float, float]] = []
     inner_unproven = 0
 
-    for it in range(1, cfg.it_max + 1):
+    for it in range(1, _IT_MAX + 1):
         obj_start = obj_loc
 
         orders_new, obj1, unproven = yield from _ranking_step(C, w_loc, orders_loc)
@@ -267,6 +268,6 @@ def _start(C: PreferenceMatrix, g: int, cfg: HeuristicConfig, k: int):
                 w_loc, obj_loc = w_new, obj2
         rows.append((it, after1, obj_loc))
 
-        if abs(obj_start - obj_loc) < cfg.epsilon:
+        if abs(obj_start - obj_loc) < _CONVERGED:
             break
     return orders_loc, w_loc, obj_loc, rows, inner_unproven

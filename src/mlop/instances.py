@@ -11,12 +11,14 @@ cumulative weights per (n, D), and a group's rankings are drawn, decoded
 and counted as one (N, n) integer array, in chunks.
 
 Ranking files are UTF-8 text, one complete ranking per line, whitespace
-separated 1-based item indices, most preferred first; '#' starts a comment.
+separated 1-based item indices in ASCII digits, most preferred first; '#'
+starts a comment.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -38,6 +40,9 @@ DEFAULT_MAX_ATTEMPTS = 100_000
 # Array cells one vectorised chunk may span: rankings x (n + 1) uniforms when
 # sampling, rankings x C(n,2) pairs when counting.  Bounds the working memory.
 _CHUNK_CELLS = 1 << 16
+# a character a ranking line may not hold: items are ASCII decimal numerals
+# (int() would also take "+3", "3_0" and non-ASCII digits)
+_NOT_DIGIT = re.compile(r"[^0-9\s]")
 
 
 class SeparationInfeasible(RuntimeError):
@@ -433,10 +438,9 @@ def generate_instance(spec: GeneratorSpec) -> tuple[RankingSample, PreferenceMat
 
 def parse_ranking_line(line: str, line_no: int, n: int | None) -> LinearOrder:
     tokens = line.split()
-    try:
-        items = [int(t) for t in tokens]
-    except ValueError:
-        raise RankingFormatError(line_no, f"non-integer token in {tokens!r}") from None
+    if _NOT_DIGIT.search(line):
+        raise RankingFormatError(line_no, f"non-integer token in {tokens!r}")
+    items = [int(t) for t in tokens]
     if n is not None and len(items) != n:
         raise RankingFormatError(
             line_no, f"expected {n} items per ranking, got {len(items)}"
@@ -456,12 +460,12 @@ def _parse_ranking_array(lines: list[str]) -> np.ndarray | None:
     when some line is malformed.  Tokens are split off twice rather than
     held, so the parse never keeps more than one line's strings."""
     n = len(lines[0].split())
-    if any(len(line.split()) != n for line in lines):
+    if _NOT_DIGIT.search("\n".join(lines)) or any(len(line.split()) != n for line in lines):
         return None
     try:
         flat = np.fromiter(map(int, chain.from_iterable(map(str.split, lines))),
                            dtype=np.int64, count=n * len(lines))
-    except (ValueError, OverflowError):
+    except OverflowError:  # a numeral past int64
         return None
     if flat.min() < 1 or flat.max() > n:
         return None

@@ -21,7 +21,7 @@ and the cap alone, so the answers for the last _DP_MEMO_SIZE distinct pairs
 of them are memoized, and a repeated solve (the alternating heuristic makes
 many) costs one hash instead of a DP.  _lop_exact_batch answers a list of
 small matrices, the inner LOPs of the heuristic's starts, with one subset
-DP over their stack, which gives lop_exact's answers without its memo.
+DP over their stack, which gives lop_exact's orders without its memo.
 """
 
 from __future__ import annotations
@@ -94,15 +94,10 @@ class BenefitMatrix:
         return cls(C.full())
 
 
-def order_value(perm, b: np.ndarray):
-    """Sum of b[u, v] over all pairs with u before v in perm.  Given a
-    (P, n) stack of orders of a (P, n, n) stack of matrices, the array of
-    the P sums, each summed as it would be alone."""
+def order_value(perm, b: np.ndarray) -> float:
+    """Sum of b[u, v] over all pairs with u before v in perm."""
     idx = np.asarray(perm, dtype=np.int64)
-    if idx.ndim == 1:
-        return float(np.triu(b[np.ix_(idx, idx)], k=1).sum())
-    sub = b[np.arange(len(idx))[:, None, None], idx[:, :, None], idx[:, None, :]]
-    return np.triu(sub, k=1).reshape(len(idx), -1).sum(axis=1)
+    return float(np.triu(b[np.ix_(idx, idx)], k=1).sum())
 
 
 def lop_exact(B: BenefitMatrix, budget: int | None = None) -> tuple[LinearOrder, float, bool]:
@@ -158,30 +153,27 @@ def _dp_solve(key: bytes, n: int, budget: int) -> tuple[LinearOrder, float, bool
 
 
 def _lop_exact_batch(matrices, budget: int | None = None, solve=lop_exact):
-    """lop_exact's answers for a list of benefit matrices of one size.
+    """lop_exact's (order, proven) for each of a list of benefit matrices of
+    one size.
 
-    Two or more matrices of at most _DP_ONE_PART_MAX_N items are stacked
-    and solved by one whole-matrix subset DP (_subset_table, h = 0), in
-    slices whose gain tables hold at most _STACK_VALUES float64 values.
-    The whole matrix's DP gives the order lop_exact's blocks give, and the
-    order is read off and valued as lop_exact does it, so each answer is
-    lop_exact's bit for bit; the stacked path skips the memo.  Otherwise
-    each matrix goes through solve: lop_exact as the caller binds it, so
-    that a wrapper the caller installs there sees those solves.
+    Matrices of at most _DP_ONE_PART_MAX_N items, one alone included, are
+    stacked and solved by one whole-matrix subset DP (_subset_table, h = 0),
+    in slices whose gain tables hold at most _STACK_VALUES float64 values.
+    The whole matrix's DP gives the order lop_exact's blocks give, read off
+    as lop_exact reads it, and is proven; the stacked path skips the memo.
+    Larger matrices each go through solve: lop_exact as the caller binds
+    it, so that a wrapper the caller installs there sees those solves.
     """
     n = matrices[0].n
-    if len(matrices) == 1 or n > _DP_ONE_PART_MAX_N:
-        return [solve(B, budget=budget) for B in matrices]
+    if n > _DP_ONE_PART_MAX_N:
+        answers = [solve(B, budget=budget) for B in matrices]
+        return [(order, proven) for order, _, proven in answers]
     b = np.stack([B.b for B in matrices])
     step = max(1, _STACK_VALUES // ((1 << n) * n))
     answers = []
     for k in range(0, len(b), step):
-        part = b[k : k + step]
-        f, _, gh, _ = _subset_table(part)
-        perms = _rebuild_stack(f, gh)
-        values = order_value(perms, part)
-        answers += [(LinearOrder(perm), value, True)
-                    for perm, value in zip(perms.tolist(), values.tolist())]
+        f, _, gh, _ = _subset_table(b[k : k + step])
+        answers += [(LinearOrder(perm), True) for perm in _rebuild_stack(f, gh).tolist()]
     return answers
 
 

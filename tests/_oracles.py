@@ -277,7 +277,9 @@ def sequential_heuristic_reference(C, g: int, cfg):
     Returns (solution, objective, per-start trace rows, inner_unproven)."""
     from mlop.core import LinearOrder, MixtureSolution, canonicalize
     from mlop.heuristic import (
+        _CONVERGED,
         _IMPROVE_TOL,
+        _IT_MAX,
         random_simplex_weights,
         step_rankings,
         step_weights,
@@ -291,7 +293,7 @@ def sequential_heuristic_reference(C, g: int, cfg):
         orders = [LinearOrder(tuple(int(v) for v in rng.permutation(C.n))) for _ in range(g)]
         obj = math.inf
         rows = []
-        for it in range(1, cfg.it_max + 1):
+        for it in range(1, _IT_MAX + 1):
             obj_start = obj
             new_orders, obj1, missed = step_rankings(C, w, orders, cfg.step1_budget)
             unproven += missed
@@ -302,7 +304,7 @@ def sequential_heuristic_reference(C, g: int, cfg):
             if obj2 < obj:
                 w, obj = new_w, obj2
             rows.append((it, after1, obj))
-            if abs(obj_start - obj) < cfg.epsilon:
+            if abs(obj_start - obj) < _CONVERGED:
                 break
         starts.append(rows)
         if obj < best_obj - _IMPROVE_TOL:

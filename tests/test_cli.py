@@ -65,6 +65,13 @@ def test_load_instance_rejects_unnormalized(tmp_path):
     assert main(["solve", str(path), "--method", "exact", "--g", "1"]) == EXIT_INVALID
 
 
+def test_load_instance_rejects_a_scalar_upper_triangle(tmp_path, capsys):
+    path = tmp_path / "scalar.json"
+    path.write_text(json.dumps({"n": 2, "c_upper": 0.5}))
+    assert main(["solve", str(path), "--method", "exact", "--g", "1"]) == EXIT_INVALID
+    assert "got shape ()" in capsys.readouterr().err
+
+
 def test_parse_weights_forms():
     assert parse_weights("0.667,0.333", 2) == (0.667, 0.333)
     assert parse_weights("2:1", 2) == (0.667, 0.333)
@@ -224,15 +231,22 @@ def test_parser_defaults_are_the_config_defaults():
     for command in ("solve", "sweep"):
         extra = ["--g", "1"] if command == "solve" else ["--g-max", "1"]
         args = parser.parse_args([command, "x.json", "--method", "heuristic"] + extra)
-        assert (args.n_starts, args.it_max, args.epsilon, args.step1_budget, args.seed) == (
-            heuristic.n_starts, heuristic.it_max, heuristic.epsilon,
-            heuristic.step1_budget, heuristic.base_seed,
+        assert (args.n_starts, args.step1_budget, args.seed) == (
+            heuristic.n_starts, heuristic.step1_budget, heuristic.base_seed,
         )
     args = parser.parse_args(["gen", "--n", "4", "--g-true", "1", "--out", "x"])
     spec = {f.name: f.default for f in fields(GeneratorSpec)}
     assert (args.num_rankings, args.min_separation, args.seed) == (
         spec["num_rankings"], spec["min_separation"], spec["seed"]
     )
+
+
+def test_stopping_rule_is_not_an_option(ex1_path):
+    solve = ["solve", ex1_path, "--method", "heuristic", "--g", "2"]
+    for flag in (["--epsilon", "inf"], ["--it-max", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(solve + flag)
+        assert exc.value.code == EXIT_INVALID
 
 
 def test_main_builds_its_parser_once(monkeypatch, capsys):
@@ -388,6 +402,34 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert "exist for n=3" in proc.stderr
 
 
+NUMPY_ONLY_RUN = '''
+import sys
+for name in ("scipy", "hypothesis", "pytest"):
+    sys.modules[name] = None  # any import of them raises ImportError
+from mlop.cli import main
+
+status = [
+    main(["gen", "--n", "6", "--g-true", "2", "-p", "5", "--seed", "1", "--out", "r"]),
+    main(["ingest", "r.rankings.txt", "--out", "i"]),
+    main(["solve", "i.instance.json", "--method", "heuristic", "--g", "2", "--out", "h.json"]),
+    main(["solve", "i.instance.json", "--method", "exact", "--g", "2", "--out", "e.json"]),
+    main(["sweep", "r.instance.json", "--method", "heuristic", "--g-max", "3", "--out", "s"]),
+    main(["verify", "r.instance.json", "--out", "v.json"]),
+    main(["validate", "h.json", "--instance", "i.instance.json"]),
+    main(["validate", "e.json", "--instance", "i.instance.json"]),
+]
+print(status)
+'''
+
+
+def test_runtime_needs_only_numpy(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", NUMPY_ONLY_RUN], capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str([EXIT_OK] * 8)
+
+
 def test_ingest_roundtrip(tmp_path, capsys):
     rankings = tmp_path / "r.txt"
     rankings.write_text("# two voters\n1 2 3\n3 2 1\n")
@@ -401,8 +443,9 @@ def test_ingest_roundtrip(tmp_path, capsys):
 
 def test_ingest_malformed_exit_code(tmp_path):
     rankings = tmp_path / "bad.txt"
-    rankings.write_text("1 2 3\n1 1 3\n")
-    assert main(["ingest", str(rankings), "--out", str(tmp_path / "x")]) == EXIT_INVALID
+    for text in ("1 2 3\n1 1 3\n", "1 2 +3\n3 2 1\n"):
+        rankings.write_text(text)
+        assert main(["ingest", str(rankings), "--out", str(tmp_path / "x")]) == EXIT_INVALID
 
 
 def test_sweep_exact_csv(ex1_path, tmp_path, capsys):

@@ -44,6 +44,8 @@ def test_preference_matrix_rejects_bad_input():
         PreferenceMatrix(3, [0.5, 1.2, 0.5])  # out of range
     with pytest.raises(InvalidInput):
         PreferenceMatrix.from_full([[0.0, 0.7], [0.2, 0.0]])  # 0.7 + 0.2 != 1
+    with pytest.raises(InvalidInput, match=r"got shape \(\)"):
+        PreferenceMatrix(2, 0.5)  # a scalar, not a length-1 triangle
 
 
 def test_preference_matrix_from_full_and_value():

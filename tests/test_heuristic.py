@@ -236,7 +236,7 @@ def test_inner_solves_proven_up_to_dp_limit():
 
 def test_inner_unproven_counts_budget_stops():
     C = random_preference_matrix(LOP_DP_MAX_N + 1, np.random.default_rng(21))
-    cfg = HeuristicConfig(n_starts=1, it_max=1, step1_budget=1)
+    cfg = HeuristicConfig(n_starts=1, step1_budget=1)
     _, _, trace = solve_heuristic(C, 1, cfg)
     assert trace.inner_unproven > 0
 
@@ -244,9 +244,5 @@ def test_inner_unproven_counts_budget_stops():
 def test_config_validation():
     with pytest.raises(InvalidInput):
         HeuristicConfig(n_starts=0)
-    with pytest.raises(InvalidInput):
-        HeuristicConfig(it_max=0)
-    with pytest.raises(InvalidInput):
-        HeuristicConfig(epsilon=0.0)
     with pytest.raises(InvalidInput):
         HeuristicConfig(step1_budget=0)

@@ -324,6 +324,19 @@ def test_ingest_names_the_first_bad_line(tmp_path, text, message):
     assert err.value.line_no == int(message.split(":")[0].removeprefix("line "))
 
 
+@pytest.mark.parametrize("token", ["+3", "\uff13", "\u0663", "3_0"],
+                         ids=["plus", "fullwidth", "arabic-indic", "underscore"])
+@pytest.mark.parametrize("before", ["", "3 2 1\n2 3 1\n"], ids=["first-line", "later-line"])
+def test_ingest_takes_only_ascii_digits(tmp_path, token, before):
+    # int() reads each of these tokens as a number: 3, or 30 for "3_0"
+    f = tmp_path / "r.txt"
+    f.write_text(before + f"1 2 {token}\n3 1 2\n", encoding="utf-8")
+    with pytest.raises(RankingFormatError) as err:
+        ingest_rankings(f)
+    line_no = before.count("\n") + 1
+    assert str(err.value) == f"line {line_no}: non-integer token in {['1', '2', token]!r}"
+
+
 def test_ingest_layout_variants_give_the_same_counts(tmp_path):
     f = tmp_path / "r.txt"
     expected = _full_counts(*_pair_counts(

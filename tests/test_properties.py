@@ -167,12 +167,12 @@ def test_lop_exact_matches_whole_matrix_dp(b):
 
 @st.composite
 def benefit_stacks(draw):
-    """2 to 8 benefit matrices of one size, 1 to 11 items: each one from
+    """1 to 8 benefit matrices of one size, 1 to 11 items: each one from
     benefit_matrices, or with integer entries in [-3, 3] (exact ties) or
     those times 1e-13 (every difference inside the DP's tie tolerance)."""
     n = draw(st.integers(1, 11))
     stack = []
-    for _ in range(draw(st.integers(2, 8))):
+    for _ in range(draw(st.integers(1, 8))):
         scale = draw(st.sampled_from([None, 1.0, 1e-13] if n > 1 else [1.0, 1e-13]))
         if scale is None:
             stack.append(draw(benefit_matrices(min_n=n, max_n=n)))
@@ -190,12 +190,12 @@ def test_stacked_lop_matches_lop_exact(stack):
     matrices = [BenefitMatrix(b) for b in stack]
     _dp_solve.cache_clear()
     answers = _lop_exact_batch(matrices)
+    assert len(answers) == len(matrices)
     assert _dp_solve.cache_info().misses == 0  # one stacked DP, not lop_exact
-    for B, (order, value, proven) in zip(matrices, answers):
+    for B, (order, proven) in zip(matrices, answers):
         _dp_solve.cache_clear()
-        want_order, want_value, want_proven = lop_exact(B)
+        want_order, _, want_proven = lop_exact(B)
         assert order.perm == want_order.perm and proven == want_proven
-        assert np.float64(value).tobytes() == np.float64(want_value).tobytes()
 
 
 @SETTINGS
