@@ -1,12 +1,11 @@
 """Multi-start alternating-direction matheuristic.
 
-Each start draws random simplex weights, then alternates two steps until an
-iteration moves the objective by less than 1e-5, or for 12 iterations at
-most: a ranking-update step that re-optimizes the group orders at fixed
-weights, and a weight-update step that re-fits the simplex weights at fixed
-orders (an exact LP).  Step results are accepted only when they strictly
-improve the start's best objective, and the best solution over all starts
-is returned.
+Each start draws random simplex weights, then alternates two steps, for at
+most 12 iterations or until one moves the objective by less than 1e-5: a
+ranking-update step that re-optimizes the group orders at fixed weights,
+and a weight-update step that re-fits the simplex weights at fixed orders
+(an exact LP).  Step results are accepted only when they strictly improve
+the start's best objective, and the best solution over all starts is returned.
 
 The ranking update is realized as block coordinate descent over the groups:
 with the other groups fixed, the subproblem for group i,
@@ -62,16 +61,13 @@ from .simplex_fit import _fit_simplex_l1
 _WEIGHT_EPS = 1e-12
 _IMPROVE_TOL = 1e-15
 _MAX_SWEEPS = 100
-# a start stops after _IT_MAX iterations, or after one that moved its
-# objective by less than _CONVERGED
 _IT_MAX = 12
 _CONVERGED = 1e-5
 
 
 @dataclass(frozen=True)
 class HeuristicConfig:
-    """Settings of the multi-start alternation; its stopping rule is fixed
-    (_IT_MAX, _CONVERGED).
+    """Settings of the multi-start alternation, whose stopping rule is fixed.
 
     step1_budget is lop_exact's budget for each inner LOP solve: the cap on
     the candidate subsets per popcount layer of a block of more than
@@ -134,21 +130,28 @@ def step_rankings(
         fixed_weights: simplex vector of length g.
         incumbent_orders: current orders, kept wherever no strict improvement
             is found (zero-weight groups always keep theirs).
-        budget: lop_exact's budget for each inner solve, which uses it only
-            on blocks of more than LOP_DP_MAX_N items; an unproven order is
-            kept only if it strictly improves the objective, like any other.
+        budget: lop_exact's budget for each inner solve, one lop_exact call
+            per inner LOP, memo included, which uses it only on blocks of more
+            than LOP_DP_MAX_N items; an unproven order is kept only if it
+            strictly improves the objective, like any other.
 
     Returns:
         (orders, objective, unproven): the objective at the fixed weights, and
         the number of inner solves that stopped on their budget.
     """
-    return _lockstep([_ranking_step(C, fixed_weights, incumbent_orders)], budget)[0]
+    step = _ranking_step(C, fixed_weights, incumbent_orders)
+    try:
+        B = next(step)
+        while True:
+            order, _, proven = lop_exact(B, budget=budget)
+            B = step.send((order, proven))
+    except StopIteration as done:
+        return done.value
 
 
 def _ranking_step(C: PreferenceMatrix, fixed_weights, incumbent_orders):
     """step_rankings as a generator: it yields each inner LOP's benefit
-    matrix, is sent lop_exact's (order, proven) for it, and returns
-    step_rankings' result."""
+    matrix, is sent its (order, proven), and returns step_rankings' result."""
     w = np.asarray(fixed_weights, dtype=np.float64)
     orders = list(incumbent_orders)
     if w.shape != (len(orders),):
@@ -241,9 +244,8 @@ def _lockstep(steps, budget: int | None) -> list:
 
 def _start(C: PreferenceMatrix, g: int, cfg: HeuristicConfig, k: int):
     """Start k of solve_heuristic as a generator that yields the benefit
-    matrix of each inner LOP its ranking steps solve and is sent lop_exact's
-    (order, proven) for it.  Returns (orders, weights, objective, trace
-    rows, unproven)."""
+    matrix of each inner LOP its ranking steps solve and is sent its
+    (order, proven).  Returns (orders, weights, objective, trace rows, unproven)."""
     rng = np.random.default_rng(cfg.base_seed ^ k)
     w_loc = random_simplex_weights(g, rng)
     orders_loc = [LinearOrder(tuple(int(v) for v in rng.permutation(C.n))) for _ in range(g)]

@@ -438,9 +438,12 @@ def generate_instance(spec: GeneratorSpec) -> tuple[RankingSample, PreferenceMat
 
 def parse_ranking_line(line: str, line_no: int, n: int | None) -> LinearOrder:
     tokens = line.split()
-    if _NOT_DIGIT.search(line):
-        raise RankingFormatError(line_no, f"non-integer token in {tokens!r}")
-    items = [int(t) for t in tokens]
+    try:
+        if _NOT_DIGIT.search(line):
+            raise ValueError
+        items = [int(t) for t in tokens]
+    except ValueError:  # also a numeral past int()'s digit limit
+        raise RankingFormatError(line_no, f"non-integer token in {tokens!r}") from None
     if n is not None and len(items) != n:
         raise RankingFormatError(
             line_no, f"expected {n} items per ranking, got {len(items)}"
@@ -460,12 +463,12 @@ def _parse_ranking_array(lines: list[str]) -> np.ndarray | None:
     when some line is malformed.  Tokens are split off twice rather than
     held, so the parse never keeps more than one line's strings."""
     n = len(lines[0].split())
-    if _NOT_DIGIT.search("\n".join(lines)) or any(len(line.split()) != n for line in lines):
+    if any(_NOT_DIGIT.search(line) or len(line.split()) != n for line in lines):
         return None
     try:
         flat = np.fromiter(map(int, chain.from_iterable(map(str.split, lines))),
                            dtype=np.int64, count=n * len(lines))
-    except OverflowError:  # a numeral past int64
+    except (ValueError, OverflowError):  # a numeral past int()'s digit limit or int64
         return None
     if flat.min() < 1 or flat.max() > n:
         return None

@@ -18,6 +18,7 @@ from mlop import (
     step_weights,
 )
 
+import mlop.heuristic as heuristic
 import mlop.lop as lop
 from mlop.lop import LOP_DP_MAX_N
 
@@ -84,6 +85,28 @@ def test_step_rankings_keeps_zero_weight_groups():
     keep = LinearOrder((2, 1, 0, 3))
     orders, _, _ = step_rankings(EX1, [1.0, 0.0], [LinearOrder((0, 1, 2, 3)), keep])
     assert orders[1] is keep
+
+
+def test_step_rankings_solves_each_inner_lop_by_lop_exact(monkeypatch):
+    # sequential_heuristic_reference reads step_rankings, so it must not
+    # share the stacked path of the solve it is compared with
+    posed, solved = [], []
+    pose, solve = heuristic.benefit_for_pairs, heuristic.lop_exact
+
+    def posing(*args):
+        posed.append(pose(*args))
+        return posed[-1]
+
+    def solving(B, budget=None):
+        solved.append(B)
+        return solve(B, budget=budget)
+
+    monkeypatch.setattr(heuristic, "benefit_for_pairs", posing)
+    monkeypatch.setattr(heuristic, "lop_exact", solving)
+    orders = [LinearOrder((3, 2, 1, 0)), LinearOrder((0, 1, 2, 3))]
+    _, obj, _ = step_rankings(EX1, [0.5, 0.5], orders)
+    assert len(posed) >= 2 and solved == posed
+    assert obj < float(np.abs(EX1.upper - 0.5 * (orders[0].prec + orders[1].prec)).sum())
 
 
 def test_step_weights_fixtures():

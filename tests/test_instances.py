@@ -305,6 +305,8 @@ LONG = _long_file()
         ("1 2 3\n99999999999999999999 1 2\n",
          "line 2: items must be exactly 1..3, got [99999999999999999999, 1, 2]"),
         ("1 2 3\n1.0 2 3\n", "line 2: non-integer token in ['1.0', '2', '3']"),
+        ("1 2 3\n" + "1" * 5000 + " 2 3\n",
+         f"line 2: non-integer token in {['1' * 5000, '2', '3']!r}"),
         ("1 2 3\n1 2\x0c3 1 2\n", "line 2: expected 3 items per ranking, got 2"),
         ("1 2 3\n1 1 3\n1 2\n", "line 2: repeated item within a ranking"),
     ],
@@ -312,6 +314,7 @@ LONG = _long_file()
         "deep-non-integer", "deep-repeated", "deep-short", "deep-long", "deep-out-of-range",
         "deep-zero", "count-set-by-first-line", "first-line-gap", "crlf", "tabs",
         "comments-and-blanks", "only-comments", "huge-integer", "float-token",
+        "numeral-past-int-digit-limit",
         "form-feed-splits-a-line", "first-of-two-errors",
     ],
 )
