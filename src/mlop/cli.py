@@ -4,10 +4,11 @@ verification, and report validation.
 
 File formats
 ------------
-instance JSON   {"n": int, "c_upper": [floats]} with the row-major upper
+instance JSON   {"n": int, "c_upper": [numbers]} with the row-major upper
                 triangle; a full matrix {"n": int, "c": [[...]]} is also
                 accepted (diagonal entries ignored, off-diagonal ones finite
-                with c[r][s] + c[s][r] = 1 within 1e-6).
+                with c[r][s] + c[s][r] = 1 within 1e-6).  A number is a JSON
+                int or float, never a string or a bool.
 rankings text   one complete ranking per line, whitespace-separated 1-based
                 item indices, most preferred first; '#' starts a comment.
 report JSON     emitted by `solve`; `validate` re-checks it independently.
@@ -146,6 +147,21 @@ def _json_int(value) -> int | None:
     return value
 
 
+def _json_floats(value, what: str) -> np.ndarray:
+    """value, a JSON number or a list of them, as float64, null as NaN.  An
+    int or a float is a number, a bool or a string is not: any other entry,
+    or an integer past the float range, raises InvalidInput naming what."""
+    entries = value if isinstance(value, list) else [value]
+    for k, v in enumerate(entries):
+        if v is not None and type(v) is not int and type(v) is not float:
+            where = f"{what} entry {k}" if entries is value else what
+            raise InvalidInput(f"{where} must be a JSON number, got {v!r:.40}")
+    try:
+        return np.array(value, dtype=np.float64)
+    except OverflowError:
+        raise InvalidInput(f"{what} holds an integer too large for a float") from None
+
+
 def load_instance(path: str) -> PreferenceMatrix:
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -157,15 +173,15 @@ def load_instance(path: str) -> PreferenceMatrix:
     if n is None:
         raise InvalidInput(f"{path}: field 'n' must be an integer, got {data['n']!r}")
     if "c_upper" in data:
-        return PreferenceMatrix(n, np.asarray(data["c_upper"], dtype=np.float64))
+        return PreferenceMatrix(n, _json_floats(data["c_upper"], f"{path}: c_upper"))
     if "c" in data:
-        full = [
-            [0.0 if (v is None and r == s) else v for s, v in enumerate(row)]
-            for r, row in enumerate(data["c"])
-        ]
-        matrix = np.asarray(full, dtype=np.float64)
-        if matrix.shape != (n, n):
-            raise InvalidInput(f"{path}: full matrix shape {matrix.shape} != ({n}, {n})")
+        rows = data["c"]
+        if not (isinstance(rows, list) and len(rows) == n
+                and all(isinstance(row, list) and len(row) == n for row in rows)):
+            raise InvalidInput(f"{path}: full matrix 'c' must be {n} lists of {n} entries")
+        matrix = np.zeros((n, n))
+        for r, row in enumerate(rows):  # the diagonal is ignored whatever it holds
+            matrix[r] = _json_floats(row[:r] + [0.0] + row[r + 1 :], f"{path}: c[{r}]")
         return PreferenceMatrix.from_full(matrix)
     raise InvalidInput(f"{path}: instance JSON needs either 'c_upper' or 'c'")
 
@@ -186,6 +202,8 @@ def parse_weights(arg: str, g: int) -> tuple[float, ...]:
         if len(parts) != g or not all(math.isfinite(v) and v > 0 for v in parts):
             raise InvalidInput(f"ratio weights need {g} positive finite parts, got {arg!r}")
         total = sum(parts)
+        if not math.isfinite(total):
+            raise InvalidInput(f"ratio weights {arg!r}: their parts sum past the float range")
         milli = allocate_counts([p / total for p in parts], 1000)
         return tuple(v / 1000.0 for v in milli)
     parts = [float(t) for t in arg.split(",")]
@@ -479,14 +497,26 @@ def cmd_validate(args) -> int:
         problems.append(f"report n={n} does not match instance n={C.n}")
     orders = []
     for idx, perm in enumerate(report["orders"]):
-        if sorted(perm) != list(range(1, C.n + 1)):
+        items = [_json_int(v) for v in perm] if isinstance(perm, list) else [None]
+        if None in items or sorted(items) != list(range(1, C.n + 1)):
             problems.append(f"order {idx} is not a permutation of 1..{C.n}")
         else:
-            orders.append(LinearOrder(tuple(v - 1 for v in perm)))
-    weights = [float(w) for w in report["weights"]]
+            orders.append(LinearOrder(tuple(v - 1 for v in items)))
+    numbers = {}
     for key in ("weights", "objective", "fit", "max_form_value"):
-        if not np.all(np.isfinite(np.asarray(report[key], dtype=np.float64))):
+        try:
+            values = _json_floats(report[key], f"field {key!r}")
+        except InvalidInput as e:
+            problems.append(str(e))
+            continue
+        if values.ndim != (key == "weights"):
+            kind = "a list of numbers" if key == "weights" else "a number"
+            problems.append(f"field {key!r} must be {kind}")
+            continue
+        if not np.all(np.isfinite(values)):
             problems.append(f"non-finite {key}")
+        numbers[key] = values.tolist()
+    weights = numbers.get("weights", [])
     if g is not None and (len(weights) != g or len(report["orders"]) != g):
         problems.append("group count disagrees with g")
     if weights and (min(weights) < -1e-12 or abs(sum(weights) - 1.0) > 1e-9):
@@ -497,13 +527,12 @@ def cmd_validate(args) -> int:
     if not problems and len(orders) == g:
         sol = MixtureSolution(tuple(orders), tuple(weights))
         obj = l1_objective(sol, C)
-        if abs(obj - float(report["objective"])) > 1e-9:
-            problems.append(
-                f"stated objective {report['objective']} != recomputed {obj!r}"
-            )
-        if abs(float(report["fit"]) - fit_from_objective(float(report["objective"]), C.n)) > 1e-12:
+        stated = numbers["objective"]
+        if abs(obj - stated) > 1e-9:
+            problems.append(f"stated objective {stated!r} != recomputed {obj!r}")
+        if abs(numbers["fit"] - fit_from_objective(stated, C.n)) > 1e-12:
             problems.append("fit identity violated")
-        if abs(float(report["max_form_value"]) - (num_pairs(C.n) - float(report["objective"]))) > 1e-12:
+        if abs(numbers["max_form_value"] - (num_pairs(C.n) - stated)) > 1e-12:
             problems.append("max-form identity violated")
 
     verdict = {"valid": not problems, "problems": problems}

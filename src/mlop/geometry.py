@@ -31,6 +31,9 @@ SATURATION_GUARD_N = 4
 
 MEMBERSHIP_TOL = 1e-9
 CYCLE_TOL = 1e-12
+# a point is refused unless this multiple of C(n,2) times its largest |entry|
+# is finite, so that no residual, LOP value or L1 distance over it overflows
+_POINT_HEADROOM = 16.0
 
 
 def _as_point(point, n: int) -> np.ndarray:
@@ -41,6 +44,8 @@ def _as_point(point, n: int) -> np.ndarray:
         )
     if not np.all(np.isfinite(arr)):
         raise InvalidInput("point entries must be finite")
+    if not np.isfinite(_POINT_HEADROOM * arr.size * float(np.abs(arr).max(initial=0.0))):
+        raise InvalidInput("point entries are too large for sums over them to stay finite")
     return arr
 
 

@@ -92,14 +92,9 @@ class GeneratorSpec:
             raise InvalidInput(f"need n >= 2, got {self.n}")
         if self.g_true < 1:
             raise InvalidInput(f"need g_true >= 1, got {self.g_true}")
-        weights = tuple(float(w) for w in self.weights)
-        if len(weights) != self.g_true:
+        if len(self.weights) != self.g_true:
             raise InvalidInput("one weight per latent group is required")
-        if not all(math.isfinite(w) for w in weights):
-            raise InvalidInput(f"weights must be finite, got {weights}")
-        if min(weights) < 0 or abs(sum(weights) - 1.0) > 1e-9:
-            raise InvalidInput("weights must lie on the probability simplex")
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", _simplex_weights(self.weights))
         if self.p is None and self.D is None:
             raise InvalidInput("either p or D must be given")
         if self.D is not None and not 0 <= self.D <= num_pairs(self.n):
@@ -364,9 +359,21 @@ def sample_centers(
     )
 
 
+def _simplex_weights(weights) -> tuple[float, ...]:
+    """weights as floats, refused unless they are finite, nonnegative and sum
+    to 1 within 1e-9."""
+    weights = tuple(float(w) for w in weights)
+    if not all(math.isfinite(w) for w in weights):
+        raise InvalidInput(f"weights must be finite, got {weights}")
+    if min(weights, default=0.0) < 0 or abs(sum(weights) - 1.0) > 1e-9:
+        raise InvalidInput("weights must lie on the probability simplex")
+    return weights
+
+
 def allocate_counts(weights, N: int) -> list[int]:
-    """Largest-remainder apportionment of N rankings to the groups."""
-    w = np.asarray(weights, dtype=np.float64)
+    """Largest-remainder apportionment of N rankings to the groups, whose
+    weights must lie on the probability simplex."""
+    w = np.asarray(_simplex_weights(weights))
     if N < 1:
         raise InvalidInput(f"N must be >= 1, got {N}")
     quotas = w * N

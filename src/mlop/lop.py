@@ -21,7 +21,8 @@ and the cap alone, so the answers for the last _DP_MEMO_SIZE distinct pairs
 of them are memoized, and a repeated solve (the alternating heuristic makes
 many) costs one hash instead of a DP.  _lop_exact_batch answers a list of
 small matrices, the inner LOPs of the heuristic's starts, with one subset
-DP over their stack, which gives lop_exact's orders without its memo.
+DP fill over their stack.  _rebuild reads every table, lone, stacked or
+bounded, so one function holds the DP's tie rule.
 """
 
 from __future__ import annotations
@@ -157,12 +158,12 @@ def _lop_exact_batch(matrices, budget: int | None = None, solve=lop_exact):
     one size.
 
     Matrices of at most _DP_ONE_PART_MAX_N items, one alone included, are
-    stacked and solved by one whole-matrix subset DP (_subset_table, h = 0),
-    in slices whose gain tables hold at most _STACK_VALUES float64 values.
-    The whole matrix's DP gives the order lop_exact's blocks give, read off
-    as lop_exact reads it, and is proven; the stacked path skips the memo.
-    Larger matrices each go through solve: lop_exact as the caller binds
-    it, so that a wrapper the caller installs there sees those solves.
+    stacked, and one whole-matrix subset DP (_subset_table, h = 0) fills
+    their tables in slices of at most _STACK_VALUES gain-table values;
+    _rebuild reads each as _subset_dp reads a lone one.  That is the order
+    lop_exact's blocks give, proven, without the memo.  Larger matrices
+    each go through solve: lop_exact as the caller binds it, so that a
+    wrapper the caller installs there sees those solves.
     """
     n = matrices[0].n
     if n > _DP_ONE_PART_MAX_N:
@@ -172,8 +173,10 @@ def _lop_exact_batch(matrices, budget: int | None = None, solve=lop_exact):
     step = max(1, _STACK_VALUES // ((1 << n) * n))
     answers = []
     for k in range(0, len(b), step):
-        f, _, gh, _ = _subset_table(b[k : k + step])
-        answers += [(LinearOrder(perm), True) for perm in _rebuild_stack(f, gh).tolist()]
+        f, gl, gh, _ = _subset_table(b[k : k + step])
+        f = f.reshape(-1, f.shape[-1])
+        answers += [(LinearOrder(_rebuild(f[:, p].item, gl[..., p], gh[..., p], 0)), True)
+                    for p in range(f.shape[1])]
     return answers
 
 
@@ -232,7 +235,7 @@ def _subset_table(b: np.ndarray):
     chunk one popcount layer of the low part at a time.  Each matrix's
     values are summed as they would be alone.  At h = 0 the low sums are
     all 0.0 and are not added: f(empty) is 0.0 and a sum is -0.0 only when
-    both terms are, so f holds no -0.0 and adding 0.0 would change no bit.
+    both terms are, so f holds no -0.0 and _rebuild's added 0.0 changes no bit.
 
     Returns (f, gl, gh, h), gl and gh the low and high subset-sum tables.
     """
@@ -380,28 +383,6 @@ def _rebuild(value, gl: np.ndarray, gh: np.ndarray, h: int) -> tuple[int, ...]:
         perm.append(item)
         left ^= 1 << item
     return tuple(perm)
-
-
-def _rebuild_stack(f: np.ndarray, gh: np.ndarray) -> np.ndarray:
-    """_rebuild's order for each table of _subset_table's stack at h = 0, as
-    a (P, n) array: every step scores all items of all tables at once, each
-    candidate summed as _rebuild sums it (the low sums it also adds are 0.0
-    there, which changes no bit of f)."""
-    n, stack = gh.shape[1:]
-    f = f.reshape(-1, stack)
-    rows = np.arange(stack)
-    bit = np.int64(1) << np.arange(n)
-    left = np.full(stack, (1 << n) - 1, dtype=np.int64)
-    perms = np.empty((stack, n), dtype=np.int64)
-    for k in range(n - 1):
-        floor = f[left, rows] - _TIE_TOL
-        cand = f[left[:, None] ^ bit, rows[:, None]]
-        cand += gh[left[:, None], np.arange(n), rows[:, None]]
-        ok = (left[:, None] & bit != 0) & (cand >= floor[:, None])
-        perms[:, k] = item = ok.argmax(axis=1)
-        left ^= bit[item]
-    perms[:, -1] = bit.searchsorted(left)  # the one item left
-    return perms
 
 
 def _insertion_value(b: np.ndarray, eps: float) -> tuple[tuple[int, ...], float]:

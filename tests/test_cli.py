@@ -72,6 +72,42 @@ def test_load_instance_rejects_a_scalar_upper_triangle(tmp_path, capsys):
     assert "got shape ()" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "data, problem",
+    [
+        ({"n": 2, "c_upper": ["0.5"]}, "c_upper entry 0 must be a JSON number, got '0.5'"),
+        ({"n": 2, "c_upper": [" 1e-1 "]}, "c_upper entry 0 must be a JSON number, got ' 1e-1 '"),
+        ({"n": 2, "c_upper": [True]}, "c_upper entry 0 must be a JSON number, got True"),
+        ({"n": 2, "c": [[0, "0.5"], ["0.5", 0]]}, "c[0] entry 1 must be a JSON number, got '0.5'"),
+        ({"n": 2, "c_upper": [10**400]}, "c_upper holds an integer too large for a float"),
+    ],
+    ids=["string", "padded-string", "bool", "full-matrix-strings", "400-digit-int"],
+)
+def test_load_instance_takes_only_json_numbers(tmp_path, capsys, data, problem):
+    path = tmp_path / "coerced.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", str(path), "--method", "exact", "--g", "1"]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert problem in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("diagonal", ["0.5", True, [1, 2], {"a": 1}, 10**400],
+                         ids=["string", "bool", "list", "object", "400-digit-int"])
+def test_load_instance_ignores_any_diagonal_value(tmp_path, capsys, diagonal):
+    full = [[diagonal, 0.7, 0.8], [0.3, diagonal, 0.4], [0.2, 0.6, diagonal]]
+    path = tmp_path / "diagonal.json"
+    path.write_text(json.dumps({"n": 3, "c": full}))
+    assert main(["solve", str(path), "--method", "exact", "--g", "1"]) == EXIT_OK
+    assert np.array_equal(load_instance(str(path)).upper, [0.7, 0.8, 0.4])
+
+
+def test_parse_weights_names_overflowing_ratio_parts(tmp_path, capsys):
+    args = ["gen", "--n", "4", "--g-true", "2", "-p", "5", "--out", str(tmp_path / "r")]
+    assert main(args + ["--weights", "1e308:1e308"]) == EXIT_INVALID
+    assert "their parts sum past the float range" in capsys.readouterr().err
+
+
 def test_parse_weights_forms():
     assert parse_weights("0.667,0.333", 2) == (0.667, 0.333)
     assert parse_weights("2:1", 2) == (0.667, 0.333)
@@ -539,7 +575,8 @@ def test_verify_vertex(capsys):
     assert report["g_star"] == 1
 
 
-@pytest.mark.parametrize("point", ["inf,0.5,0.5", "nan,0.5,0.5"])
+# the last two wrote "Infinity" or overflowed in the inner LOP
+@pytest.mark.parametrize("point", ["inf,0.5,0.5", "nan,0.5,0.5", "1e308,-1e308,1e308", "1e308,0,0"])
 def test_verify_point_rejects_non_finite(capsys, point):
     assert main(["verify", "--point", point]) == EXIT_INVALID
     captured = capsys.readouterr()
@@ -562,6 +599,44 @@ def test_verify_point_rejects_empty_entries(capsys, point, problem):
     captured = capsys.readouterr()
     assert problem in captured.err
     assert captured.out == ""
+
+
+def _strict_json(text: str):
+    def refuse(token):
+        raise AssertionError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+# command line, the JSON files it writes, and whether its stdout is JSON too;
+# every run reads r.instance.json, r.rankings.txt and r.report.json from {d}
+STRICT_JSON_RUNS = {
+    "gen": ("gen --n 5 --g-true 2 -p 5 --seed 2 --out {d}/g",
+            ["g.instance.json", "g.meta.json"], False),
+    "ingest": ("ingest {d}/r.rankings.txt --out {d}/i",
+               ["i.instance.json", "i.counts.json"], False),
+    "solve": ("solve {d}/r.instance.json --method heuristic --g 2", [], True),
+    "sweep": ("sweep {d}/r.instance.json --method exact --g-max 2 --format json --out {d}/w",
+              ["w.sweep.json"], True),
+    "validate": ("validate {d}/r.report.json --instance {d}/r.instance.json", [], True),
+    "verify": ("verify {d}/r.instance.json", [], True),
+}
+
+
+@pytest.mark.parametrize("command", sorted(STRICT_JSON_RUNS))
+def test_every_json_output_is_strict_json(tmp_path, capsys, command):
+    d = str(tmp_path)
+    assert main(shlex.split(f"gen --n 5 --g-true 2 -p 5 --seed 1 --out {d}/r")) == EXIT_OK
+    solve = f"solve {d}/r.instance.json --method exact --g 2 --out {d}/r.report.json"
+    assert main(shlex.split(solve)) == EXIT_OK
+    capsys.readouterr()
+    line, files, stdout_is_json = STRICT_JSON_RUNS[command]
+    assert main(shlex.split(line.format(d=d))) == EXIT_OK
+    out = capsys.readouterr().out
+    if stdout_is_json:
+        _strict_json(out)
+    for name in files:
+        _strict_json((tmp_path / name).read_text())
 
 
 def test_verify_point_with_leading_minus(capsys):
@@ -652,6 +727,31 @@ def test_validate_flags_non_finite_numbers(ex1_path, tmp_path, capsys):
         verdict = json.loads(capsys.readouterr().out)
         assert verdict["valid"] is False
         assert f"non-finite {key}" in verdict["problems"]
+
+
+@pytest.mark.parametrize("key", ["weights", "objective", "fit", "max_form_value", "orders"])
+def test_validate_takes_only_json_numbers(ex1_path, tmp_path, capsys, key):
+    out = tmp_path / "rep.json"
+    main(["solve", ex1_path, "--method", "exact", "--g", "2", "--out", str(out)])
+    report = json.loads(out.read_text())
+    if key == "orders":
+        first, second = report[key]  # True compared equal to 1 in sorted(order)
+        value = [[str(v) for v in first], [True if v == 1 else v for v in second]]
+    elif key == "weights":
+        value = [str(w) for w in report[key]]
+    else:
+        value = str(report[key])
+    path = tmp_path / f"{key}.json"
+    path.write_text(json.dumps(dict(report, **{key: value})))
+    capsys.readouterr()
+    assert main(["validate", str(path), "--instance", ex1_path]) == EXIT_INVALID
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["valid"] is False
+    if key == "orders":
+        assert verdict["problems"] == [f"order {k} is not a permutation of 1..4" for k in (0, 1)]
+    else:
+        where = f"field {key!r} entry 0" if key == "weights" else f"field {key!r}"
+        assert any(p.startswith(f"{where} must be a JSON number") for p in verdict["problems"])
 
 
 def test_validate_names_the_missing_report_field(ex1_path, tmp_path, capsys):

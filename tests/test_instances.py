@@ -152,6 +152,14 @@ def test_allocate_counts_fixtures():
     assert sum(allocate_counts((0.571, 0.286, 0.143), 997)) == 997
 
 
+@pytest.mark.parametrize("weights", [(0.1, 0.1), (2.0, -1.0), (np.nan, 1.0), (0.5, np.inf)])
+def test_allocate_counts_refuses_weights_off_the_simplex(weights):
+    # (0.1, 0.1) gave [101, 101] for 1000 rankings, (2, -1) gave [20, -10]
+    # and a NaN a huge negative count
+    with pytest.raises(InvalidInput, match="weights must"):
+        allocate_counts(weights, 1000)
+
+
 def test_aggregate_single_ranking():
     o = LinearOrder((2, 0, 1, 3))
     C = aggregate([o])
