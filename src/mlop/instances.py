@@ -372,11 +372,16 @@ def _simplex_weights(weights) -> tuple[float, ...]:
 
 def allocate_counts(weights, N: int) -> list[int]:
     """Largest-remainder apportionment of N rankings to the groups, whose
-    weights must lie on the probability simplex."""
+    weights must lie on the probability simplex.  The counts are nonnegative
+    and sum to N."""
     w = np.asarray(_simplex_weights(weights))
     if N < 1:
         raise InvalidInput(f"N must be >= 1, got {N}")
     quotas = w * N
+    if not N - len(w) <= np.floor(quotas).sum() <= N:
+        # the simplex test admits weights summing to 1 within 1e-9, which from
+        # N of about 1e9 on is whole rankings: scale the quotas to sum to N
+        quotas *= N / quotas.sum()
     base = np.floor(quotas).astype(np.int64)
     remainder = N - int(base.sum())
     order = np.argsort(-(quotas - base), kind="stable")  # ties: lower index first

@@ -12,12 +12,13 @@ time.  A larger one runs the same recursion one popcount layer at a time
 over only the subsets whose upper bound still reaches the value of an
 insertion-search order (DP with bounding, Puchinger and Stuckey, PEPM 2008),
 so its cost follows the subsets kept, and gives the same order bit for bit.
-Where a layer would keep too many, a block of at most LOP_DP_MAX_N items
-fills the whole table instead, and a larger one keeps the insertion-search
-order, unproven.  That cap counts candidate subsets per layer
-(DEFAULT_LAYER_BUDGET unless the caller sets one), never wall time, so runs
-are machine-independent and reproducible.  The answer depends on the matrix
-and the cap alone, so the answers for the last _DP_MEMO_SIZE distinct pairs
+Where a layer would grow too many candidate subsets, a block of k <=
+LOP_DP_MAX_N items fills the whole table instead (past 2^k / 16 candidates,
+but never below 2^14, so up to 13 items it never does), and a larger one
+keeps the insertion-search order, unproven.  Its cap (DEFAULT_LAYER_BUDGET
+unless the caller sets one) counts candidate subsets too, never wall time,
+so runs are machine-independent and reproducible.  The answer depends on
+the matrix and the cap alone, so the answers for the last _DP_MEMO_SIZE distinct pairs
 of them are memoized, and a repeated solve (the alternating heuristic makes
 many) costs one hash instead of a DP.  _lop_exact_batch answers a list of
 small matrices, the inner LOPs of the heuristic's starts, with one subset
@@ -55,8 +56,17 @@ _DP_CHUNK = 1 << 17
 # hold, the ceiling of the whole-table DP's own value table (8 MiB)
 _STACK_VALUES = 1 << LOP_DP_MAX_N
 # the bounded DP hands a block of k <= LOP_DP_MAX_N items to the whole-table
-# DP before a popcount layer would grow more than 2^k / this many candidates
+# DP before a popcount layer would grow more than 2^k / this many candidates,
+# or _BOUNDED_LAYER_FLOOR where that is more
 _BOUNDED_LAYER_DIV = 16
+# the floor under that cap.  Below 18 items 2^k / 16 is at most 4,096
+# candidates, which the +-w tournament block of a light group, whose bound
+# prunes little, passes while its layers still cost less than the whole
+# table.  With the floor a block of up to 13 items never fills the whole
+# table; from 18 items on it changes nothing
+_BOUNDED_LAYER_FLOOR = 1 << 14
+# block sizes whose _insertion_value index tables are cached
+_INSERTION_SIZES = 64
 # a pair counts as ordered, tying the blocks of its items into the chain,
 # when its two benefits differ by more than this times max(1, max |b|)
 _BLOCK_TOL = 1e-9
@@ -98,7 +108,7 @@ class BenefitMatrix:
 def order_value(perm, b: np.ndarray) -> float:
     """Sum of b[u, v] over all pairs with u before v in perm."""
     idx = np.asarray(perm, dtype=np.int64)
-    return float(np.triu(b[np.ix_(idx, idx)], k=1).sum())
+    return float(np.triu(b[idx][:, idx], k=1).sum())
 
 
 def lop_exact(B: BenefitMatrix, budget: int | None = None) -> tuple[LinearOrder, float, bool]:
@@ -144,7 +154,7 @@ def _dp_solve(key: bytes, n: int, budget: int) -> tuple[LinearOrder, float, bool
         if len(block) == 1:
             perm += block
             continue
-        sub = b[np.ix_(block, block)]
+        sub = b[block][:, block]
         local = _subset_dp(sub) if len(block) <= _DP_ONE_PART_MAX_N else _bounded_dp(sub, budget)
         if local is None:
             local, proven = _insertion_value(sub, _tolerance(sub))[0], False
@@ -203,7 +213,7 @@ def _blocks(b: np.ndarray) -> list[list[int]]:
     n = b.shape[0]
     arc = b - b.T >= -_tolerance(b)
     order = np.argsort(-arc.sum(axis=1), kind="stable")
-    back = np.tril(arc[np.ix_(order, order)], -1)  # arcs to earlier positions
+    back = np.tril(arc[order][:, order], -1)  # arcs to earlier positions
     # reach[k]: the earliest position an arc from position k or later points
     # to, or k when there is none
     lowest = np.where(back.any(axis=1), back.argmax(axis=1), np.arange(n))
@@ -285,13 +295,14 @@ def _bounded_dp(b: np.ndarray, budget: int = DEFAULT_LAYER_BUDGET) -> tuple[int,
     """_subset_dp's order, from the same recursion restricted to the subsets
     that may still lie on an optimal order (_bounded_values).  A block of
     k <= LOP_DP_MAX_N items falls back to _subset_dp once a layer would
-    grow more than 2^k / _BOUNDED_LAYER_DIV candidates.  A larger block
-    gives up, None, once a layer, or the 2^(k - k // 2) rows of its larger
-    half table, would pass budget."""
+    grow more than max(2^k / _BOUNDED_LAYER_DIV, _BOUNDED_LAYER_FLOOR)
+    candidates, which up to 13 items none can.  A larger block gives up,
+    None, once a layer, or the 2^(k - k // 2) rows of its larger half
+    table, would pass budget."""
     n = b.shape[0]
     h = _low_bits(n)
     dense = n <= LOP_DP_MAX_N
-    cap = (1 << n) // _BOUNDED_LAYER_DIV if dense else budget
+    cap = max((1 << n) // _BOUNDED_LAYER_DIV, _BOUNDED_LAYER_FLOOR) if dense else budget
     if 1 << (n - h) > cap:
         return None
     gl = _subset_sums(b, 0, h)
@@ -323,8 +334,12 @@ def _bounded_values(b: np.ndarray, gl: np.ndarray, gh: np.ndarray, h: int, cap: 
     With x the indicator of the items outside S, the most they add is the
     sum of b[r, s] over r outside S and s in S plus max(b[r, s], b[s, r])
     over the pairs r < s outside S, that is q = x.row_sums + x'Ax/2 for the
-    symmetric A = max(b, b') - b - b'.  Each subset carries q and Ax, and
-    adding item i to S takes row_sums[i] + (Ax)[i] from q and A[i] from Ax.
+    symmetric A = max(b, b') - b - b'.  Each subset carries q and the
+    vector v = -(row_sums + Ax): adding item i to S makes them q + v[i] and
+    v + A[i].  A layer is a few dozen numpy calls whatever its size, and at
+    12-16 items most layers hold a few hundred candidates or fewer, so the
+    loop calls ndarray methods, not the np.* wrappers, and sums into the
+    arrays it gathers, not into new temporaries.
     """
     n = b.shape[0]
     eps = _tolerance(b)
@@ -333,27 +348,30 @@ def _bounded_values(b: np.ndarray, gl: np.ndarray, gh: np.ndarray, h: int, cap: 
     row_sums = b.sum(axis=1)
     low, bit = (1 << h) - 1, np.int64(1) << np.arange(n)
     masks, values = np.zeros(1, dtype=np.int64), np.zeros(1)
-    q, ax = np.array([row_sums.sum() + 0.5 * a.sum()]), a.sum(axis=1)[None]
+    q, v = np.array([row_sums.sum() + 0.5 * a.sum()]), -(a.sum(axis=1) + row_sums)[None]
+    head = np.ones(1, dtype=bool)
     layers = [(masks, values)]
     for count in range(n):
         if len(masks) * (n - count) > cap:
             return None
         # candidate k: subset row[k] of the layer with item col[k] added
-        row, col = np.nonzero((masks[:, None] & bit) == 0)
-        grown = masks[row] | bit[col]
-        t = values[row] + gl[grown & low, col]
+        row, col = ((masks[:, None] & bit) == 0).nonzero()
+        grown = masks[row]
+        grown |= bit[col]
+        t = values[row]
+        t += gl[grown & low, col]
         t += gh[grown >> h, col]
-        bound = q[row] - row_sums[col]
-        bound -= ax[row, col]
-        kept = np.flatnonzero(t + bound >= floor)
-        kept = kept[np.argsort(grown[kept], kind="stable")]
+        bound = q[row]
+        bound += v[row, col]
+        kept = (t + bound >= floor).nonzero()[0]
+        kept = kept[grown[kept].argsort(kind="stable")]
         grown = grown[kept]
         # each subset once: the best of its candidates, and the bound terms
         # of the first
-        first = np.flatnonzero(np.concatenate(([True], grown[1:] != grown[:-1])))
+        first = np.concatenate((head, grown[1:] != grown[:-1])).nonzero()[0]
         masks, values = grown[first], np.maximum.reduceat(t[kept], first)
         pick = kept[first]
-        q, ax = bound[pick], ax[row[pick]] - a[col[pick]]
+        q, v = bound[pick], v[row[pick]] + a[col[pick]]
         layers.append((masks, values))
 
     def value(mask: int) -> float:
@@ -396,10 +414,7 @@ def _insertion_value(b: np.ndarray, eps: float) -> tuple[tuple[int, ...], float]
     n = b.shape[0]
     d = b - b.T
     perm = np.argsort(-(b.sum(axis=1) - b.sum(axis=0)), kind="stable").tolist()
-    pos = np.arange(n)
-    # flat index into c of each move's c[i, j] or c[i, j + 1], and of c[i, i]
-    move = pos[:, None] * (n + 1) + pos + (pos >= pos[:, None])
-    stay = pos * (n + 2)
+    move, stay = _insertion_tables(n)
     c = np.zeros((n, n + 1))
     while True:
         np.cumsum(d[perm][:, perm], axis=1, out=c[:, 1:])
@@ -410,6 +425,18 @@ def _insertion_value(b: np.ndarray, eps: float) -> tuple[tuple[int, ...], float]
             return tuple(perm), order_value(perm, b)
         i, j = divmod(best, n)
         perm.insert(j, perm.pop(i))
+
+
+@lru_cache(maxsize=_INSERTION_SIZES)
+def _insertion_tables(n: int):
+    """_insertion_value's flat indices into its n x (n + 1) table c: of
+    each move's c[i, j] or c[i, j + 1], and of each c[i, i]."""
+    pos = np.arange(n)
+    move = pos[:, None] * (n + 1) + pos + (pos >= pos[:, None])
+    stay = pos * (n + 2)
+    for arr in (move, stay):
+        arr.flags.writeable = False  # shared by every caller of the cache
+    return move, stay
 
 
 def _subset_sums(b: np.ndarray, lo: int, hi: int) -> np.ndarray:

@@ -228,6 +228,20 @@ def heuristic_shaped_benefits(n: int, rng: np.random.Generator, g: int = 3) -> n
     return b
 
 
+def tournament_benefits(n: int, rng: np.random.Generator, w: float, loose: int = 0) -> np.ndarray:
+    """A +-w tournament, w (T - T') for T strictly upper triangular with
+    random +-1 entries: the reduced LOP of a group of weight w whose every
+    pair is saturated.  loose random pairs are unsaturated instead, with
+    b[r, s] = -b[s, r] drawn uniformly from (-w, w)."""
+    t = np.triu(rng.choice([-1.0, 1.0], size=(n, n)), 1)
+    b = w * (t - t.T)
+    rows, cols = np.triu_indices(n, k=1)
+    for k in rng.choice(len(rows), size=min(loose, len(rows)), replace=False):
+        u = rng.uniform(-w, w)
+        b[rows[k], cols[k]], b[cols[k], rows[k]] = u, -u
+    return b
+
+
 def exact_scan_reference(C, g: int):
     """`solve_exact`'s enumeration for g >= 2 as one weight fit per multiset.
 

@@ -152,6 +152,15 @@ def test_allocate_counts_fixtures():
     assert sum(allocate_counts((0.571, 0.286, 0.143), 997)) == 997
 
 
+@pytest.mark.parametrize("weights", [(0.5 + 5e-10, 0.5 - 1e-12), (0.3 + 6e-10, 0.3, 0.4),
+                                     (0.5 - 5e-10, 0.5 - 4e-10)])
+def test_allocate_counts_sums_to_n_at_the_simplex_tolerance(weights):
+    # weights summing to 1 within the simplex test's 1e-9, whose counts
+    # summed to 10,000,000,004, 10,000,000,006 and 9,999,999,993
+    counts = allocate_counts(weights, 10**10)
+    assert min(counts) >= 0 and sum(counts) == 10**10
+
+
 @pytest.mark.parametrize("weights", [(0.1, 0.1), (2.0, -1.0), (np.nan, 1.0), (0.5, np.inf)])
 def test_allocate_counts_refuses_weights_off_the_simplex(weights):
     # (0.1, 0.1) gave [101, 101] for 1000 rankings, (2, -1) gave [20, -10]

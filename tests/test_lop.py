@@ -33,6 +33,7 @@ from _oracles import (
     lop_subset_dp_max,
     random_order,
     random_preference_matrix,
+    tournament_benefits,
 )
 
 EX1 = PreferenceMatrix(4, [0.9, 0.9, 0.9, 0.5, 0.9, 0.9])
@@ -241,7 +242,7 @@ def test_dp_tables_built_once_per_n_and_small():
     _dp_tables.cache_clear()
     rng = np.random.default_rng(5)
     for _ in range(3):
-        lop_exact(BenefitMatrix(rng.normal(size=(12, 12))))
+        _subset_dp(rng.normal(size=(12, 12)))
     assert _dp_tables.cache_info().misses == 1
     # README: the cached tables stay under 256 KiB at the DP limit
     tables = _dp_tables(LOP_DP_MAX_N)
@@ -329,6 +330,18 @@ def test_heuristic_shaped_block_needs_no_dense_dp(monkeypatch):
     sizes = _dp_sizes(monkeypatch)
     b = heuristic_shaped_benefits(16, np.random.default_rng(61))
     assert [len(block) for block in lop._blocks(b)] == [16]
+    order, value, proven = lop_exact(BenefitMatrix(b))
+    assert sizes == []
+    assert order.perm == _subset_dp(b) and value == order_value(order.perm, b) and proven
+
+
+def test_tournament_block_needs_no_dense_dp(monkeypatch):
+    # the bound prunes little on a +-w tournament, a light group's reduced
+    # LOP: at 14 items a cap of 2^14 / 16 candidates per layer sent seeds
+    # 0-9 all to the whole table, and under the 2^14 floor only seed 6 goes
+    sizes = _dp_sizes(monkeypatch)
+    b = tournament_benefits(14, np.random.default_rng(0), 0.01)
+    assert [len(block) for block in lop._blocks(b)] == [14]
     order, value, proven = lop_exact(BenefitMatrix(b))
     assert sizes == []
     assert order.perm == _subset_dp(b) and value == order_value(order.perm, b) and proven

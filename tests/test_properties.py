@@ -69,6 +69,7 @@ from _oracles import (
     projection_by_enumeration,
     sample_within_ball_reference,
     saturation_by_full_loop,
+    tournament_benefits,
 )
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -127,15 +128,22 @@ def test_lop_exact_is_lex_smallest_optimum(values):
 @st.composite
 def benefit_matrices(draw, min_n=1, max_n=10):
     """Zero-diagonal benefits of min_n to max_n items: normal, quarter-grid
-    (many tied orders), heuristic-shaped, or a quarter-grid planted chain of
+    (many tied orders), heuristic-shaped, a light group's +-w tournament
+    with a few unsaturated pairs, or a quarter-grid planted chain of
     blocks whose pairs across blocks favour chain order by one margin: 0,
     just below or just above the block tolerance (entries stay within
     [-1, 1], so the tolerance is _BLOCK_TOL itself), or a quarter."""
-    family = draw(st.sampled_from(["normal", "quarter", "shaped", "chain"]))
+    family = draw(st.sampled_from(["normal", "quarter", "shaped", "tournament", "chain"]))
     n = draw(st.integers(max(min_n, 2 if family == "shaped" else 1), max_n))
-    if family in ("normal", "shaped"):
+    if family in ("normal", "shaped", "tournament"):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        b = rng.normal(size=(n, n)) if family == "normal" else heuristic_shaped_benefits(n, rng)
+        if family == "normal":
+            b = rng.normal(size=(n, n))
+        elif family == "shaped":
+            b = heuristic_shaped_benefits(n, rng)
+        else:
+            b = tournament_benefits(n, rng, draw(st.sampled_from([1e-3, 0.01, 0.02])),
+                                    loose=draw(st.integers(0, 3)))
     else:
         top = 4 if family == "quarter" else 2
         b = np.array(draw(st.lists(st.integers(-4, top), min_size=n * n, max_size=n * n)),
