@@ -3,10 +3,16 @@ for the heuristic: enumerate every multiset of g linear orders (orders in
 lexicographic permutation order, multisets as non-decreasing index tuples so
 each group combination is visited exactly once), fit optimal simplex weights
 for each one a lower bound does not rule out, and keep the global best.
-The multisets that start with one order are bounded in batches of one
-matrix product each; at g >= 3 the fits that remain run as stacked LPs,
-many problems pivoted in lockstep, and the winner keeps the weights its
-stack gave it.
+
+The bound splits a mixture's objective over the pairs' agreement patterns
+with the first order: the pairs on which the same other orders disagree
+with it move with one shared weight, so pricing each pattern at its own
+best weight bounds every multiset (_ClassBound).  The multisets that start
+with one order are bounded in one batch: one matrix product at g = 2, table
+lookups at g >= 3.  At g = 2 a bound on the whole batch skips most first
+orders outright (_first_order_bound).  At g >= 3 the fits that remain run
+as stacked LPs, many problems pivoted in lockstep, and the winner keeps the
+weights its stack gave it.
 
 The orders come from the cached vertex table of the linear ordering
 polytope.  check_guards admits a solve of g >= 2 groups by its cost, which
@@ -22,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -32,6 +38,7 @@ from .core import (
     MixtureSolution,
     PreferenceMatrix,
     canonicalize,
+    pair_rows_cols,
 )
 from .lop import BenefitMatrix, lop_exact
 from .simplex_fit import _breakpoint_g2, _fit_simplex_stack
@@ -54,14 +61,21 @@ _SCREEN_SLACK = 5e-13
 _STACK_START = 16
 _CHUNK_MAX = 4096
 _STACK_MAX = 512
+# g = 2 takes the first-order bounds of this many first orders at once, in
+# (rows, m, m + 2) arrays: at n = 6, 256 rows raised a solve's peak memory
+# by 0.8 MB over 32, and all 720 at once by 1.8 MB
+_FIRST_CHUNK = 32
 
-# 7! = 5040 vertices: g = 2 at n = 7 visits 12.7M multisets in 5-7 s,
-# while n = 8 (40,320 vertices, 813M multisets) would take 8-25 minutes
+# 7! = 5040 vertices: g = 2 at n = 7 visits 12.7M multisets in 0.07-0.7 s
+# on generated instances and 3-5 s on uniform random data, because the
+# first-order bound skips most first orders; with the guard lifted, n = 8
+# (40,320 vertices, 813M multisets) took 6 s on a generated instance and
+# 16 s on uniform random data
 VERTEX_GUARD_N = 7
-# enumeration_size(5, 3), about 0.6 s: g >= 3 fits a weight LP per
-# unscreened multiset, and the next sizes up cost more than an oracle solve
-# should: n = 4, g = 6 (475,020) takes about 5 s, and n = 6, g = 3 visits
-# 62.4M, 211 times as many
+# enumeration_size(5, 3), about 0.2 s: g >= 3 fits a weight LP per
+# multiset the class bound passes.  With the guard lifted, n = 4, g = 6
+# (475,020) takes about 1 s, and n = 6, g = 3 visits 62.4M, 211 times as
+# many
 MULTISET_GUARD = 295_240
 
 
@@ -86,11 +100,16 @@ class ExactConfig:
 
 @dataclass(frozen=True)
 class PolytopeVertexSet:
-    """All n! precedence vectors, with the orders they encode."""
+    """All n! precedence vectors, with the permutations they encode."""
 
     n: int
-    orders: tuple[LinearOrder, ...]
-    vertices: np.ndarray  # (n!, C(n,2)) float64, rows aligned with orders
+    perms: np.ndarray  # (n!, n) item ranked k-th in column k, lexicographic rows
+    vertices: np.ndarray  # (n!, C(n,2)) float64, rows aligned with perms
+
+    @cached_property
+    def orders(self) -> tuple[LinearOrder, ...]:
+        """The orders of the rows, built on first use."""
+        return tuple(LinearOrder(p) for p in self.perms.tolist())
 
 
 @lru_cache(maxsize=None)
@@ -102,10 +121,13 @@ def enumerate_vertices(n: int) -> PolytopeVertexSet:
         raise SizeGuardExceeded(
             f"vertex enumeration is guarded to n <= {VERTEX_GUARD_N}, got n={n}"
         )
-    orders = tuple(LinearOrder(p) for p in itertools.permutations(range(n)))
-    vertices = np.stack([o.prec for o in orders]).astype(np.float64)
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    pos = np.argsort(perms, axis=1)  # pos[o, item]: where order o ranks the item
+    rows, cols = pair_rows_cols(n)
+    vertices = (pos[:, rows] < pos[:, cols]).astype(np.float64)
+    perms.flags.writeable = False
     vertices.flags.writeable = False
-    return PolytopeVertexSet(n, orders, vertices)
+    return PolytopeVertexSet(n, perms, vertices)
 
 
 def _iter_multisets(num_orders: int, g: int):
@@ -173,7 +195,7 @@ def solve_exact(
     best_combo, best_w, best_obj = _scan_multisets(V.vertices, c, g)
     sol = canonicalize(
         MixtureSolution(
-            orders=tuple(V.orders[j] for j in best_combo),
+            orders=tuple(LinearOrder(V.perms[j]) for j in best_combo),
             weights=tuple(float(v) for v in best_w),
         )
     )
@@ -186,18 +208,21 @@ def _scan_multisets(X: np.ndarray, c: np.ndarray, g: int):
     Visits the multisets of g rows of X in lexicographic order and keeps the
     first whose fitted objective beats the incumbent by more than
     _IMPROVE_TOL, stopping at the first objective <= _ZERO_TOL.  The
-    multisets that start with one order are screened together: each gets a
-    lower bound on its objective, and only those whose bound could still
-    beat the incumbent are fitted.  g = 2 fits them one by one with
+    multisets that start with one order are screened together: each gets
+    its class bound (_ClassBound), and only those whose bound could still
+    beat the incumbent are fitted.  g = 2 first skips every first order
+    whose first-order bound, a bound on all of its pairs at once, cannot
+    beat the incumbent, and fits the pairs that pass one by one with
     _breakpoint_g2; g >= 3 fits them in stacks of at most _STACK_MAX with
     _fit_simplex_stack, which gives each the bits a stack of one would, and
     keeps the weights of the stack that scored the winner.
 
-    The screen and each stack read the incumbent as it stood when they
-    started.  That incumbent is never below the one the plain loop would
-    hold at any later multiset, so the screen passes every multiset the
-    plain loop could take, and taking the strict improvements among the
-    fitted ones in order picks the same multiset.
+    Both bounds are lower bounds on the fitted objective up to
+    _SCREEN_SLACK.  The screen and each stack read the incumbent as it
+    stood when they started.  That incumbent is never below the one the
+    plain loop would hold at any later multiset, so the screen passes every
+    multiset the plain loop could take, and taking the strict improvements
+    among the fitted ones in order picks the same multiset.
     """
     if g == 2:
         return _scan_pairs(X, c)
@@ -206,19 +231,26 @@ def _scan_multisets(X: np.ndarray, c: np.ndarray, g: int):
 
 def _scan_pairs(X: np.ndarray, c: np.ndarray):
     """_scan_multisets for g = 2: one batch per first order, which holds
-    every pair that starts with it."""
+    every pair that starts with it, and first-order bounds taken for
+    _FIRST_CHUNK first orders at a time."""
+    N = X.shape[0]
+    class_bound = _ClassBound(X, c)
     best_obj, best_combo, best_w = math.inf, None, None
-    for i in range(X.shape[0]):
-        bound = _breakpoint_screen(X[i], c, X[i:] == X[i])
-        for j in np.flatnonzero(bound < best_obj - _IMPROVE_TOL + _SCREEN_SLACK):
-            if bound[j] >= best_obj - _IMPROVE_TOL + _SCREEN_SLACK:
-                continue  # the incumbent improved earlier in this batch
-            combo = (i, i + int(j))
-            w, obj = _breakpoint_g2(X[list(combo)], c)
-            if obj < best_obj - _IMPROVE_TOL:
-                best_obj, best_combo, best_w = obj, combo, w
-                if best_obj <= _ZERO_TOL:
-                    return best_combo, best_w, best_obj
+    for start in range(0, N, _FIRST_CHUNK):
+        first = _first_order_bound(*_pair_terms(X[start:start + _FIRST_CHUNK], c))
+        for i in range(start, start + first.size):
+            if first[i - start] >= best_obj - _IMPROVE_TOL + _SCREEN_SLACK:
+                continue
+            bound = class_bound(i, np.arange(N - i)[:, None])
+            for j in np.flatnonzero(bound < best_obj - _IMPROVE_TOL + _SCREEN_SLACK):
+                if bound[j] >= best_obj - _IMPROVE_TOL + _SCREEN_SLACK:
+                    continue  # the incumbent improved earlier in this batch
+                combo = (i, i + int(j))
+                w, obj = _breakpoint_g2(X[list(combo)], c)
+                if obj < best_obj - _IMPROVE_TOL:
+                    best_obj, best_combo, best_w = obj, combo, w
+                    if best_obj <= _ZERO_TOL:
+                        return best_combo, best_w, best_obj
     return best_combo, best_w, best_obj
 
 
@@ -230,19 +262,19 @@ def _scan_stacked(X: np.ndarray, c: np.ndarray, g: int):
     objective zero early fits few multisets past the one it stops at.
     """
     N = X.shape[0]
+    class_bound = _ClassBound(X, c)
     best_obj, best_combo, best_w = math.inf, None, None
     size = _STACK_START
     for i in range(N):
         # the other g - 1 orders of each multiset, as offsets from i
         rests = _iter_multisets(N - i, g - 1)
-        agree = X[i:] == X[i]  # row j: where order i + j agrees with order i
         while True:
             chunk = itertools.chain.from_iterable(itertools.islice(rests, size))
             rest = np.fromiter(chunk, dtype=np.intp).reshape(-1, g - 1)
             if not rest.size:
                 break
             size = min(2 * size, _CHUNK_MAX)
-            bound = _breakpoint_screen(X[i], c, agree[rest[:, -1]], agree[rest[:, :-1]].all(axis=1))
+            bound = class_bound(i, rest)
             pending = np.flatnonzero(bound < best_obj - _IMPROVE_TOL + _SCREEN_SLACK)
             while pending.size:
                 stack, pending = pending[:_STACK_MAX], pending[_STACK_MAX:]
@@ -262,33 +294,92 @@ def _scan_stacked(X: np.ndarray, c: np.ndarray, g: int):
     return best_combo, best_w, best_obj
 
 
-def _breakpoint_screen(x1: np.ndarray, c: np.ndarray, agree: np.ndarray,
-                       fixed: np.ndarray | None = None) -> np.ndarray:
-    """Lower bound on the objective of each multiset in a batch that starts
-    with the order x1.
+def _pair_terms(X1: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(residual, dist) of each first order x1, a row of X1 (R, m).
 
-    Row r of agree says on which pairs the multiset's last order agrees
-    with x1; row r of fixed, on which pairs every other order does (None:
-    all pairs, as at g = 2).  On the fixed pairs the mixture is
-    (1 - t) x1 + t x_last for the last weight t, so the g = 2 breakpoint
-    objective of (x1, x_last) over those pairs alone is a lower bound;
-    other pairs add >= 0.  With x1 fixed, the candidate weights
-    (breakpoints and {0, 1}) and their distances do not depend on the
-    multiset, only which pairs are fixed and where x_last disagrees do, so
-    the batch takes one matrix product.  Every candidate is a weight t in
-    [0, 1], and F at any t is the restricted objective at t, so no
-    candidate lowers the minimum.  For g = 2 the bound is the exact
-    breakpoint optimum.
+    With b_k = c_k where x1_k = 1 and 1 - c_k where it is 0, pair k adds
+    |b_k - t| to the objective of a mixture that starts with x1, where
+    t = 1 - (the weight of the other orders that disagree with x1 on pair
+    k).  residual (R, m) is that term where every order agrees with x1,
+    |c_k - x1_k| = |b_k - 1|; dist (R, m, m + 2) holds it at each
+    candidate t in (b_1, ..., b_m, 0, 1).
     """
-    b = np.where(x1 == 1.0, c, 1.0 - c)
-    cands = np.concatenate([b, [0.0, 1.0]])
-    residual = np.abs(c - x1)[:, None]
-    dist = np.abs(b[:, None] - cands[None, :])
-    if fixed is None:
-        F = agree @ residual + ~agree @ dist
-    else:
-        F = (agree & fixed) @ residual + (fixed & ~agree) @ dist
-    return F.min(axis=1)
+    b = np.where(X1 == 1.0, c, 1.0 - c)
+    ends = np.broadcast_to([0.0, 1.0], (b.shape[0], 2))
+    cands = np.concatenate([b, ends], axis=1)
+    return np.abs(c - X1), np.abs(b[:, :, None] - cands[:, None, :])
+
+
+def _first_order_bound(residual: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """Lower bound on the objective of every pair of orders (x1, x2) that
+    starts with each first order x1, from its _pair_terms.
+
+    On each pair k, x2 either agrees with x1, which costs residual_k, or
+    follows the one weight t, which costs |b_k - t|.  So the objective at t
+    is at least sum_k min(residual_k, |b_k - t|).  That sum is piecewise
+    linear in t with its convex kinks only at the b_k, so its least value
+    on [0, 1] is at a candidate.
+    """
+    return np.minimum(dist, residual[:, :, None]).sum(axis=1).min(axis=1)
+
+
+class _ClassBound:
+    """The class bound of the multisets of rows of X for the data c: called
+    with a first order i and rest (R, g - 1), the other orders of R
+    multisets as offsets from i, it returns a lower bound on each one's
+    objective.
+
+    On pair k, the pattern of a multiset is the set P of other orders that
+    disagree with x1 = X[i] there, and the pair adds |b_k - t_P|
+    (_pair_terms), so pairs of one pattern share one t_P.  The empty
+    pattern has t = 1 and costs the residuals.  Freeing every other
+    pattern's t gives the bound: the sum over those patterns of min over t
+    of sum_k |b_k - t|, found at a candidate.  A pattern of one pair adds 0.
+
+    One other order (g = 2) makes one pattern, priced by one matrix
+    product.  More orders carry pair sets as bit sets, so each pattern is
+    priced by a table lookup: the m pairs of g >= 3 are at most C(5, 2) =
+    10 (check_guards), so a table holds at most 5! first orders by 2^10
+    pair sets.
+    """
+
+    def __init__(self, X: np.ndarray, c: np.ndarray):
+        self.X, self.c = X, c
+        self.bit = 1 << np.arange(X.shape[1])
+
+    def __call__(self, i: int, rest: np.ndarray) -> np.ndarray:
+        if rest.shape[1] == 1:
+            residual, dist = _pair_terms(self.X[i:i + 1], self.c)
+            d = self.X[i:][rest[:, 0]] != self.X[i]
+            return ~d @ residual[0] + (d @ dist[0]).min(axis=1)
+        side, agree, agree_cost, free_cost = self._tables
+        # the pairs that share pair k's pattern, and the empty pattern's pairs
+        pattern = np.bitwise_and.reduce(side[i, i:][rest], axis=1)
+        empty = np.bitwise_and.reduce(agree[i, i:][rest], axis=1)
+        # price each other pattern once, at its lowest pair
+        lowest = ((pattern & -pattern) == self.bit) & (pattern != empty[:, None])
+        return agree_cost[i, empty] + np.where(lowest, free_cost[i, pattern], 0.0).sum(axis=1)
+
+    @cached_property
+    def _tables(self):
+        """(side, agree, agree_cost, free_cost) for first order i and order
+        j.  agree[i, j] is the bit set of pairs on which order j agrees with
+        order i, and side[i, j, k] the pairs on which it sides with order i
+        as it does on pair k.  agree_cost[i, s] is the residual sum of the
+        pair set s, and free_cost[i, s] its least sum at a free t."""
+        m, bit = self.X.shape[1], self.bit
+        code = (self.X == 1.0) @ bit
+        dis = code[:, None] ^ code
+        agree = ~dis & bit.sum()
+        side = np.where(dis[:, :, None] & bit, dis[:, :, None], agree[:, :, None])
+        residual, dist = _pair_terms(self.X, self.c)
+        subsets = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).T.astype(np.float64)
+        # one candidate at a time: all m + 2 at once would be a 12 MB
+        # temporary at n = 5
+        free_cost = dist[:, :, 0] @ subsets
+        for t in range(1, m + 2):
+            np.minimum(free_cost, dist[:, :, t] @ subsets, out=free_cost)
+        return side, agree, residual @ subsets, free_cost
 
 
 def opt_curve(C: PreferenceMatrix, g_max: int) -> list[tuple[int, float]]:

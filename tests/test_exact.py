@@ -261,14 +261,39 @@ def test_breakpoint_screen_skips_weight_lps(monkeypatch):
     monkeypatch.setattr(mlop.exact, "_fit_simplex_stack", counting_stack)
     monkeypatch.setattr(mlop.exact, "_fit_simplex_l1", counting_fit)
     # the scan is deterministic, so the counts are exact: of the 2,600
-    # multisets at n = 4, g = 3, the screen sends these to the stacked LP
-    for C, problems in ((EX1, 61), (random_preference_matrix(4, np.random.default_rng(53)), 744)):
+    # multisets at n = 4, g = 3, the class bound sends these to the stacked LP
+    for C, problems in ((EX1, 46), (random_preference_matrix(4, np.random.default_rng(53)), 83)):
         stacks.clear()
         refits.clear()
         solve_exact(C, ExactConfig(g=3))
         assert sum(stacks) == problems
         assert max(stacks) <= _STACK_MAX
         assert len(refits) == 0  # the winner keeps its stack's weights
+
+
+def test_first_order_bound_skips_whole_batches(monkeypatch):
+    import mlop.exact
+
+    batches, fits = [], []
+    real_bound, real_fit = mlop.exact._ClassBound, mlop.exact._breakpoint_g2
+
+    class CountingBound(real_bound):
+        def __call__(self, i, rest):
+            batches.append(len(rest))
+            return super().__call__(i, rest)
+
+    def counting_fit(X, c):
+        fits.append(1)
+        return real_fit(X, c)
+
+    monkeypatch.setattr(mlop.exact, "_ClassBound", CountingBound)
+    monkeypatch.setattr(mlop.exact, "_breakpoint_g2", counting_fit)
+    _, C = generate_instance(GeneratorSpec(n=6, g_true=2, weights=(0.5, 0.5), p=10, seed=1))
+    # the scan is deterministic, so the counts are exact: the first-order
+    # bound skips 665 of the 720 first orders, so the class bound screens
+    # 25,762 of the 259,560 pairs, and 34 of them get a breakpoint fit
+    assert solve_exact(C, ExactConfig(g=2))[1] == pytest.approx(1.356, abs=1e-9)
+    assert (len(batches), sum(batches), len(fits)) == (55, 25_762, 34)
 
 
 def test_multiset_guard_refuses_before_enumerating():

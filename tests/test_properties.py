@@ -27,7 +27,14 @@ from mlop import (
 )
 import mlop.geometry
 from mlop.cli import main
-from mlop.exact import _SCREEN_SLACK, _breakpoint_screen, enumerate_vertices
+from mlop.core import pair_index
+from mlop.exact import (
+    _SCREEN_SLACK,
+    _ClassBound,
+    _first_order_bound,
+    _pair_terms,
+    enumerate_vertices,
+)
 from mlop.geometry import (
     MEMBERSHIP_TOL,
     caratheodory_saturation,
@@ -316,37 +323,48 @@ def test_solve_exact_matches_reference_scan(case):
 
 @st.composite
 def screen_cases(draw):
-    """(n, prefix, upper) at n = 3..5: g - 1 = 1..3 row indices of the vertex
-    table in scan order, and free or quarter-grid data."""
-    n = draw(st.integers(3, 5))
-    rows = len(enumerate_vertices(n).orders)
-    prefix = sorted(draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=3)))
+    """(n, first, rest, upper) at n = 3..5: a first order of the vertex table,
+    1-6 multisets of g - 1 = 1..4 later orders as offsets from it, and free
+    or quarter-grid data, in half the cases with a 3-cycle on one triple of
+    items, which puts the point outside the polytope."""
+    n, g = draw(st.integers(3, 5)), draw(st.integers(2, 5))
+    rows = enumerate_vertices(n).vertices.shape[0]
+    first = draw(st.integers(0, rows - 1))
+    rest = draw(st.lists(st.lists(st.integers(0, rows - 1 - first), min_size=g - 1,
+                                  max_size=g - 1).map(sorted), min_size=1, max_size=6))
     _, upper = draw(sized(n, st.floats(0.0, 1.0))
                     | sized(n, st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])))
-    return n, tuple(prefix), upper
+    if draw(st.booleans()):
+        r, s, t = sorted(draw(st.permutations(range(n)))[:3])
+        lead = float(draw(st.booleans()))
+        upper[pair_index(n, r, s)] = upper[pair_index(n, s, t)] = lead
+        upper[pair_index(n, r, t)] = 1.0 - lead
+    return n, first, np.array(rest), upper
 
 
 @SETTINGS
 @given(screen_cases())
-# (0, 2, 3, 1) and its reverse (1, 3, 2, 0): the prefix agrees on no pair
-@example((4, (3, 11), [0.9, 0.2, 0.6, 0.3, 0.75, 0.1]))
+# (0, 2, 3, 1) and its reverse (1, 3, 2, 0), which agree on no pair
+@example((4, 3, np.array([[8, 8], [8, 9], [8, 20]]), [0.9, 0.2, 0.6, 0.3, 0.75, 0.1]))
 def test_breakpoint_screen_never_passes_the_fitted_objective(case):
-    # each multiset prefix + (j,), j >= prefix[-1], as one batch
-    n, prefix, upper = case
+    # the class bound of each drawn multiset, and at g = 2 the first-order
+    # bound of every pair that starts with the first order
+    n, first, rest, upper = case
     X, c = enumerate_vertices(n).vertices, np.array(upper)
-    x1 = X[prefix[0]]
-    agree = X[prefix[-1]:] == x1
-    fixed = None
-    if len(prefix) > 1:
-        fixed = np.broadcast_to((X[list(prefix)] == x1).all(axis=0), agree.shape)
-    bound = _breakpoint_screen(x1, c, agree, fixed)
-    assert bound.shape == (X.shape[0] - prefix[-1],)
-    fit = _breakpoint_g2 if len(prefix) == 1 else _fit_simplex_l1
-    for j, lower in enumerate(bound, start=prefix[-1]):
-        _, obj = fit(X[list(prefix) + [j]], c)
-        assert lower <= obj + _SCREEN_SLACK
-    if any((X[a] + X[b] == 1.0).all() for a in prefix for b in prefix):
-        assert not bound.any()
+    bound = _ClassBound(X, c)(first, rest)
+    combos = np.column_stack([np.full(len(rest), first), first + rest])
+    if rest.shape[1] == 1:
+        objs = np.array([_breakpoint_g2(X[combo], c)[1] for combo in combos])
+        # one class: the bound is the breakpoint optimum itself
+        np.testing.assert_allclose(bound, objs, rtol=0, atol=1e-12)
+        lower = _first_order_bound(*_pair_terms(X[first : first + 1], c))
+        pairs = [_breakpoint_g2(X[[first, j]], c)[1] for j in range(first, X.shape[0])]
+        assert lower.shape == (1,)
+        assert lower[0] <= min(pairs) + _SCREEN_SLACK
+    else:
+        _, objs = _fit_simplex_stack(X, combos, c)
+    assert bound.shape == (len(rest),)
+    assert (bound <= objs + _SCREEN_SLACK).all()
 
 
 @st.composite
