@@ -27,14 +27,11 @@ nothing is ever wall-clock seeded.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -81,34 +78,6 @@ EXIT_INFEASIBLE = 4
 EXIT_NUMERICAL = 5
 
 _DROP_EPS = 1e-15
-
-
-@dataclass
-class SolveReport:
-    """One solver run in machine-readable form; orders are 1-based."""
-
-    instance: str
-    method: str
-    n: int
-    g: int
-    objective: float
-    max_form_value: float
-    fit: float
-    weights: list[float]
-    orders: list[list[int]]
-    proven: bool
-    time_s: float
-    trace: dict | None = None
-
-
-@dataclass
-class SweepRow:
-    g: int
-    objective: float
-    fit: float
-    relative_drop: float | None
-    cumulative_drop: float
-    time_s: float
 
 
 def fractional_drop(base: float, obj: float) -> float:
@@ -186,8 +155,12 @@ def load_instance(path: str) -> PreferenceMatrix:
     raise InvalidInput(f"{path}: instance JSON needs either 'c_upper' or 'c'")
 
 
-def _orders_1based(sol: MixtureSolution) -> list[list[int]]:
-    return [[p + 1 for p in o.perm] for o in sol.orders]
+def _orders_1based(orders) -> list[list[int]]:
+    return [[p + 1 for p in o.perm] for o in orders]
+
+
+def _instance_json(C: PreferenceMatrix) -> str:
+    return _dump_json({"n": C.n, "c_upper": [float(v) for v in C.upper]})
 
 
 def parse_weights(arg: str, g: int) -> tuple[float, ...]:
@@ -212,15 +185,11 @@ def parse_weights(arg: str, g: int) -> tuple[float, ...]:
     return tuple(parts)
 
 
-def _default_ratio_weights(g: int) -> str:
-    return ":".join(["1"] * g)
-
-
 def cmd_gen(args) -> int:
     g = args.g_true
     if g < 1:  # before the default weights, which need g parts
         raise InvalidInput(f"need g_true >= 1, got {g}")
-    weights = parse_weights(args.weights or _default_ratio_weights(g), g)
+    weights = parse_weights(args.weights or ":".join(["1"] * g), g)
     spec = GeneratorSpec(
         n=args.n,
         g_true=g,
@@ -238,10 +207,7 @@ def cmd_gen(args) -> int:
     meta_path = f"{out}.meta.json"
     rankings_path = f"{out}.rankings.txt"
 
-    _write_text(
-        instance_path,
-        _dump_json({"n": spec.n, "c_upper": [float(v) for v in C.upper]}),
-    )
+    _write_text(instance_path, _instance_json(C))
     _write_text(
         meta_path,
         _dump_json(
@@ -254,7 +220,7 @@ def cmd_gen(args) -> int:
                 "num_rankings": spec.num_rankings,
                 "min_separation": spec.resolved_min_separation,
                 "seed": spec.seed,
-                "centers": [[p + 1 for p in o.perm] for o in sample.centers],
+                "centers": _orders_1based(sample.centers),
             }
         ),
     )
@@ -288,32 +254,27 @@ def _run_solver(C: PreferenceMatrix, method: str, g: int, args):
     return sol, obj, False, summary
 
 
-def _build_report(instance_id, method, C, g, sol, obj, proven, trace, elapsed):
-    return SolveReport(
-        instance=instance_id,
-        method=method,
-        n=C.n,
-        g=g,
-        objective=float(obj),
-        max_form_value=float(num_pairs(C.n) - obj),
-        fit=float(fit_from_objective(obj, C.n)),
-        weights=[float(w) for w in sol.weights],
-        orders=_orders_1based(sol),
-        proven=bool(proven),
-        time_s=float(elapsed),
-        trace=trace,
-    )
-
-
 def cmd_solve(args) -> int:
+    """Writes one solver run as a JSON report; orders are 1-based."""
     C = load_instance(args.instance)
     t0 = time.perf_counter()
     sol, obj, proven, trace = _run_solver(C, args.method, args.g, args)
     elapsed = time.perf_counter() - t0
-    report = _build_report(
-        _instance_id(args.instance), args.method, C, args.g, sol, obj, proven, trace, elapsed
-    )
-    _write_text(args.out, _dump_json(asdict(report)))
+    report = {
+        "instance": _instance_id(args.instance),
+        "method": args.method,
+        "n": C.n,
+        "g": args.g,
+        "objective": float(obj),
+        "max_form_value": float(num_pairs(C.n) - obj),
+        "fit": float(fit_from_objective(obj, C.n)),
+        "weights": [float(w) for w in sol.weights],
+        "orders": _orders_1based(sol.orders),
+        "proven": proven,
+        "time_s": elapsed,
+        "trace": trace,
+    }
+    _write_text(args.out, _dump_json(report))
     return EXIT_OK
 
 
@@ -331,7 +292,7 @@ def cmd_sweep(args) -> int:
     if args.method == "exact":
         # refuse before solving any g rather than after the smaller ones ran
         check_guards(C.n, args.g_max)
-    rows: list[SweepRow] = []
+    rows: list[dict] = []
     prev_sol: MixtureSolution | None = None
     prev_obj = None
     first_obj = None
@@ -345,23 +306,17 @@ def cmd_sweep(args) -> int:
             sol, obj = _pad_with_idle_group(prev_sol), prev_obj
         if first_obj is None:
             first_obj = obj
-        rows.append(
-            SweepRow(
-                g=g,
-                objective=float(obj),
-                fit=float(fit_from_objective(obj, C.n)),
-                relative_drop=None if g == 1 else float(fractional_drop(prev_obj, obj)),
-                cumulative_drop=float(fractional_drop(first_obj, obj)),
-                time_s=float(elapsed),
-            )
-        )
+        rows.append({
+            "g": g,
+            "objective": float(obj),
+            "fit": float(fit_from_objective(obj, C.n)),
+            "relative_drop": None if g == 1 else float(fractional_drop(prev_obj, obj)),
+            "cumulative_drop": float(fractional_drop(first_obj, obj)),
+            "time_s": elapsed,
+        })
         prev_sol, prev_obj = sol, obj
 
-    payload = {
-        "instance": _instance_id(args.instance),
-        "method": args.method,
-        "rows": [asdict(r) for r in rows],
-    }
+    payload = {"instance": _instance_id(args.instance), "method": args.method, "rows": rows}
     csv_text = _sweep_csv(rows)
     if args.out:
         _write_text(f"{args.out}.sweep.csv", csv_text)
@@ -373,22 +328,15 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _sweep_csv(rows: list[SweepRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["g", "objective", "fit", "relative_drop", "cumulative_drop", "time_s"])
-    for r in rows:
-        writer.writerow(
-            [
-                r.g,
-                repr(r.objective),
-                repr(r.fit),
-                "" if r.relative_drop is None else repr(r.relative_drop),
-                repr(r.cumulative_drop),
-                repr(r.time_s),
-            ]
-        )
-    return buf.getvalue()
+_SWEEP_COLUMNS = ("g", "objective", "fit", "relative_drop", "cumulative_drop", "time_s")
+
+
+def _sweep_csv(rows: list[dict]) -> str:
+    """The sweep rows as CSV: g an int, floats by repr, a None drop empty."""
+    lines = [",".join(_SWEEP_COLUMNS)]
+    for row in rows:
+        lines.append(",".join("" if row[k] is None else repr(row[k]) for k in _SWEEP_COLUMNS))
+    return "\n".join(lines) + "\n"
 
 
 def _parse_point(arg: str) -> np.ndarray:
@@ -455,10 +403,7 @@ def cmd_verify(args) -> int:
 def cmd_ingest(args) -> int:
     C, A = ingest_rankings(args.rankings)
     out = args.out
-    _write_text(
-        f"{out}.instance.json",
-        _dump_json({"n": C.n, "c_upper": [float(v) for v in C.upper]}),
-    )
+    _write_text(f"{out}.instance.json", _instance_json(C))
     _write_text(
         f"{out}.counts.json",
         _dump_json(

@@ -7,12 +7,12 @@ for each one a lower bound does not rule out, and keep the global best.
 The bound splits a mixture's objective over the pairs' agreement patterns
 with the first order: the pairs on which the same other orders disagree
 with it move with one shared weight, so pricing each pattern at its own
-best weight bounds every multiset (_ClassBound).  The multisets that start
-with one order are bounded in one batch: one matrix product at g = 2, table
-lookups at g >= 3.  At g = 2 a bound on the whole batch skips most first
-orders outright (_first_order_bound).  At g >= 3 the fits that remain run
-as stacked LPs, many problems pivoted in lockstep, and the winner keeps the
-weights its stack gave it.
+best weight bounds every multiset (_ClassBound, _pair_bound at g = 2).  The
+multisets that start with one order are bounded in one batch: one matrix
+product at g = 2, table lookups at g >= 3.  At g = 2 a bound on the whole
+batch skips most first orders outright (_first_order_bound).  At g >= 3
+the fits that remain run as stacked LPs, many problems pivoted in
+lockstep, and the winner keeps the weights its stack gave it.
 
 The orders come from the cached vertex table of the linear ordering
 polytope.  check_guards admits a solve of g >= 2 groups by its cost, which
@@ -124,7 +124,8 @@ def enumerate_vertices(n: int) -> PolytopeVertexSet:
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
     pos = np.argsort(perms, axis=1)  # pos[o, item]: where order o ranks the item
     rows, cols = pair_rows_cols(n)
-    vertices = (pos[:, rows] < pos[:, cols]).astype(np.float64)
+    # C order: the scans read rows, and pos[:, rows] comes out F-ordered
+    vertices = (pos[:, rows] < pos[:, cols]).astype(np.float64, order="C")
     perms.flags.writeable = False
     vertices.flags.writeable = False
     return PolytopeVertexSet(n, perms, vertices)
@@ -209,13 +210,13 @@ def _scan_multisets(X: np.ndarray, c: np.ndarray, g: int):
     first whose fitted objective beats the incumbent by more than
     _IMPROVE_TOL, stopping at the first objective <= _ZERO_TOL.  The
     multisets that start with one order are screened together: each gets
-    its class bound (_ClassBound), and only those whose bound could still
-    beat the incumbent are fitted.  g = 2 first skips every first order
-    whose first-order bound, a bound on all of its pairs at once, cannot
-    beat the incumbent, and fits the pairs that pass one by one with
-    _breakpoint_g2; g >= 3 fits them in stacks of at most _STACK_MAX with
-    _fit_simplex_stack, which gives each the bits a stack of one would, and
-    keeps the weights of the stack that scored the winner.
+    its class bound (_ClassBound, _pair_bound at g = 2), and only those
+    whose bound could still beat the incumbent are fitted.  g = 2 first
+    skips every first order whose first-order bound, a bound on all of its
+    pairs at once, cannot beat the incumbent, and fits the pairs that pass
+    one by one with _breakpoint_g2; g >= 3 fits them in stacks of at most
+    _STACK_MAX with _fit_simplex_stack, which gives each the bits a stack of
+    one would, and keeps the weights of the stack that scored the winner.
 
     Both bounds are lower bounds on the fitted objective up to
     _SCREEN_SLACK.  The screen and each stack read the incumbent as it
@@ -234,14 +235,14 @@ def _scan_pairs(X: np.ndarray, c: np.ndarray):
     every pair that starts with it, and first-order bounds taken for
     _FIRST_CHUNK first orders at a time."""
     N = X.shape[0]
-    class_bound = _ClassBound(X, c)
     best_obj, best_combo, best_w = math.inf, None, None
     for start in range(0, N, _FIRST_CHUNK):
-        first = _first_order_bound(*_pair_terms(X[start:start + _FIRST_CHUNK], c))
-        for i in range(start, start + first.size):
-            if first[i - start] >= best_obj - _IMPROVE_TOL + _SCREEN_SLACK:
+        residual, dist = _pair_terms(X[start:start + _FIRST_CHUNK], c)
+        first = _first_order_bound(residual, dist)
+        for r, i in enumerate(range(start, start + first.size)):
+            if first[r] >= best_obj - _IMPROVE_TOL + _SCREEN_SLACK:
                 continue
-            bound = class_bound(i, np.arange(N - i)[:, None])
+            bound = _pair_bound(X[i:] != X[i], residual[r], dist[r])
             for j in np.flatnonzero(bound < best_obj - _IMPROVE_TOL + _SCREEN_SLACK):
                 if bound[j] >= best_obj - _IMPROVE_TOL + _SCREEN_SLACK:
                     continue  # the incumbent improved earlier in this batch
@@ -323,9 +324,18 @@ def _first_order_bound(residual: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return np.minimum(dist, residual[:, :, None]).sum(axis=1).min(axis=1)
 
 
+def _pair_bound(d: np.ndarray, residual: np.ndarray, dist: np.ndarray) -> np.ndarray:
+    """The class bound (_ClassBound) of the pairs (x1, x2) that start with
+    one first order x1, from its _pair_terms row: d (R, m) marks the pairs
+    on which each x2 disagrees with x1.  One other order makes one pattern,
+    so the bound is the pair's breakpoint optimum, priced by one matrix
+    product."""
+    return ~d @ residual + (d @ dist).min(axis=1)
+
+
 class _ClassBound:
-    """The class bound of the multisets of rows of X for the data c: called
-    with a first order i and rest (R, g - 1), the other orders of R
+    """The class bound of the multisets of g >= 3 rows of X for the data c:
+    called with a first order i and rest (R, g - 1), the other orders of R
     multisets as offsets from i, it returns a lower bound on each one's
     objective.
 
@@ -336,11 +346,10 @@ class _ClassBound:
     pattern's t gives the bound: the sum over those patterns of min over t
     of sum_k |b_k - t|, found at a candidate.  A pattern of one pair adds 0.
 
-    One other order (g = 2) makes one pattern, priced by one matrix
-    product.  More orders carry pair sets as bit sets, so each pattern is
-    priced by a table lookup: the m pairs of g >= 3 are at most C(5, 2) =
-    10 (check_guards), so a table holds at most 5! first orders by 2^10
-    pair sets.
+    Pair sets are bit sets, so each pattern is priced by a table lookup:
+    the m pairs of g >= 3 are at most C(5, 2) = 10 (check_guards), so a
+    table holds at most 5! first orders by 2^10 pair sets.  g = 2 takes
+    _pair_bound instead.
     """
 
     def __init__(self, X: np.ndarray, c: np.ndarray):
@@ -348,10 +357,6 @@ class _ClassBound:
         self.bit = 1 << np.arange(X.shape[1])
 
     def __call__(self, i: int, rest: np.ndarray) -> np.ndarray:
-        if rest.shape[1] == 1:
-            residual, dist = _pair_terms(self.X[i:i + 1], self.c)
-            d = self.X[i:][rest[:, 0]] != self.X[i]
-            return ~d @ residual[0] + (d @ dist[0]).min(axis=1)
         side, agree, agree_cost, free_cost = self._tables
         # the pairs that share pair k's pattern, and the empty pattern's pairs
         pattern = np.bitwise_and.reduce(side[i, i:][rest], axis=1)

@@ -35,7 +35,9 @@ from .core import (
     pair_rows_cols,
 )
 
-DEFAULT_MAX_ATTEMPTS = 100_000
+# draws of g_true centers sample_centers makes before it gives up on a
+# separation the counting bounds do not rule out
+MAX_CENTER_ATTEMPTS = 100_000
 
 # Array cells one vectorised chunk may span: rankings x (n + 1) uniforms when
 # sampling, rankings x C(n,2) pairs when counting.  Bounds the working memory.
@@ -330,19 +332,18 @@ def sample_centers(
     g_true: int,
     min_separation: int,
     rng: np.random.Generator,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> list[LinearOrder]:
     """Uniform rejection sampling of g_true central orders with pairwise
     Kendall distance >= min_separation.  Infeasible separations are reported,
     never silently relaxed: at once, before any draw, when a packing bound
-    proves them impossible, otherwise after max_attempts."""
+    proves them impossible, otherwise after MAX_CENTER_ATTEMPTS draws."""
     reason = _separation_impossible(n, g_true, min_separation)
     if reason:
         raise SeparationInfeasible(
             f"no {g_true} centers at pairwise distance >= {min_separation} "
             f"exist for n={n}: {reason}"
         )
-    for _ in range(max_attempts):
+    for _ in range(MAX_CENTER_ATTEMPTS):
         cands = [
             LinearOrder(tuple(int(v) for v in rng.permutation(n)))
             for _ in range(g_true)
@@ -355,7 +356,7 @@ def sample_centers(
             return cands
     raise SeparationInfeasible(
         f"no {g_true} centers at pairwise distance >= {min_separation} "
-        f"found in {max_attempts} attempts (n={n})"
+        f"found in {MAX_CENTER_ATTEMPTS} attempts (n={n})"
     )
 
 

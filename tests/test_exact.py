@@ -151,6 +151,8 @@ def test_vertex_table_built_once_and_never_for_g1():
     info = enumerate_vertices.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
     assert enumerate_vertices(4).vertices.dtype == np.float64
+    # the scans slice rows, so each row is contiguous
+    assert enumerate_vertices(4).vertices.flags.c_contiguous
 
 
 def test_enumeration_visits_each_multiset_once():
@@ -275,18 +277,17 @@ def test_first_order_bound_skips_whole_batches(monkeypatch):
     import mlop.exact
 
     batches, fits = [], []
-    real_bound, real_fit = mlop.exact._ClassBound, mlop.exact._breakpoint_g2
+    real_bound, real_fit = mlop.exact._pair_bound, mlop.exact._breakpoint_g2
 
-    class CountingBound(real_bound):
-        def __call__(self, i, rest):
-            batches.append(len(rest))
-            return super().__call__(i, rest)
+    def counting_bound(d, residual, dist):
+        batches.append(len(d))
+        return real_bound(d, residual, dist)
 
     def counting_fit(X, c):
         fits.append(1)
         return real_fit(X, c)
 
-    monkeypatch.setattr(mlop.exact, "_ClassBound", CountingBound)
+    monkeypatch.setattr(mlop.exact, "_pair_bound", counting_bound)
     monkeypatch.setattr(mlop.exact, "_breakpoint_g2", counting_fit)
     _, C = generate_instance(GeneratorSpec(n=6, g_true=2, weights=(0.5, 0.5), p=10, seed=1))
     # the scan is deterministic, so the counts are exact: the first-order

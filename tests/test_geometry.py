@@ -109,6 +109,22 @@ def test_projection_fixtures():
     assert np.allclose(point, v, atol=1e-9)
 
 
+@pytest.mark.xfail(strict=True, raises=ArithmeticError,
+                   reason="the edge walk cycles on tiny weights at a degenerate vertex")
+@pytest.mark.parametrize("n, point, distance", [
+    (6, [0, .5, 1, 1, 0, .5, .5, 0, 0, .25, 1, 0, 1e-12, 1, 1], 3.0),
+    (7, [-1, 1, 0, 0, 1, 0, -1, 0, 0, 1, 1, 1, .25, 0, 0, 1, 0, 1, 0, 0, 1e-12], 7.0),
+])
+def test_projection_of_a_projected_boundary_point(n, point, distance):
+    # the second projection of each point hits the walk's step cap today;
+    # a walk that terminates passes this, and strict makes that a failure
+    # until the mark is removed
+    projected, first = l1_projection_full(point, n)
+    assert first == pytest.approx(distance, abs=1e-9)
+    _, second = l1_projection_full(projected, n)
+    assert second == pytest.approx(0.0, abs=1e-9)
+
+
 def test_projection_lower_bounds_opt_curve():
     rng = np.random.default_rng(4)
     for _ in range(5):

@@ -73,10 +73,16 @@ def test_sample_centers_pairwise_separation():
             assert kendall_distance(centers[i], centers[j]) >= 14
 
 
-def test_sample_centers_infeasible_raises():
+def test_sample_centers_infeasible_raises(monkeypatch):
+    # no 4 orders of 3 items lie at pairwise distance >= 2: by parity the 6
+    # orders form two classes of 3, and two orders of different classes lie
+    # at distance 1 unless they are reverses, so 4 centers would need an
+    # order that two others reverse.  Both counting bounds pass it, so only
+    # the draws run out
+    monkeypatch.setattr(instances, "MAX_CENTER_ATTEMPTS", 50)
     rng = np.random.default_rng(3)
-    with pytest.raises(SeparationInfeasible):
-        sample_centers(3, 4, 3, rng, max_attempts=2000)
+    with pytest.raises(SeparationInfeasible, match=r"found in 50 attempts \(n=3\)"):
+        sample_centers(3, 4, 2, rng)
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,7 @@ from mlop.exact import (
     _SCREEN_SLACK,
     _ClassBound,
     _first_order_bound,
+    _pair_bound,
     _pair_terms,
     enumerate_vertices,
 )
@@ -351,17 +352,19 @@ def test_breakpoint_screen_never_passes_the_fitted_objective(case):
     # bound of every pair that starts with the first order
     n, first, rest, upper = case
     X, c = enumerate_vertices(n).vertices, np.array(upper)
-    bound = _ClassBound(X, c)(first, rest)
     combos = np.column_stack([np.full(len(rest), first), first + rest])
     if rest.shape[1] == 1:
+        residual, dist = _pair_terms(X[first : first + 1], c)
+        bound = _pair_bound(X[first + rest[:, 0]] != X[first], residual[0], dist[0])
         objs = np.array([_breakpoint_g2(X[combo], c)[1] for combo in combos])
         # one class: the bound is the breakpoint optimum itself
         np.testing.assert_allclose(bound, objs, rtol=0, atol=1e-12)
-        lower = _first_order_bound(*_pair_terms(X[first : first + 1], c))
+        lower = _first_order_bound(residual, dist)
         pairs = [_breakpoint_g2(X[[first, j]], c)[1] for j in range(first, X.shape[0])]
         assert lower.shape == (1,)
         assert lower[0] <= min(pairs) + _SCREEN_SLACK
     else:
+        bound = _ClassBound(X, c)(first, rest)
         _, objs = _fit_simplex_stack(X, combos, c)
     assert bound.shape == (len(rest),)
     assert (bound <= objs + _SCREEN_SLACK).all()
