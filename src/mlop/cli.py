@@ -163,6 +163,20 @@ def _instance_json(C: PreferenceMatrix) -> str:
     return _dump_json({"n": C.n, "c_upper": [float(v) for v in C.upper]})
 
 
+def _parse_floats(tokens: list[str], option: str, arg: str) -> list[float]:
+    """The values of option's argument arg, split into tokens; an empty
+    entry or one that is not a number is refused by its 1-based position."""
+    values = []
+    for i, token in enumerate(tokens, start=1):
+        if not token.strip():
+            raise InvalidInput(f"{option} entry {i} of {arg!r} is empty")
+        try:
+            values.append(float(token))
+        except ValueError:
+            raise InvalidInput(f"{option} entry {i} is not a number: {token!r}") from None
+    return values
+
+
 def parse_weights(arg: str, g: int) -> tuple[float, ...]:
     """Weights as explicit floats '0.667,0.333' or a ratio '2:1'.
 
@@ -171,7 +185,7 @@ def parse_weights(arg: str, g: int) -> tuple[float, ...]:
     1:1:1 -> 0.334, 0.333, 0.333), so ratio mixes read back as clean 3-decimal weights.
     """
     if ":" in arg:
-        parts = [float(t) for t in arg.split(":")]
+        parts = _parse_floats(arg.split(":"), "--weights", arg)
         if len(parts) != g or not all(math.isfinite(v) and v > 0 for v in parts):
             raise InvalidInput(f"ratio weights need {g} positive finite parts, got {arg!r}")
         total = sum(parts)
@@ -179,7 +193,7 @@ def parse_weights(arg: str, g: int) -> tuple[float, ...]:
             raise InvalidInput(f"ratio weights {arg!r}: their parts sum past the float range")
         milli = allocate_counts([p / total for p in parts], 1000)
         return tuple(v / 1000.0 for v in milli)
-    parts = [float(t) for t in arg.split(",")]
+    parts = _parse_floats(arg.split(","), "--weights", arg)
     if len(parts) != g:
         raise InvalidInput(f"need {g} weights, got {len(parts)} in {arg!r}")
     return tuple(parts)
@@ -189,7 +203,7 @@ def cmd_gen(args) -> int:
     g = args.g_true
     if g < 1:  # before the default weights, which need g parts
         raise InvalidInput(f"need g_true >= 1, got {g}")
-    weights = parse_weights(args.weights or ":".join(["1"] * g), g)
+    weights = parse_weights(":".join(["1"] * g) if args.weights is None else args.weights, g)
     spec = GeneratorSpec(
         n=args.n,
         g_true=g,
@@ -345,15 +359,7 @@ def _parse_point(arg: str) -> np.ndarray:
     tokens = re.split(r"\s*,\s*|\s+", arg.strip())
     if tokens == [""]:
         raise InvalidInput("--point is empty")
-    values = []
-    for i, token in enumerate(tokens, start=1):
-        if token == "":
-            raise InvalidInput(f"--point entry {i} of {arg!r} is empty")
-        try:
-            values.append(float(token))
-        except ValueError:
-            raise InvalidInput(f"--point entry {i} is not a number: {token!r}") from None
-    return np.asarray(values, dtype=np.float64)
+    return np.asarray(_parse_floats(tokens, "--point", arg), dtype=np.float64)
 
 
 def cmd_verify(args) -> int:
@@ -440,8 +446,11 @@ def cmd_validate(args) -> int:
             problems.append(f"field '{key}' must be an integer, got {report[key]!r}")
     if n is not None and n != C.n:
         problems.append(f"report n={n} does not match instance n={C.n}")
-    orders = []
-    for idx, perm in enumerate(report["orders"]):
+    orders, listed = [], report["orders"]
+    if not isinstance(listed, list):
+        problems.append(f"field 'orders' must be a list of permutations, got {listed!r:.40}")
+        listed = []
+    for idx, perm in enumerate(listed):
         items = [_json_int(v) for v in perm] if isinstance(perm, list) else [None]
         if None in items or sorted(items) != list(range(1, C.n + 1)):
             problems.append(f"order {idx} is not a permutation of 1..{C.n}")
@@ -462,7 +471,7 @@ def cmd_validate(args) -> int:
             problems.append(f"non-finite {key}")
         numbers[key] = values.tolist()
     weights = numbers.get("weights", [])
-    if g is not None and (len(weights) != g or len(report["orders"]) != g):
+    if g is not None and (len(weights) != g or len(listed) != g):
         problems.append("group count disagrees with g")
     if weights and (min(weights) < -1e-12 or abs(sum(weights) - 1.0) > 1e-9):
         problems.append("weights are not a probability vector")
@@ -577,10 +586,7 @@ def main(argv=None) -> int:
     except SeparationInfeasible as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (InvalidInput, DimensionMismatch, RankingFormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INVALID
-    except OSError as e:
+    except (InvalidInput, DimensionMismatch, RankingFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVALID
     except ArithmeticError as e:

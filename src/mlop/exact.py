@@ -2,25 +2,38 @@
 for the heuristic: enumerate every multiset of g linear orders (orders in
 lexicographic permutation order, multisets as non-decreasing index tuples so
 each group combination is visited exactly once), fit optimal simplex weights
-for each one a lower bound does not rule out, and keep the global best.
+for each one a lower bound does not rule out, and keep the global best: the
+first multiset in order whose fitted objective beats the incumbent by more
+than _IMPROVE_TOL, stopping at the first objective <= _ZERO_TOL.
 
 The bound splits a mixture's objective over the pairs' agreement patterns
 with the first order: the pairs on which the same other orders disagree
 with it move with one shared weight, so pricing each pattern at its own
 best weight bounds every multiset (_ClassBound, _pair_bound at g = 2).  The
 multisets that start with one order are bounded in one batch: one matrix
-product at g = 2, table lookups at g >= 3.  At g = 2 a bound on the whole
-batch skips most first orders outright (_first_order_bound).  At g >= 3
-the fits that remain run as stacked LPs, many problems pivoted in
-lockstep, and the winner keeps the weights its stack gave it.
+product at g = 2, table lookups at g >= 3.  At g = 2 (_scan_pairs) a bound
+on the whole batch skips most first orders outright (_first_order_bound),
+and a pair that remains is fitted at its best breakpoint (_breakpoint_g2),
+by the one model of a pair k the bounds price: a target b_k (_targets) and
+a cost |b_k - t| at the weight t.  At g >= 3 (_scan_stacked) the fits that
+remain run as stacked LPs (mlop.simplex_fit), many problems pivoted in
+lockstep, each getting the bits a stack of one would, and the winner keeps
+the weights its stack gave it.
 
-The orders come from the cached vertex table of the linear ordering
-polytope.  check_guards admits a solve of g >= 2 groups by its cost, which
-depends on (n, g) alone: two groups read the vertex table (at most
-VERTEX_GUARD_N! orders), and three or more visit at most MULTISET_GUARD
-multisets.  One group, a classical LOP, runs at any n and is refused only
-when the subset DP gives up on it.  Refused solves raise SizeGuardExceeded;
-the alternating heuristic covers them.
+The bounds are lower bounds on the fitted objective up to _SCREEN_SLACK.
+The screens and each stack read the incumbent as it stood when they
+started.  That incumbent is never below the one the plain loop would hold
+at any later multiset, so the screens pass every multiset the plain loop
+could take, and taking the strict improvements among the fitted ones in
+order picks the same multiset.
+
+The orders come from the cached, read-only vertex table of the linear
+ordering polytope (enumerate_vertices).  check_guards admits a solve of
+g >= 2 groups by its cost, which depends on (n, g) alone: two groups read
+the vertex table (at most VERTEX_GUARD_N! orders), and three or more visit
+at most MULTISET_GUARD multisets.  One group, a classical LOP, runs at any
+n and is refused only when the subset DP gives up on it.  Refused solves
+raise SizeGuardExceeded; the alternating heuristic covers them.
 """
 
 from __future__ import annotations
@@ -41,13 +54,14 @@ from .core import (
     pair_rows_cols,
 )
 from .lop import BenefitMatrix, lop_exact
-from .simplex_fit import _breakpoint_g2, _fit_simplex_stack
+from .simplex_fit import _fit_simplex_stack
 from .simplex_fit import _fit_simplex_l1  # noqa: F401  bound here for perfbench/spans.py's tracer
 
 # incumbent replaced only on improvement beyond LP float noise, so the first
 # canonical-minimum multiset encountered is kept deterministically
 _IMPROVE_TOL = 1e-12
 _ZERO_TOL = 1e-12
+_TIE_TOL = 1e-12  # _breakpoint_g2: weights this close to the best objective tie
 # screen bounds are sums of at most C(7, 2) = 21 terms of at most 1, taken in
 # another order than the fitters' own sums, so they pass the fitted
 # objective's float value, if at all, by well under this; it is also below
@@ -98,23 +112,11 @@ class ExactConfig:
             raise InvalidInput(f"g must be >= 1, got {self.g}")
 
 
-@dataclass(frozen=True)
-class PolytopeVertexSet:
-    """All n! precedence vectors, with the permutations they encode."""
-
-    n: int
-    perms: np.ndarray  # (n!, n) item ranked k-th in column k, lexicographic rows
-    vertices: np.ndarray  # (n!, C(n,2)) float64, rows aligned with perms
-
-    @cached_property
-    def orders(self) -> tuple[LinearOrder, ...]:
-        """The orders of the rows, built on first use."""
-        return tuple(LinearOrder(p) for p in self.perms.tolist())
-
-
 @lru_cache(maxsize=None)
-def enumerate_vertices(n: int) -> PolytopeVertexSet:
-    """Complete, duplicate-free vertex set in lexicographic permutation order."""
+def enumerate_vertices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The complete, duplicate-free vertex table, read-only: perms (n!, n),
+    the orders in lexicographic permutation order with the item ranked k-th
+    in column k, and vertices (n!, C(n, 2)) float64, their precedence vectors."""
     if n < 2:
         raise InvalidInput(f"need n >= 2, got {n}")
     if n > VERTEX_GUARD_N:
@@ -128,12 +130,7 @@ def enumerate_vertices(n: int) -> PolytopeVertexSet:
     vertices = (pos[:, rows] < pos[:, cols]).astype(np.float64, order="C")
     perms.flags.writeable = False
     vertices.flags.writeable = False
-    return PolytopeVertexSet(n, perms, vertices)
-
-
-def _iter_multisets(num_orders: int, g: int):
-    """Non-decreasing index tuples: each multiset of g orders exactly once."""
-    return itertools.combinations_with_replacement(range(num_orders), g)
+    return perms, vertices
 
 
 def enumeration_size(n: int, g: int) -> int:
@@ -192,48 +189,18 @@ def solve_exact(
         sol = MixtureSolution((order,), (1.0,))
         return sol, float(np.abs(c - order.prec).sum()), True
 
-    V = enumerate_vertices(C.n)
-    best_combo, best_w, best_obj = _scan_multisets(V.vertices, c, g)
-    sol = canonicalize(
-        MixtureSolution(
-            orders=tuple(LinearOrder(V.perms[j]) for j in best_combo),
-            weights=tuple(float(v) for v in best_w),
-        )
-    )
+    perms, X = enumerate_vertices(C.n)
+    best_combo, best_w, best_obj = _scan_pairs(X, c) if g == 2 else _scan_stacked(X, c, g)
+    orders = tuple(LinearOrder(perms[j]) for j in best_combo)
+    sol = canonicalize(MixtureSolution(orders, tuple(float(v) for v in best_w)))
     return sol, float(best_obj), True
 
 
-def _scan_multisets(X: np.ndarray, c: np.ndarray, g: int):
-    """(multiset, weights, objective) of the first strict optimum in order.
-
-    Visits the multisets of g rows of X in lexicographic order and keeps the
-    first whose fitted objective beats the incumbent by more than
-    _IMPROVE_TOL, stopping at the first objective <= _ZERO_TOL.  The
-    multisets that start with one order are screened together: each gets
-    its class bound (_ClassBound, _pair_bound at g = 2), and only those
-    whose bound could still beat the incumbent are fitted.  g = 2 first
-    skips every first order whose first-order bound, a bound on all of its
-    pairs at once, cannot beat the incumbent, and fits the pairs that pass
-    one by one with _breakpoint_g2; g >= 3 fits them in stacks of at most
-    _STACK_MAX with _fit_simplex_stack, which gives each the bits a stack of
-    one would, and keeps the weights of the stack that scored the winner.
-
-    Both bounds are lower bounds on the fitted objective up to
-    _SCREEN_SLACK.  The screen and each stack read the incumbent as it
-    stood when they started.  That incumbent is never below the one the
-    plain loop would hold at any later multiset, so the screen passes every
-    multiset the plain loop could take, and taking the strict improvements
-    among the fitted ones in order picks the same multiset.
-    """
-    if g == 2:
-        return _scan_pairs(X, c)
-    return _scan_stacked(X, c, g)
-
-
 def _scan_pairs(X: np.ndarray, c: np.ndarray):
-    """_scan_multisets for g = 2: one batch per first order, which holds
-    every pair that starts with it, and first-order bounds taken for
-    _FIRST_CHUNK first orders at a time."""
+    """(pair, weights, objective) of the first strict optimum among the
+    pairs of rows of X: one batch per first order, which holds every pair
+    that starts with it, and first-order bounds taken for _FIRST_CHUNK
+    first orders at a time."""
     N = X.shape[0]
     best_obj, best_combo, best_w = math.inf, None, None
     for start in range(0, N, _FIRST_CHUNK):
@@ -256,7 +223,8 @@ def _scan_pairs(X: np.ndarray, c: np.ndarray):
 
 
 def _scan_stacked(X: np.ndarray, c: np.ndarray, g: int):
-    """_scan_multisets for g >= 3.
+    """(multiset, weights, objective) of the first strict optimum among the
+    multisets of g >= 3 rows of X, fitted in stacks of at most _STACK_MAX.
 
     The multisets that start with order i are taken lazily in chunks that
     grow from _STACK_START to _CHUNK_MAX rows, so a solve that stops at
@@ -268,7 +236,7 @@ def _scan_stacked(X: np.ndarray, c: np.ndarray, g: int):
     size = _STACK_START
     for i in range(N):
         # the other g - 1 orders of each multiset, as offsets from i
-        rests = _iter_multisets(N - i, g - 1)
+        rests = itertools.combinations_with_replacement(range(N - i), g - 1)
         while True:
             chunk = itertools.chain.from_iterable(itertools.islice(rests, size))
             rest = np.fromiter(chunk, dtype=np.intp).reshape(-1, g - 1)
@@ -281,34 +249,61 @@ def _scan_stacked(X: np.ndarray, c: np.ndarray, g: int):
                 stack, pending = pending[:_STACK_MAX], pending[_STACK_MAX:]
                 combos = np.column_stack([np.full(stack.size, i), i + rest[stack]])
                 ws, objs = _fit_simplex_stack(X, combos, c)
-                start = 0
-                while True:
-                    hit = np.flatnonzero(objs[start:] < best_obj - _IMPROVE_TOL)
-                    if not hit.size:
-                        break
-                    r = start + int(hit[0])
+                for r in np.flatnonzero(objs < best_obj - _IMPROVE_TOL):
+                    if objs[r] >= best_obj - _IMPROVE_TOL:
+                        continue  # the incumbent improved earlier in this stack
                     best_obj, best_combo, best_w = objs[r], tuple(int(v) for v in combos[r]), ws[r]
                     if best_obj <= _ZERO_TOL:
                         return best_combo, best_w, best_obj
-                    start = r + 1
                 pending = pending[bound[pending] < best_obj - _IMPROVE_TOL + _SCREEN_SLACK]
     return best_combo, best_w, best_obj
+
+
+def _targets(X1: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """b of each first order x1, a row of X1: the t that fits each pair
+    exactly (_pair_terms), c_k where x1_k = 1 and 1 - c_k where it is 0."""
+    return np.where(X1 == 1.0, c, 1.0 - c)
 
 
 def _pair_terms(X1: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(residual, dist) of each first order x1, a row of X1 (R, m).
 
-    With b_k = c_k where x1_k = 1 and 1 - c_k where it is 0, pair k adds
-    |b_k - t| to the objective of a mixture that starts with x1, where
-    t = 1 - (the weight of the other orders that disagree with x1 on pair
-    k).  residual (R, m) is that term where every order agrees with x1,
-    |c_k - x1_k| = |b_k - 1|; dist (R, m, m + 2) holds it at each
-    candidate t in (b_1, ..., b_m, 0, 1).
+    Pair k adds |b_k - t| (_targets) to the objective of a mixture that
+    starts with x1, where t = 1 - (the weight of the other orders that
+    disagree with x1 on pair k).  residual (R, m) is that term where every
+    order agrees with x1, |c_k - x1_k| = |b_k - 1|; dist (R, m, m + 2)
+    holds it at each candidate t in (b_1, ..., b_m, 0, 1).
     """
-    b = np.where(X1 == 1.0, c, 1.0 - c)
+    b = _targets(X1, c)
     ends = np.broadcast_to([0.0, 1.0], (b.shape[0], 2))
     cands = np.concatenate([b, ends], axis=1)
     return np.abs(c - X1), np.abs(b[:, :, None] - cands[:, None, :])
+
+
+def _breakpoint_g2(X: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
+    """Optimal weights (t, 1 - t) and objective of the pair of orders X
+    (2, m), as simplex_fit._fit_simplex_l1 would return them.
+
+    The pairs on which both orders agree add their residuals, and each
+    other pair adds |b_k - t| (_targets).  That sum is piecewise linear in
+    t with breakpoints only at the b_k, so the optimum is found by
+    evaluating those breakpoints plus {0, 1}.
+    """
+    x1, x2 = X[0], X[1]
+    diff = x1 != x2
+    const = float(np.abs(c[~diff] - x1[~diff]).sum())
+    b = _targets(x1, c)[diff]
+    cands = np.unique(np.concatenate([b, [0.0, 1.0]]))
+    F = const + np.abs(b[None, :] - cands[:, None]).sum(axis=1)
+    best = float(F.min())
+    opt = cands[F <= best + _TIE_TOL]
+    # deterministic tie rule: lexicographically largest sorted weight vector,
+    # then weight mass on the first column
+    spread = np.maximum(opt, 1.0 - opt)
+    opt = opt[spread >= spread.max() - _TIE_TOL]
+    t = float(opt.max())
+    objective = const + float(np.abs(b - t).sum())
+    return np.array([t, 1.0 - t]), objective
 
 
 def _first_order_bound(residual: np.ndarray, dist: np.ndarray) -> np.ndarray:

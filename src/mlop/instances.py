@@ -21,7 +21,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, combinations
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +34,13 @@ from .core import (
     num_pairs,
     pair_rows_cols,
 )
+from .exact import enumerate_vertices
 
 # draws of g_true centers sample_centers makes before it gives up on a
-# separation the counting bounds do not rule out
+# separation that nothing refuses at once; up to n = EXACT_SEPARATION_N
+# (4! = 24 orders) a search over sets of orders, at most ~10 ms, decides it
 MAX_CENTER_ATTEMPTS = 100_000
+EXACT_SEPARATION_N = 4
 
 # Array cells one vectorised chunk may span: rankings x (n + 1) uniforms when
 # sampling, rankings x C(n,2) pairs when counting.  Bounds the working memory.
@@ -305,7 +308,8 @@ def sample_within_ball(
 def _separation_impossible(n: int, g_true: int, min_separation: int) -> str | None:
     """Why no g_true >= 2 orders can lie at pairwise distance >= min_separation,
     or None when neither the packing bound nor the distance-sum bound rules
-    it out."""
+    it out and, up to n = EXACT_SEPARATION_N, an exhaustive search does not
+    either."""
     if g_true < 2:
         return None
     if min_separation > num_pairs(n):
@@ -324,7 +328,31 @@ def _separation_impossible(n: int, g_true: int, min_separation: int) -> str | No
     most, need = num_pairs(n) * (g_true * g_true // 4), math.comb(g_true, 2) * min_separation
     if most < need:
         return f"their pairwise distances sum to at most {most}, not {need}"
+    # min_separation 0 admits repeated centers, so any number of them
+    if n <= EXACT_SEPARATION_N and min_separation:
+        found = _most_separated(n, min_separation, g_true)
+        if found < g_true:
+            return f"an exhaustive search finds at most {found}"
     return None
+
+
+def _most_separated(n: int, min_separation: int, enough: int) -> int:
+    """The most orders of n >= 2 items at pairwise distance >= min_separation
+    >= 1, or enough once that many are found: a branch and bound over bit
+    sets of rows of the vertex table (Carraghan and Pardalos 1990) that
+    grows a set only while the orders left to it could make it larger."""
+    _, X = enumerate_vertices(n)
+    far = (((X[:, None] != X).sum(axis=2) >= min_separation) @ (1 << np.arange(len(X)))).tolist()
+
+    def grow(size: int, cand: int) -> int:
+        best = size
+        while best < enough and cand and size + cand.bit_count() > best:
+            i = cand.bit_length() - 1
+            cand ^= 1 << i
+            best = max(best, grow(size + 1, cand & far[i]))
+        return best
+
+    return grow(0, (1 << len(X)) - 1)
 
 
 def sample_centers(
@@ -336,7 +364,8 @@ def sample_centers(
     """Uniform rejection sampling of g_true central orders with pairwise
     Kendall distance >= min_separation.  Infeasible separations are reported,
     never silently relaxed: at once, before any draw, when a packing bound
-    proves them impossible, otherwise after MAX_CENTER_ATTEMPTS draws."""
+    proves them impossible or, up to n = EXACT_SEPARATION_N, a search over
+    sets of orders does; otherwise after MAX_CENTER_ATTEMPTS draws."""
     reason = _separation_impossible(n, g_true, min_separation)
     if reason:
         raise SeparationInfeasible(
@@ -344,15 +373,8 @@ def sample_centers(
             f"exist for n={n}: {reason}"
         )
     for _ in range(MAX_CENTER_ATTEMPTS):
-        cands = [
-            LinearOrder(tuple(int(v) for v in rng.permutation(n)))
-            for _ in range(g_true)
-        ]
-        if all(
-            kendall_distance(cands[i], cands[j]) >= min_separation
-            for i in range(g_true)
-            for j in range(i + 1, g_true)
-        ):
+        cands = [LinearOrder(tuple(int(v) for v in rng.permutation(n))) for _ in range(g_true)]
+        if all(kendall_distance(a, b) >= min_separation for a, b in combinations(cands, 2)):
             return cands
     raise SeparationInfeasible(
         f"no {g_true} centers at pairwise distance >= {min_separation} "

@@ -1,6 +1,6 @@
-"""Exact solver for the weight-update subproblem: given fixed precedence
-vectors, find simplex weights minimizing the L1 gap to the observed
-preference vector,
+"""The two exact LP kernels of the weight-update subproblem: given fixed
+precedence vectors, find simplex weights minimizing the L1 gap to the
+observed preference vector,
 
     minimize  sum_k |c_k - sum_i w_i x_k^i|   over   w >= 0,  sum_i w_i = 1.
 
@@ -17,7 +17,8 @@ prices every weight and pair, O(m g).  The same walk runs with an optional
 pricing step, which turns it into column generation over a set of vectors
 too large to list (the vertices of the linear ordering polytope).
 
-The exact scan fits thousands of small problems that share c.  It runs
+The exact scan at g >= 3 fits thousands of small problems that share c
+(a pair of orders has a closed form, mlop.exact._breakpoint_g2).  It runs
 them as a stack (_solve_stack): Bland pivots on a dense
 (P, m + 1, g + 2m + 1) tableau array of the split-residual form
 
@@ -48,31 +49,6 @@ _ZERO_TOL = 1e-12
 # interior points at n = 8 and 10, and with no switch at all 2 of 10 at
 # n = 11 hit the step cap
 _BLAND_AFTER = 10
-
-
-def _breakpoint_g2(X: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
-    """Fast path for g = 2 with the contract of _fit_simplex_l1.
-
-    The objective is piecewise linear in the scalar w_1 with breakpoints
-    only at {c_k, 1 - c_k} over pairs where the two vectors differ, so the
-    optimum is found by evaluating all breakpoints plus {0, 1}.
-    """
-    x1, x2 = X[0], X[1]
-    diff = x1 != x2
-    const = float(np.abs(c[~diff] - x1[~diff]).sum())
-    # target value of w_1 making pair k exact: c_k where x1 leads, else 1-c_k
-    b = np.where(x1[diff] == 1.0, c[diff], 1.0 - c[diff])
-    cands = np.unique(np.concatenate([b, [0.0, 1.0]]))
-    F = const + np.abs(b[None, :] - cands[:, None]).sum(axis=1)
-    best = float(F.min())
-    opt = cands[F <= best + _TIE_TOL]
-    # deterministic tie rule: lexicographically largest sorted weight vector,
-    # then weight mass on the first column
-    spread = np.maximum(opt, 1.0 - opt)
-    opt = opt[spread >= spread.max() - _TIE_TOL]
-    t = float(opt.max())
-    objective = const + float(np.abs(b - t).sum())
-    return np.array([t, 1.0 - t]), objective
 
 
 def _fit_simplex_l1(X: np.ndarray, c: np.ndarray, price=None) -> tuple[np.ndarray, float]:

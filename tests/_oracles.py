@@ -251,21 +251,21 @@ def exact_scan_reference(C, g: int):
     beyond _IMPROVE_TOL and the search stopped at the first objective
     <= _ZERO_TOL.
     Returns (solution, objective, proven)."""
-    from mlop.core import MixtureSolution, canonicalize
-    from mlop.exact import _IMPROVE_TOL, _ZERO_TOL, _iter_multisets, enumerate_vertices
-    from mlop.simplex_fit import _breakpoint_g2, _fit_simplex_stack
+    from mlop.core import LinearOrder, MixtureSolution, canonicalize
+    from mlop.exact import _IMPROVE_TOL, _ZERO_TOL, _breakpoint_g2, enumerate_vertices
+    from mlop.simplex_fit import _fit_simplex_stack
 
     c = C.upper
-    V = enumerate_vertices(C.n)
+    perms, X = enumerate_vertices(C.n)
 
     best_obj = math.inf
     best_combo: tuple[int, ...] | None = None
     best_w: np.ndarray | None = None
-    for combo in _iter_multisets(len(V.orders), g):
+    for combo in itertools.combinations_with_replacement(range(len(perms)), g):
         if g == 2:
-            w, obj = _breakpoint_g2(V.vertices[list(combo)], c)
+            w, obj = _breakpoint_g2(X[list(combo)], c)
         else:
-            ws, objs = _fit_simplex_stack(V.vertices, np.array([combo]), c)
+            ws, objs = _fit_simplex_stack(X, np.array([combo]), c)
             w, obj = ws[0], objs[0]
         if obj < best_obj - _IMPROVE_TOL:
             best_obj, best_combo, best_w = obj, combo, w
@@ -275,7 +275,7 @@ def exact_scan_reference(C, g: int):
     assert best_combo is not None and best_w is not None
     sol = canonicalize(
         MixtureSolution(
-            orders=tuple(V.orders[j] for j in best_combo),
+            orders=tuple(LinearOrder(perms[j]) for j in best_combo),
             weights=tuple(float(v) for v in best_w),
         )
     )
@@ -359,9 +359,9 @@ def projection_by_enumeration(c, n: int) -> tuple[np.ndarray, float]:
     from mlop.exact import enumerate_vertices
     from mlop.simplex_fit import _fit_simplex_l1
 
-    V = enumerate_vertices(n)
-    w, dist = _fit_simplex_l1(V.vertices, np.asarray(c, dtype=np.float64))
-    return w @ V.vertices, dist
+    _, V = enumerate_vertices(n)
+    w, dist = _fit_simplex_l1(V, np.asarray(c, dtype=np.float64))
+    return w @ V, dist
 
 
 def _draw_index(weights: np.ndarray, rng: np.random.Generator) -> int:

@@ -241,6 +241,12 @@ def test_negative_seed_is_named(ex1_path, tmp_path, capsys):
     (["--weights", "inf:1"], "finite"),
     (["--weights", "nan:1"], "finite"),
     (["--min-separation", "-3"], "min_separation"),
+    (["--weights", "0.5,0.5,"], "--weights entry 3 of '0.5,0.5,' is empty"),
+    (["--weights", "0.5, ,0.5"], "--weights entry 2 of '0.5, ,0.5' is empty"),
+    (["--weights", "a,b"], "--weights entry 1 is not a number: 'a'"),
+    (["--weights", "1:x"], "--weights entry 2 is not a number: 'x'"),
+    (["--weights", "2::1"], "--weights entry 2 of '2::1' is empty"),
+    (["--weights", ""], "--weights entry 1 of '' is empty"),  # not the equal default
 ])
 def test_gen_rejects_bad_numbers_by_name(tmp_path, capsys, extra, named):
     prefix = tmp_path / "x"
@@ -762,6 +768,25 @@ def test_validate_names_the_missing_report_field(ex1_path, tmp_path, capsys):
     listed.write_text("[1, 2]")
     assert main(["validate", str(listed), "--instance", ex1_path]) == EXIT_INVALID
     assert "report JSON must be an object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("orders", [5, None, "1234", {"0": [1, 2, 3, 4]}],
+                         ids=["int", "null", "string", "object"])
+def test_validate_names_orders_that_are_not_a_list(ex1_path, tmp_path, capsys, orders):
+    out = tmp_path / "rep.json"
+    main(["solve", ex1_path, "--method", "exact", "--g", "2", "--out", str(out)])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(json.loads(out.read_text()), orders=orders)))
+    capsys.readouterr()
+    assert main(["validate", str(path), "--instance", ex1_path]) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    verdict = json.loads(captured.out)
+    assert verdict["valid"] is False
+    assert verdict["problems"] == [
+        f"field 'orders' must be a list of permutations, got {orders!r}",
+        "group count disagrees with g",
+    ]
 
 
 @pytest.mark.parametrize("key,value", [("n", 4.7), ("g", 2.9), ("g", "2"), ("n", True)])

@@ -21,7 +21,6 @@ from mlop import (
 from mlop.exact import (
     _STACK_MAX,
     MULTISET_GUARD,
-    _iter_multisets,
     check_guards,
     enumerate_vertices,
     enumeration_size,
@@ -150,16 +149,19 @@ def test_vertex_table_built_once_and_never_for_g1():
     opt_curve(EX1, 3)
     info = enumerate_vertices.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
-    assert enumerate_vertices(4).vertices.dtype == np.float64
+    perms, vertices = enumerate_vertices(4)
+    assert vertices.dtype == np.float64
     # the scans slice rows, so each row is contiguous
-    assert enumerate_vertices(4).vertices.flags.c_contiguous
+    assert vertices.flags.c_contiguous
+    # the cached table is shared by every later solve, so no caller may edit it
+    assert not perms.flags.writeable and not vertices.flags.writeable
 
 
 def test_enumeration_visits_each_multiset_once():
     for n in (2, 3, 4):
-        orders = enumerate_vertices(n).orders
+        perms, _ = enumerate_vertices(n)
         for g in (1, 2, 3):
-            seen = list(_iter_multisets(len(orders), g))
+            seen = list(itertools.combinations_with_replacement(range(len(perms)), g))
             assert len(seen) == enumeration_size(n, g)
             assert len(set(seen)) == len(seen)
             assert all(tuple(sorted(t)) == t for t in seen)
@@ -167,8 +169,7 @@ def test_enumeration_visits_each_multiset_once():
 
 
 def test_orders_in_lexicographic_order():
-    orders = enumerate_vertices(3).orders
-    perms = [o.perm for o in orders]
+    perms = [tuple(p) for p in enumerate_vertices(3)[0].tolist()]
     assert perms == sorted(perms)
     assert perms == list(itertools.permutations(range(3)))
 

@@ -32,22 +32,22 @@ N3_TABLE = {
 
 
 def test_vertices_n3_match_reference_table():
-    V = enumerate_vertices(3)
-    assert len(V.orders) == 6
-    got = {o.perm: tuple(int(v) for v in vec) for o, vec in zip(V.orders, V.vertices)}
+    perms, vertices = enumerate_vertices(3)
+    assert len(perms) == 6
+    got = {tuple(p): tuple(int(v) for v in vec) for p, vec in zip(perms.tolist(), vertices)}
     assert got == N3_TABLE
 
 
 def test_vertices_n2():
-    V = enumerate_vertices(2)
-    assert sorted(tuple(int(x) for x in v) for v in V.vertices) == [(0,), (1,)]
+    _, vertices = enumerate_vertices(2)
+    assert sorted(tuple(int(x) for x in v) for v in vertices) == [(0,), (1,)]
 
 
 def test_vertices_n4_complete_and_transitive():
-    V = enumerate_vertices(4)
-    assert V.vertices.shape == (24, 6)
-    assert len({v.tobytes() for v in V.vertices}) == 24
-    for vec in V.vertices:
+    _, vertices = enumerate_vertices(4)
+    assert vertices.shape == (24, 6)
+    assert len({v.tobytes() for v in vertices}) == 24
+    for vec in vertices:
         for _, res in cycle_residuals(vec.astype(float), 4):
             assert res in (0.0, 1.0)
 
@@ -191,7 +191,7 @@ def test_saturation_skips_the_solve_at_the_support(solved):
 def test_saturation_refuses_an_interior_n4_point_before_solving(solved):
     # a mixture of all 24 vertices lies inside the n = 4 polytope, and its
     # projection weights 7 of them, so the search could need g = 6
-    V = enumerate_vertices(4).vertices
+    _, V = enumerate_vertices(4)
     point = np.random.default_rng(0).dirichlet(np.ones(24)) @ V
     with pytest.raises(SizeGuardExceeded, match="weights 7 vertices, so g_star may need g=6"):
         caratheodory_saturation(point, 4)

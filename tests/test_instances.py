@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -24,6 +25,7 @@ from mlop.instances import (
     RankingFormatError,
     SeparationInfeasible,
     _full_counts,
+    _most_separated,
     _pair_counts,
     _ranking_array,
     _sample_ball,
@@ -74,15 +76,13 @@ def test_sample_centers_pairwise_separation():
 
 
 def test_sample_centers_infeasible_raises(monkeypatch):
-    # no 4 orders of 3 items lie at pairwise distance >= 2: by parity the 6
-    # orders form two classes of 3, and two orders of different classes lie
-    # at distance 1 unless they are reverses, so 4 centers would need an
-    # order that two others reverse.  Both counting bounds pass it, so only
-    # the draws run out
+    # no 6 orders of 5 items lie at pairwise distance >= 6 (an exhaustive
+    # search finds at most 5), yet both counting bounds pass it, and n = 5
+    # is past the exact search, so only the draws run out
     monkeypatch.setattr(instances, "MAX_CENTER_ATTEMPTS", 50)
     rng = np.random.default_rng(3)
-    with pytest.raises(SeparationInfeasible, match=r"found in 50 attempts \(n=3\)"):
-        sample_centers(3, 4, 2, rng)
+    with pytest.raises(SeparationInfeasible, match=r"found in 50 attempts \(n=5\)"):
+        sample_centers(5, 6, 6, rng)
 
 
 @pytest.mark.parametrize(
@@ -96,6 +96,14 @@ def test_sample_centers_infeasible_raises(monkeypatch):
         (5, 3, 8),  # 10 * 2 = 20 < 3 * 8
         (6, 3, 11),  # 15 * 2 = 30 < 3 * 11
         (8, 4, 19),  # 28 * 4 = 112 < 6 * 19
+        # both bounds pass, the exhaustive search up to n = 4 refuses: by
+        # parity the 6 orders of 3 items form two classes of 3, and two
+        # orders of different classes lie at distance 1 unless they are
+        # reverses, so 4 centers would need an order that two others reverse
+        (3, 4, 2),
+        (4, 13, 2),  # at most the 12 orders of one parity
+        (4, 6, 3),  # at most 5
+        (4, 4, 4),  # at most 3
     ],
 )
 def test_separation_certificate_raises_before_any_draw(n, g_true, min_separation):
@@ -111,6 +119,20 @@ def test_separation_certificate_admits_feasible_requests():
     # applies to a single center
     assert len(sample_centers(4, 2, 6, np.random.default_rng(1))) == 2
     assert len(sample_centers(3, 1, 99, np.random.default_rng(1))) == 1
+    # separation 0 admits repeated centers, more of them than there are orders
+    assert len(sample_centers(3, 7, 0, np.random.default_rng(1))) == 7
+
+
+def test_exact_separation_search_counts():
+    # the most orders at pairwise distance >= s for s = 1..C(n, 2); at n = 3
+    # against every set of orders
+    assert [_most_separated(4, s, 24) for s in range(1, 7)] == [24, 12, 5, 3, 2, 2]
+    assert _most_separated(4, 2, 3) == 3  # the search stops once it has enough
+    orders = [LinearOrder(p) for p in itertools.permutations(range(3))]
+    for s in (1, 2, 3):
+        sizes = [len(group) for k in range(1, 7) for group in itertools.combinations(orders, k)
+                 if all(kendall_distance(a, b) >= s for a, b in itertools.combinations(group, 2))]
+        assert _most_separated(3, s, 6) == max(sizes)
 
 
 def test_ball_radius_zero_returns_center():

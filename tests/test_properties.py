@@ -33,6 +33,7 @@ from mlop.exact import (
     _ClassBound,
     _first_order_bound,
     _pair_bound,
+    _breakpoint_g2,
     _pair_terms,
     enumerate_vertices,
 )
@@ -60,11 +61,7 @@ from mlop.lop import (
     _tolerance,
     order_value,
 )
-from mlop.simplex_fit import (
-    _breakpoint_g2,
-    _fit_simplex_l1,
-    _fit_simplex_stack,
-)
+from mlop.simplex_fit import _fit_simplex_l1, _fit_simplex_stack
 
 from _oracles import (
     cycle_residuals_triple_loop,
@@ -329,7 +326,7 @@ def screen_cases(draw):
     or quarter-grid data, in half the cases with a 3-cycle on one triple of
     items, which puts the point outside the polytope."""
     n, g = draw(st.integers(3, 5)), draw(st.integers(2, 5))
-    rows = enumerate_vertices(n).vertices.shape[0]
+    rows = len(enumerate_vertices(n)[1])
     first = draw(st.integers(0, rows - 1))
     rest = draw(st.lists(st.lists(st.integers(0, rows - 1 - first), min_size=g - 1,
                                   max_size=g - 1).map(sorted), min_size=1, max_size=6))
@@ -351,7 +348,7 @@ def test_breakpoint_screen_never_passes_the_fitted_objective(case):
     # the class bound of each drawn multiset, and at g = 2 the first-order
     # bound of every pair that starts with the first order
     n, first, rest, upper = case
-    X, c = enumerate_vertices(n).vertices, np.array(upper)
+    (_, X), c = enumerate_vertices(n), np.array(upper)
     combos = np.column_stack([np.full(len(rest), first), first + rest])
     if rest.shape[1] == 1:
         residual, dist = _pair_terms(X[first : first + 1], c)
@@ -376,7 +373,7 @@ def lp_stacks(draw):
     at n = 3..5 sharing c.  Rows come from a small pool, so problems often
     repeat a row, and c is free, quarter-grid or itself a vertex."""
     n, g = draw(st.integers(3, 5)), draw(st.integers(2, 5))
-    V = enumerate_vertices(n).vertices
+    _, V = enumerate_vertices(n)
     pool = draw(st.lists(st.integers(0, len(V) - 1), min_size=1, max_size=g + 1, unique=True))
     problems = draw(st.lists(st.lists(st.sampled_from(pool), min_size=g, max_size=g),
                              min_size=1, max_size=12))
@@ -486,7 +483,7 @@ def test_projection_matches_vertex_enumeration(case):
     assert l1_projection_full(projected, n)[1] <= MEMBERSHIP_TOL
     assert weights.min() >= 0.0 and abs(weights.sum() - 1.0) <= 1e-12
     if n <= 5:
-        assert abs(dist - l1_fit_by_highs(enumerate_vertices(n).vertices, point)) <= 1e-9
+        assert abs(dist - l1_fit_by_highs(enumerate_vertices(n)[1], point)) <= 1e-9
 
 
 @EXACT_SETTINGS

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from mlop import LinearOrder
+from mlop.exact import _breakpoint_g2
 from mlop.geometry import MEMBERSHIP_TOL, l1_projection_full
-from mlop.simplex_fit import _breakpoint_g2, _fit_simplex_l1
+from mlop.simplex_fit import _fit_simplex_l1
 
 from _oracles import grid_min_objective, l1_fit_by_highs, random_order, random_preference_matrix
 
