@@ -249,15 +249,17 @@ def cmd_gen(args) -> int:
 
 
 def _run_solver(C: PreferenceMatrix, method: str, g: int, args):
-    """Returns (solution, objective, proven, trace-dict-or-None)."""
-    if method == "exact":
-        sol, obj, proven = solve_exact(C, ExactConfig(g))
-        return sol, obj, proven, None
+    """Returns (solution, objective, proven, trace-dict-or-None).
+
+    The heuristic flags are checked under either method."""
     cfg = HeuristicConfig(
         n_starts=args.n_starts,
         step1_budget=args.step1_budget,
         base_seed=args.seed,
     )
+    if method == "exact":
+        sol, obj, proven = solve_exact(C, ExactConfig(g))
+        return sol, obj, proven, None
     sol, obj, trace = solve_heuristic(C, g, cfg)
     summary = {
         "n_starts": cfg.n_starts,

@@ -9,16 +9,17 @@ than _IMPROVE_TOL, stopping at the first objective <= _ZERO_TOL.
 The bound splits a mixture's objective over the pairs' agreement patterns
 with the first order: the pairs on which the same other orders disagree
 with it move with one shared weight, so pricing each pattern at its own
-best weight bounds every multiset (_ClassBound, _pair_bound at g = 2).  The
-multisets that start with one order are bounded in one batch: one matrix
-product at g = 2, table lookups at g >= 3.  At g = 2 (_scan_pairs) a bound
-on the whole batch skips most first orders outright (_first_order_bound),
-and a pair that remains is fitted at its best breakpoint (_breakpoint_g2),
-by the one model of a pair k the bounds price: a target b_k (_targets) and
-a cost |b_k - t| at the weight t.  At g >= 3 (_scan_stacked) the fits that
-remain run as stacked LPs (mlop.simplex_fit), many problems pivoted in
-lockstep, each getting the bits a stack of one would, and the winner keeps
-the weights its stack gave it.
+best weight bounds every multiset (_class_bound, _pair_bound at g = 2).  At
+g = 2 (_scan_pairs) the pairs that start with one order are bounded in one
+batch by one matrix product, a bound on the whole batch skips most first
+orders outright (_first_order_bound), and a pair that remains is fitted at
+its best breakpoint (_breakpoint_g2), by the one model of a pair k the
+bounds price: a target b_k (_targets) and a cost |b_k - t| at the weight t.
+At g >= 3 (_scan_stacked) the multisets come in one stream, bounded a chunk
+at a time by table lookups, and the fits that remain run as stacked LPs
+(mlop.simplex_fit) that may span several first orders, many problems
+pivoted in lockstep, each getting the bits a stack of one would, and the
+winner keeps the weights its stack gave it.
 
 The bounds are lower bounds on the fitted objective up to _SCREEN_SLACK.
 The screens and each stack read the incumbent as it stood when they
@@ -41,7 +42,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,11 +68,11 @@ _TIE_TOL = 1e-12  # _breakpoint_g2: weights this close to the best objective tie
 # objective's float value, if at all, by well under this; it is also below
 # _IMPROVE_TOL, so a multiset that only ties the incumbent is never fitted
 _SCREEN_SLACK = 5e-13
-# g >= 3 screens the multisets that start with one order in chunks of rows
-# that double from _STACK_START, so that a solve ending early at objective
-# zero fits few extra multisets, up to _CHUNK_MAX, and fits a chunk's
-# survivors in stacked LPs of at most _STACK_MAX problems; chunks are larger
-# than stacks because the screen passes few of their rows
+# g >= 3 screens its stream of multisets in chunks of rows that double from
+# _STACK_START, so that a solve ending early at objective zero fits few
+# extra multisets, up to _CHUNK_MAX, and fits a chunk's survivors in stacked
+# LPs of at most _STACK_MAX problems; chunks are larger than stacks because
+# the screen passes few of their rows
 _STACK_START = 16
 _CHUNK_MAX = 4096
 _STACK_MAX = 512
@@ -226,37 +227,32 @@ def _scan_stacked(X: np.ndarray, c: np.ndarray, g: int):
     """(multiset, weights, objective) of the first strict optimum among the
     multisets of g >= 3 rows of X, fitted in stacks of at most _STACK_MAX.
 
-    The multisets that start with order i are taken lazily in chunks that
-    grow from _STACK_START to _CHUNK_MAX rows, so a solve that stops at
-    objective zero early fits few multisets past the one it stops at.
+    The multisets are taken lazily in chunks that grow from _STACK_START to
+    _CHUNK_MAX rows, so a solve that stops at objective zero early fits few
+    multisets past the one it stops at.
     """
-    N = X.shape[0]
-    class_bound = _ClassBound(X, c)
+    class_bound = _class_bound(X, c)
+    multisets = itertools.combinations_with_replacement(range(X.shape[0]), g)
     best_obj, best_combo, best_w = math.inf, None, None
     size = _STACK_START
-    for i in range(N):
-        # the other g - 1 orders of each multiset, as offsets from i
-        rests = itertools.combinations_with_replacement(range(N - i), g - 1)
-        while True:
-            chunk = itertools.chain.from_iterable(itertools.islice(rests, size))
-            rest = np.fromiter(chunk, dtype=np.intp).reshape(-1, g - 1)
-            if not rest.size:
-                break
-            size = min(2 * size, _CHUNK_MAX)
-            bound = class_bound(i, rest)
-            pending = np.flatnonzero(bound < best_obj - _IMPROVE_TOL + _SCREEN_SLACK)
-            while pending.size:
-                stack, pending = pending[:_STACK_MAX], pending[_STACK_MAX:]
-                combos = np.column_stack([np.full(stack.size, i), i + rest[stack]])
-                ws, objs = _fit_simplex_stack(X, combos, c)
-                for r in np.flatnonzero(objs < best_obj - _IMPROVE_TOL):
-                    if objs[r] >= best_obj - _IMPROVE_TOL:
-                        continue  # the incumbent improved earlier in this stack
-                    best_obj, best_combo, best_w = objs[r], tuple(int(v) for v in combos[r]), ws[r]
-                    if best_obj <= _ZERO_TOL:
-                        return best_combo, best_w, best_obj
-                pending = pending[bound[pending] < best_obj - _IMPROVE_TOL + _SCREEN_SLACK]
-    return best_combo, best_w, best_obj
+    while True:
+        chunk = itertools.chain.from_iterable(itertools.islice(multisets, size))
+        combos = np.fromiter(chunk, dtype=np.intp).reshape(-1, g)
+        if not combos.size:
+            return best_combo, best_w, best_obj
+        size = min(2 * size, _CHUNK_MAX)
+        bound = class_bound(combos)
+        pending = np.flatnonzero(bound < best_obj - _IMPROVE_TOL + _SCREEN_SLACK)
+        while pending.size:
+            stack, pending = combos[pending[:_STACK_MAX]], pending[_STACK_MAX:]
+            ws, objs = _fit_simplex_stack(X, stack, c)
+            for r in np.flatnonzero(objs < best_obj - _IMPROVE_TOL):
+                if objs[r] >= best_obj - _IMPROVE_TOL:
+                    continue  # the incumbent improved earlier in this stack
+                best_obj, best_combo, best_w = objs[r], tuple(int(v) for v in stack[r]), ws[r]
+                if best_obj <= _ZERO_TOL:
+                    return best_combo, best_w, best_obj
+            pending = pending[bound[pending] < best_obj - _IMPROVE_TOL + _SCREEN_SLACK]
 
 
 def _targets(X1: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -320,7 +316,7 @@ def _first_order_bound(residual: np.ndarray, dist: np.ndarray) -> np.ndarray:
 
 
 def _pair_bound(d: np.ndarray, residual: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """The class bound (_ClassBound) of the pairs (x1, x2) that start with
+    """The class bound (_class_bound) of the pairs (x1, x2) that start with
     one first order x1, from its _pair_terms row: d (R, m) marks the pairs
     on which each x2 disagrees with x1.  One other order makes one pattern,
     so the bound is the pair's breakpoint optimum, priced by one matrix
@@ -328,14 +324,13 @@ def _pair_bound(d: np.ndarray, residual: np.ndarray, dist: np.ndarray) -> np.nda
     return ~d @ residual + (d @ dist).min(axis=1)
 
 
-class _ClassBound:
+def _class_bound(X: np.ndarray, c: np.ndarray):
     """The class bound of the multisets of g >= 3 rows of X for the data c:
-    called with a first order i and rest (R, g - 1), the other orders of R
-    multisets as offsets from i, it returns a lower bound on each one's
-    objective.
+    a function of combos (R, g), R multisets as non-decreasing row indices,
+    that returns a lower bound on each one's objective.
 
     On pair k, the pattern of a multiset is the set P of other orders that
-    disagree with x1 = X[i] there, and the pair adds |b_k - t_P|
+    disagree with its first order x1 there, and the pair adds |b_k - t_P|
     (_pair_terms), so pairs of one pattern share one t_P.  The empty
     pattern has t = 1 and costs the residuals.  Freeing every other
     pattern's t gives the bound: the sum over those patterns of min over t
@@ -343,43 +338,43 @@ class _ClassBound:
 
     Pair sets are bit sets, so each pattern is priced by a table lookup:
     the m pairs of g >= 3 are at most C(5, 2) = 10 (check_guards), so a
-    table holds at most 5! first orders by 2^10 pair sets.  g = 2 takes
+    table holds at most 5! first orders by 2^10 pair sets.  The tables are
+    flat, read at first * N + other and first << m | pair set.  g = 2 takes
     _pair_bound instead.
     """
+    N, m = X.shape
+    bit = 1 << np.arange(m)
+    # agree[i, j] is the bit set of pairs on which order j agrees with order
+    # i, and side[i, j, k] the pairs on which it sides with order i as it
+    # does on pair k; agree_cost[i, s] is the residual sum of the pair set
+    # s, and free_cost[i, s] its least sum at a free t
+    code = (X == 1.0) @ bit
+    dis = code[:, None] ^ code
+    agree = ~dis & bit.sum()
+    side = np.where(dis[:, :, None] & bit, dis[:, :, None], agree[:, :, None])
+    residual, dist = _pair_terms(X, c)
+    subsets = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).T.astype(np.float64)
+    # one candidate at a time: all m + 2 at once would be a 12 MB
+    # temporary at n = 5
+    free_cost = dist[:, :, 0] @ subsets
+    for t in range(1, m + 2):
+        np.minimum(free_cost, dist[:, :, t] @ subsets, out=free_cost)
+    side, agree = side.reshape(N * N, m), agree.ravel()
+    agree_cost, free_cost = (residual @ subsets).ravel(), free_cost.ravel()
 
-    def __init__(self, X: np.ndarray, c: np.ndarray):
-        self.X, self.c = X, c
-        self.bit = 1 << np.arange(X.shape[1])
-
-    def __call__(self, i: int, rest: np.ndarray) -> np.ndarray:
-        side, agree, agree_cost, free_cost = self._tables
+    def bound(combos: np.ndarray) -> np.ndarray:
+        first = combos[:, :1]
+        others = first * N + combos[:, 1:]
         # the pairs that share pair k's pattern, and the empty pattern's pairs
-        pattern = np.bitwise_and.reduce(side[i, i:][rest], axis=1)
-        empty = np.bitwise_and.reduce(agree[i, i:][rest], axis=1)
+        pattern = np.bitwise_and.reduce(side[others], axis=1)
+        empty = np.bitwise_and.reduce(agree[others], axis=1)
         # price each other pattern once, at its lowest pair
-        lowest = ((pattern & -pattern) == self.bit) & (pattern != empty[:, None])
-        return agree_cost[i, empty] + np.where(lowest, free_cost[i, pattern], 0.0).sum(axis=1)
+        lowest = ((pattern & -pattern) == bit) & (pattern != empty[:, None])
+        row = first << m  # the first order's row of the cost tables
+        free = np.where(lowest, free_cost[row | pattern], 0.0)
+        return agree_cost[row[:, 0] | empty] + free.sum(axis=1)
 
-    @cached_property
-    def _tables(self):
-        """(side, agree, agree_cost, free_cost) for first order i and order
-        j.  agree[i, j] is the bit set of pairs on which order j agrees with
-        order i, and side[i, j, k] the pairs on which it sides with order i
-        as it does on pair k.  agree_cost[i, s] is the residual sum of the
-        pair set s, and free_cost[i, s] its least sum at a free t."""
-        m, bit = self.X.shape[1], self.bit
-        code = (self.X == 1.0) @ bit
-        dis = code[:, None] ^ code
-        agree = ~dis & bit.sum()
-        side = np.where(dis[:, :, None] & bit, dis[:, :, None], agree[:, :, None])
-        residual, dist = _pair_terms(self.X, self.c)
-        subsets = ((np.arange(1 << m)[:, None] >> np.arange(m)) & 1).T.astype(np.float64)
-        # one candidate at a time: all m + 2 at once would be a 12 MB
-        # temporary at n = 5
-        free_cost = dist[:, :, 0] @ subsets
-        for t in range(1, m + 2):
-            np.minimum(free_cost, dist[:, :, t] @ subsets, out=free_cost)
-        return side, agree, residual @ subsets, free_cost
+    return bound
 
 
 def opt_curve(C: PreferenceMatrix, g_max: int) -> list[tuple[int, float]]:

@@ -231,9 +231,20 @@ def test_negative_seed_is_named(ex1_path, tmp_path, capsys):
     gen = ["gen", "--n", "4", "--g-true", "1", "--D", "0", "--out", str(tmp_path / "x")]
     assert main(gen + ["--seed", "-1"]) == EXIT_INVALID
     assert "seed" in capsys.readouterr().err
-    solve = ["solve", ex1_path, "--method", "heuristic", "--g", "2"]
-    assert main(solve + ["--seed", "-1"]) == EXIT_INVALID
-    assert "seed" in capsys.readouterr().err
+    for method in ("heuristic", "exact"):
+        solve = ["solve", ex1_path, "--method", method, "--g", "2"]
+        assert main(solve + ["--seed", "-1"]) == EXIT_INVALID
+        assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["heuristic", "exact"])
+@pytest.mark.parametrize("command", [["solve", "--g", "2"], ["sweep", "--g-max", "2"]])
+def test_zero_starts_is_refused_under_either_method(ex1_path, capsys, command, method):
+    args = [command[0], ex1_path, "--method", method, *command[1:], "--n-starts", "0"]
+    assert main(args) == EXIT_INVALID
+    captured = capsys.readouterr()
+    assert "n_starts" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("extra, named", [

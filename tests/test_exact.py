@@ -264,12 +264,15 @@ def test_breakpoint_screen_skips_weight_lps(monkeypatch):
     monkeypatch.setattr(mlop.exact, "_fit_simplex_stack", counting_stack)
     monkeypatch.setattr(mlop.exact, "_fit_simplex_l1", counting_fit)
     # the scan is deterministic, so the counts are exact: of the 2,600
-    # multisets at n = 4, g = 3, the class bound sends these to the stacked LP
-    for C, problems in ((EX1, 46), (random_preference_matrix(4, np.random.default_rng(53)), 83)):
+    # multisets at n = 4, g = 3, the class bound sends these to the stacked
+    # LP, in stacks that span several first orders
+    for C, problems, n_stacks in ((EX1, 46, 3),
+                                  (random_preference_matrix(4, np.random.default_rng(53)), 83, 8)):
         stacks.clear()
         refits.clear()
         solve_exact(C, ExactConfig(g=3))
         assert sum(stacks) == problems
+        assert len(stacks) == n_stacks
         assert max(stacks) <= _STACK_MAX
         assert len(refits) == 0  # the winner keeps its stack's weights
 

@@ -125,6 +125,27 @@ def test_projection_of_a_projected_boundary_point(n, point, distance):
     assert second == pytest.approx(0.0, abs=1e-9)
 
 
+# a third boundary point, on which the walk fails on its first projection
+_DEGENERATE_6 = [0, 0, 0, 0, 0, 0, 1, 1, 0.125, 0.125, 0, 0, 0, 0, 1e-12]
+
+
+@pytest.mark.xfail(strict=True, raises=ArithmeticError,
+                   reason="the edge walk cycles on tiny weights at a degenerate vertex")
+def test_first_projection_of_a_degenerate_boundary_point():
+    projected, first = l1_projection_full(_DEGENERATE_6, 6)
+    assert first >= 0.0
+    _, second = l1_projection_full(projected, 6)
+    assert second == pytest.approx(0.0, abs=1e-9)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="verify exits 5 when the edge walk cycles")
+def test_verify_a_degenerate_boundary_point(capsys):
+    point = ",".join(repr(v) for v in _DEGENERATE_6)
+    assert main(["verify", "--point", point, "--no-saturation"]) == 0
+    assert json.loads(capsys.readouterr().out)["projection_distance"] >= 0.0
+
+
 def test_projection_lower_bounds_opt_curve():
     rng = np.random.default_rng(4)
     for _ in range(5):

@@ -30,7 +30,7 @@ from mlop.cli import main
 from mlop.core import pair_index
 from mlop.exact import (
     _SCREEN_SLACK,
-    _ClassBound,
+    _class_bound,
     _first_order_bound,
     _pair_bound,
     _breakpoint_g2,
@@ -361,7 +361,7 @@ def test_breakpoint_screen_never_passes_the_fitted_objective(case):
         assert lower.shape == (1,)
         assert lower[0] <= min(pairs) + _SCREEN_SLACK
     else:
-        bound = _ClassBound(X, c)(first, rest)
+        bound = _class_bound(X, c)(combos)
         _, objs = _fit_simplex_stack(X, combos, c)
     assert bound.shape == (len(rest),)
     assert (bound <= objs + _SCREEN_SLACK).all()
