@@ -156,13 +156,12 @@ class LinearOrder:
     def __post_init__(self):
         perm = tuple(map(int, self.perm))
         n = len(perm)
-        if n < 1 or set(perm) != set(range(n)):
+        if n < 1 or sorted(perm) != list(range(n)):
             raise InvalidInput(f"perm must be a permutation of 0..n-1, got {perm}")
         object.__setattr__(self, "perm", perm)
-        pos = np.empty(n, dtype=np.int64)
-        pos[list(perm)] = np.arange(n)
+        pos = np.fromiter(perm, np.int64, n).argsort()  # pos[i]: the rank of item i
         rows, cols = pair_rows_cols(n)
-        prec = (pos[rows] < pos[cols]).astype(np.uint8)
+        prec = (pos[rows] < pos[cols]).view(np.uint8)
         prec.flags.writeable = False
         object.__setattr__(self, "prec", prec)
 

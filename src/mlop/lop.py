@@ -12,6 +12,8 @@ time.  A larger one runs the same recursion one popcount layer at a time
 over only the subsets whose upper bound still reaches the value of an
 insertion-search order (DP with bounding, Puchinger and Stuckey, PEPM 2008),
 so its cost follows the subsets kept, and gives the same order bit for bit.
+A layer of few candidates is stepped in plain Python, a larger one in
+numpy, whose per-call cost would otherwise set the small layers' cost.
 Where a layer would grow too many candidate subsets, a block of k <=
 LOP_DP_MAX_N items fills the whole table instead (past 2^k / 16 candidates,
 but never below 2^14, so up to 13 items it never does), and a larger one
@@ -65,7 +67,14 @@ _BOUNDED_LAYER_DIV = 16
 # table.  With the floor a block of up to 13 items never fills the whole
 # table; from 18 items on it changes nothing
 _BOUNDED_LAYER_FLOOR = 1 << 14
-# block sizes whose _insertion_value index tables are cached
+# a bounded layer of at most this many candidates (kept subsets times free
+# items) is stepped in plain Python, a larger one in numpy: a numpy layer
+# costs about 30 us whatever its size, a Python one about 1 us per
+# candidate.  Over the 808 bounded blocks of a seed-1 heuristic_n16 pass,
+# 32 to 64 were fastest; 128 and 0 (all numpy) were about 4% and 9% slower
+_BOUNDED_PY_LAYER_MAX = 64
+# item counts whose _insertion_value index tables, and whose order_value
+# masks, are cached
 _INSERTION_SIZES = 64
 # a pair counts as ordered, tying the blocks of its items into the chain,
 # when its two benefits differ by more than this times max(1, max |b|)
@@ -108,7 +117,15 @@ class BenefitMatrix:
 def order_value(perm, b: np.ndarray) -> float:
     """Sum of b[u, v] over all pairs with u before v in perm."""
     idx = np.asarray(perm, dtype=np.int64)
-    return float(np.triu(b[idx][:, idx], k=1).sum())
+    return float(np.where(_strict_upper(len(idx)), b[idx][:, idx], 0.0).sum())
+
+
+@lru_cache(maxsize=_INSERTION_SIZES)
+def _strict_upper(n: int) -> np.ndarray:
+    """The n x n mask of the entries above the diagonal, np.triu's k = 1."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.flags.writeable = False  # shared by every caller of the cache
+    return mask
 
 
 def lop_exact(B: BenefitMatrix, budget: int | None = None) -> tuple[LinearOrder, float, bool]:
@@ -216,9 +233,10 @@ def _blocks(b: np.ndarray) -> list[list[int]]:
     back = np.tril(arc[order][:, order], -1)  # arcs to earlier positions
     # reach[k]: the earliest position an arc from position k or later points
     # to, or k when there is none
-    lowest = np.where(back.any(axis=1), back.argmax(axis=1), np.arange(n))
+    pos = np.arange(n)
+    lowest = np.where(back.any(axis=1), back.argmax(axis=1), pos)
     reach = np.minimum.accumulate(lowest[::-1])[::-1]
-    bounds = [0] + [k for k in range(1, n) if reach[k] == k] + [n]
+    bounds = (reach == pos).nonzero()[0].tolist() + [n]  # reach[0] is 0
     order = order.tolist()
     return [sorted(order[i:j]) for i, j in zip(bounds, bounds[1:])]
 
@@ -307,21 +325,31 @@ def _bounded_dp(b: np.ndarray, budget: int = DEFAULT_LAYER_BUDGET) -> tuple[int,
         return None
     gl = _subset_sums(b, 0, h)
     gh = _subset_sums(b, h, n)
-    value = _bounded_values(b, gl, gh, h, cap)
-    if value is not None:
-        return _rebuild(value, gl, gh, h)
-    return _subset_dp(b) if dense else None
+    layers = _bounded_values(b, gl, gh, h, cap)
+    if layers is None:
+        return _subset_dp(b) if dense else None
+
+    def value(mask: int) -> float:
+        layer = layers[mask.bit_count()]
+        if type(layer) is dict:
+            return layer.get(mask, -np.inf)
+        masks, values = layer
+        k = int(masks.searchsorted(mask))
+        return values.item(k) if k < len(masks) and masks.item(k) == mask else -np.inf
+
+    return _rebuild(value, gl, gh, h)
 
 
 def _bounded_values(b: np.ndarray, gl: np.ndarray, gh: np.ndarray, h: int, cap: int):
     """_subset_dp's value of each subset that may lie on an optimal order,
-    as a lookup from its mask to its value, -inf for the other subsets; None
-    once a popcount layer would grow more than cap candidates, checked
-    before it is built.
+    one popcount layer at a time: per layer a {mask: value} dict or a pair
+    of arrays, the masks ascending and their values; a subset no layer
+    holds is off every optimal order.  None once a layer would grow more
+    than cap candidates, checked before it is built.
 
-    Each layer is a sorted mask array with its values, built from the kept
-    subsets of the one before, each candidate f(S - i) + gain summed exactly
-    as _subset_dp sums it, and the largest of a subset's candidates kept.
+    Each layer is built from the kept subsets of the one before, each
+    candidate f(S - i) + gain summed exactly as _subset_dp sums it, and the
+    largest of a subset's candidates kept.
     S is kept only while f(S) plus the most the items outside S can add in
     front of it reaches the incumbent's value (_insertion_value) minus
     eps = _tolerance(b).  A subset on any order within eps of the optimum is
@@ -336,10 +364,16 @@ def _bounded_values(b: np.ndarray, gl: np.ndarray, gh: np.ndarray, h: int, cap: 
     over the pairs r < s outside S, that is q = x.row_sums + x'Ax/2 for the
     symmetric A = max(b, b') - b - b'.  Each subset carries q and the
     vector v = -(row_sums + Ax): adding item i to S makes them q + v[i] and
-    v + A[i].  A layer is a few dozen numpy calls whatever its size, and at
-    12-16 items most layers hold a few hundred candidates or fewer, so the
-    loop calls ndarray methods, not the np.* wrappers, and sums into the
-    arrays it gathers, not into new temporaries.
+    v + A[i].
+
+    A numpy layer is a few dozen calls whatever its size, so a layer of at
+    most _BOUNDED_PY_LAYER_MAX candidates, kept subsets times free items,
+    is stepped in plain Python instead (_python_layer) and stored as a
+    dict; at 16 items that is about half the layers, the first and most of
+    the last ones.  Both steppers take the candidates in the same order and
+    sum them alike, so they keep the same subsets with the same values, q
+    and v bit for bit.  The numpy step calls ndarray methods, not the np.*
+    wrappers, and sums into the arrays it gathers, not into new temporaries.
     """
     n = b.shape[0]
     eps = _tolerance(b)
@@ -347,13 +381,29 @@ def _bounded_values(b: np.ndarray, gl: np.ndarray, gh: np.ndarray, h: int, cap: 
     a = np.maximum(b, b.T) - b - b.T
     row_sums = b.sum(axis=1)
     low, bit = (1 << h) - 1, np.int64(1) << np.arange(n)
-    masks, values = np.zeros(1, dtype=np.int64), np.zeros(1)
-    q, v = np.array([row_sums.sum() + 0.5 * a.sum()]), -(a.sum(axis=1) + row_sums)[None]
+    a_rows, gl_at, gh_at = a.tolist(), memoryview(gl), memoryview(gh)
+    # the last layer's subsets, masks ascending, with their values, q and
+    # v: lists after a Python step, arrays after a numpy one
+    masks, values = [0], [0.0]
+    q, v = [float(row_sums.sum() + 0.5 * a.sum())], [(-(a.sum(axis=1) + row_sums)).tolist()]
+    arrays = False
     head = np.ones(1, dtype=bool)
-    layers = [(masks, values)]
+    layers = [{0: 0.0}]
     for count in range(n):
-        if len(masks) * (n - count) > cap:
+        size = len(masks) * (n - count)
+        if size > cap:
             return None
+        if size <= _BOUNDED_PY_LAYER_MAX:
+            if arrays:
+                masks, values, q, v = masks.tolist(), values.tolist(), q.tolist(), v.tolist()
+                arrays = False
+            masks, values, q, v = _python_layer(masks, values, q, v, gl_at, gh_at, h, a_rows, floor)
+            layers.append(dict(zip(masks, values)))
+            continue
+        if not arrays:
+            masks, values = np.array(masks, dtype=np.int64), np.array(values)
+            q, v = np.array(q), np.array(v)
+            arrays = True
         # candidate k: subset row[k] of the layer with item col[k] added
         row, col = ((masks[:, None] & bit) == 0).nonzero()
         grown = masks[row]
@@ -373,13 +423,35 @@ def _bounded_values(b: np.ndarray, gl: np.ndarray, gh: np.ndarray, h: int, cap: 
         pick = kept[first]
         q, v = bound[pick], v[row[pick]] + a[col[pick]]
         layers.append((masks, values))
+    return layers
 
-    def value(mask: int) -> float:
-        masks, values = layers[mask.bit_count()]
-        k = int(masks.searchsorted(mask))
-        return values.item(k) if k < len(masks) and masks.item(k) == mask else -np.inf
 
-    return value
+def _python_layer(masks, values, q, v, gl_at, gh_at, h, a_rows, floor):
+    """One layer of _bounded_values stepped in plain Python: from a layer's
+    subsets, masks ascending, with their values, q and v as lists, the next
+    layer's in the same form.  gl_at and gh_at are memoryviews of gl and
+    gh.  Candidates run as in the numpy step, by subset and then by added
+    item, each summed in the same order, and a subset keeps the largest of
+    its candidates' values and the bound terms of the first one kept."""
+    n, low = len(a_rows), (1 << h) - 1
+    found = {}  # grown mask -> [best value, q, parent's v, added item]
+    for mask, f, qs, vs in zip(masks, values, q, v):
+        for i in range(n):
+            if mask >> i & 1:
+                continue
+            grown = mask | 1 << i
+            t = f + gl_at[grown & low, i] + gh_at[grown >> h, i]
+            bound = qs + vs[i]
+            if t + bound >= floor:
+                seen = found.get(grown)
+                if seen is None:
+                    found[grown] = [t, bound, vs, i]
+                elif t > seen[0]:
+                    seen[0] = t
+    masks = sorted(found)
+    kept = [found[m] for m in masks]
+    return (masks, [t for t, _, _, _ in kept], [bound for _, bound, _, _ in kept],
+            [[x + y for x, y in zip(vs, a_rows[i])] for _, _, vs, i in kept])
 
 
 def _rebuild(value, gl: np.ndarray, gh: np.ndarray, h: int) -> tuple[int, ...]:

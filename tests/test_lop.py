@@ -335,6 +335,24 @@ def test_heuristic_shaped_block_needs_no_dense_dp(monkeypatch):
     assert order.perm == _subset_dp(b) and value == order_value(order.perm, b) and proven
 
 
+def test_few_candidate_layers_step_in_python(monkeypatch):
+    # kept subsets per layer: 1, 15, 53, 92, 105, 92, 67, 45, 32, 21, 13, 6,
+    # 5, 3, 1, 1, 1.  Times the free items, the first layer (16 candidates)
+    # and those from 11 items on (30 or fewer) are at most
+    # _BOUNDED_PY_LAYER_MAX; layer 10 has 13 x 6 = 78
+    stepped, python_layer = [], lop._python_layer
+
+    def spy(masks, *args):
+        stepped.append(masks[0].bit_count())
+        return python_layer(masks, *args)
+
+    monkeypatch.setattr(lop, "_python_layer", spy)
+    b = heuristic_shaped_benefits(16, np.random.default_rng(61))
+    assert lop._BOUNDED_PY_LAYER_MAX == 64
+    assert lop._bounded_dp(b) == _subset_dp(b)
+    assert stepped == [0, 11, 12, 13, 14, 15]
+
+
 def test_tournament_block_needs_no_dense_dp(monkeypatch):
     # the bound prunes little on a +-w tournament, a light group's reduced
     # LOP: at 14 items a cap of 2^14 / 16 candidates per layer sent seeds

@@ -50,7 +50,10 @@ from mlop.instances import (
     _sample_ball,
     sample_within_ball,
 )
+from mlop import lop
 from mlop.lop import (
+    DEFAULT_LAYER_BUDGET,
+    LOP_DP_MAX_N,
     _BLOCK_TOL,
     _blocks,
     _bounded_dp,
@@ -222,6 +225,43 @@ def test_bounded_dp_matches_whole_matrix_dp(b):
     assert proven and order.perm == perm
     assert value == order_value(perm, b)
     assert _bounded_dp(b) == perm
+
+
+def stepped_solve(b, py_layer_max):
+    """lop_exact's answer on b and _bounded_dp's order on the whole of b,
+    every bounded layer of at most py_layer_max candidates stepped in plain
+    Python and the larger ones in numpy, with the subsets each bounded
+    layer kept, per _bounded_values run (None for a run that gave up)."""
+    kept, bounded_values = [], lop._bounded_values
+
+    def spy(*args):
+        layers = bounded_values(*args)
+        kept.append(None if layers is None else
+                    [len(layer) if type(layer) is dict else len(layer[0]) for layer in layers])
+        return layers
+
+    with mock.patch.object(lop, "_BOUNDED_PY_LAYER_MAX", py_layer_max), \
+            mock.patch.object(lop, "_bounded_values", spy):
+        _dp_solve.cache_clear()
+        order, value, proven = lop_exact(BenefitMatrix(b))
+        answer = (order.perm, value, proven, _bounded_dp(b))
+    _dp_solve.cache_clear()
+    return answer, kept
+
+
+@settings(max_examples=30, deadline=None)
+@given(benefit_matrices(min_n=12, max_n=16))
+@example(tournament_benefits(14, np.random.default_rng(6), 0.01))  # falls back
+@example(heuristic_shaped_benefits(24, np.random.default_rng(23)))
+def test_layer_steppers_agree(b):
+    # 0 sends every layer but the empty first one to numpy; no layer passes
+    # the cap, at most DEFAULT_LAYER_BUDGET, so that value sends all to Python
+    in_numpy, in_python = stepped_solve(b, 0), stepped_solve(b, DEFAULT_LAYER_BUDGET)
+    assert in_numpy == in_python
+    (perm, value, proven, bounded), _ = in_python
+    assert value == order_value(perm, b)
+    if b.shape[0] <= LOP_DP_MAX_N:
+        assert proven and perm == bounded == _subset_dp(b)
 
 
 @settings(max_examples=6, deadline=None)
