@@ -316,9 +316,10 @@ def cmd_sweep(args) -> int:
         t0 = time.perf_counter()
         sol, obj, proven, _ = _run_solver(C, args.method, g, args)
         elapsed = time.perf_counter() - t0
-        if args.method == "heuristic" and prev_sol is not None and obj > prev_obj:
+        if prev_sol is not None and obj > prev_obj:
             # a zero-weight idle group turns the g-1 solution into a valid
-            # g-group solution, so the sweep never reports a regression
+            # g-group solution, so the sweep never reports a regression: a
+            # heuristic's miss, or an exact optimum a float's noise above
             sol, obj = _pad_with_idle_group(prev_sol), prev_obj
         if first_obj is None:
             first_obj = obj

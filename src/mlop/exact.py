@@ -9,12 +9,11 @@ than _IMPROVE_TOL, stopping at the first objective <= _ZERO_TOL.
 The bound splits a mixture's objective over the pairs' agreement patterns
 with the first order: the pairs on which the same other orders disagree
 with it move with one shared weight, so pricing each pattern at its own
-best weight bounds every multiset (_class_bound, _pair_bound at g = 2).  At
-g = 2 (_scan_pairs) the pairs that start with one order are bounded in one
-batch by one matrix product, a bound on the whole batch skips most first
-orders outright (_first_order_bound), and a pair that remains is fitted at
-its best breakpoint (_breakpoint_g2), by the one model of a pair k the
-bounds price: a target b_k (_targets) and a cost |b_k - t| at the weight t.
+best weight bounds every multiset (_class_bound).  At g = 2 (_scan_pairs)
+a first order x1 and its weight t leave one LOP for the other order; a
+first-order bound screens each (x1, t) (_first_order_bound), the LOPs
+that remain fill stacked subset DP tables (mlop.lop), and x1's best pair,
+if it passes, is fitted at its best breakpoint (_breakpoint_g2).
 At g >= 3 (_scan_stacked) the multisets come in one stream, bounded a chunk
 at a time by table lookups, and the fits that remain run as stacked LPs
 (mlop.simplex_fit) that may span several first orders, many problems
@@ -46,15 +45,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import (
-    InvalidInput,
-    LinearOrder,
-    MixtureSolution,
-    PreferenceMatrix,
-    canonicalize,
-    pair_rows_cols,
-)
-from .lop import BenefitMatrix, lop_exact
+from .core import (InvalidInput, LinearOrder, MixtureSolution, PreferenceMatrix, canonicalize,
+                   pair_rows_cols)
+from .lop import BenefitMatrix, _rebuild, _subset_table, lop_exact
 from .simplex_fit import _fit_simplex_stack
 from .simplex_fit import _fit_simplex_l1  # noqa: F401  bound here for perfbench/spans.py's tracer
 
@@ -76,16 +69,14 @@ _SCREEN_SLACK = 5e-13
 _STACK_START = 16
 _CHUNK_MAX = 4096
 _STACK_MAX = 512
-# g = 2 takes the first-order bounds of this many first orders at once, in
-# (rows, m, m + 2) arrays: at n = 6, 256 rows raised a solve's peak memory
-# by 0.8 MB over 32, and all 720 at once by 1.8 MB
-_FIRST_CHUNK = 32
+# g = 2 screens this many first orders' (x1, t) LOPs at once; the first
+# chunk passes all of them: at n = 6, 8, 12 and 16 rows took 0.3, 0.6 and
+# 0.7-1.0 MB of peak memory, and 35, 30 and 29 ms for six solves
+_FIRST_CHUNK = 12
 
-# 7! = 5040 vertices: g = 2 at n = 7 visits 12.7M multisets in 0.07-0.7 s
-# on generated instances and 3-5 s on uniform random data, because the
-# first-order bound skips most first orders; with the guard lifted, n = 8
-# (40,320 vertices, 813M multisets) took 6 s on a generated instance and
-# 16 s on uniform random data
+# 7! = 5040 vertices: g = 2 at n = 7 solves at most 23 LOPs of 7 items per
+# first order, in 0.02-0.2 s; with the guard lifted, n = 8 (40,320 first
+# orders) took 0.2-2.3 s
 VERTEX_GUARD_N = 7
 # enumeration_size(5, 3), about 0.2 s: g >= 3 fits a weight LP per
 # multiset the class bound passes.  With the guard lifted, n = 4, g = 6
@@ -199,27 +190,46 @@ def solve_exact(
 
 def _scan_pairs(X: np.ndarray, c: np.ndarray):
     """(pair, weights, objective) of the first strict optimum among the
-    pairs of rows of X: one batch per first order, which holds every pair
-    that starts with it, and first-order bounds taken for _FIRST_CHUNK
-    first orders at a time."""
-    N = X.shape[0]
+    pairs of rows of X.  At a weight t on a first order x1, the other
+    order's best choice is a LOP: pair k costs its residual where it agrees
+    with x1, |b_k - t| where it does not (_pair_terms).  Between two
+    consecutive b_k each order's cost is linear in t, so their least is
+    concave there and t need only take the b_k, 0 and 1.  The (x1, t) the
+    first-order bound passes fill one subset DP table per _FIRST_CHUNK
+    first orders.  An x1 whose least value passes the incumbent is fitted
+    with its lexicographically smallest order rebuilt at a t within
+    _TIE_TOL of that value, rows in table order."""
+    n = math.isqrt(2 * X.shape[1]) + 1
+    rows, cols = pair_rows_cols(n)
     best_obj, best_combo, best_w = math.inf, None, None
-    for start in range(0, N, _FIRST_CHUNK):
-        residual, dist = _pair_terms(X[start:start + _FIRST_CHUNK], c)
-        first = _first_order_bound(residual, dist)
-        for r, i in enumerate(range(start, start + first.size)):
-            if first[r] >= best_obj - _IMPROVE_TOL + _SCREEN_SLACK:
+    for start in range(0, X.shape[0], _FIRST_CHUNK):
+        X1 = X[start:start + _FIRST_CHUNK]
+        residual, dist = _pair_terms(X1, c)
+        bound = _first_order_bound(residual, dist)
+        first, t = np.nonzero(bound < best_obj - _IMPROVE_TOL + _SCREEN_SLACK)
+        if not first.size:
+            continue  # a later chunk may still pass
+        agree, differ, ones = residual[first], dist[first, :, t], X1[first] == 1.0
+        b = np.zeros((first.size, n, n))
+        b[:, rows, cols] = -np.where(ones, agree, differ)
+        b[:, cols, rows] = -np.where(ones, differ, agree)
+        f, gl, gh, _ = _subset_table(b)
+        objs = -f[-1, 0]  # each LOP's value at the full mask
+        heads = np.flatnonzero(np.diff(first, prepend=-1))  # each x1's first LOP
+        for r, low in zip(first[heads], np.minimum.reduceat(objs, heads)):
+            if low >= best_obj - _IMPROVE_TOL + _SCREEN_SLACK:
                 continue
-            bound = _pair_bound(X[i:] != X[i], residual[r], dist[r])
-            for j in np.flatnonzero(bound < best_obj - _IMPROVE_TOL + _SCREEN_SLACK):
-                if bound[j] >= best_obj - _IMPROVE_TOL + _SCREEN_SLACK:
-                    continue  # the incumbent improved earlier in this batch
-                combo = (i, i + int(j))
-                w, obj = _breakpoint_g2(X[list(combo)], c)
-                if obj < best_obj - _IMPROVE_TOL:
-                    best_obj, best_combo, best_w = obj, combo, w
-                    if best_obj <= _ZERO_TOL:
-                        return best_combo, best_w, best_obj
+            own = np.flatnonzero(first == r)
+            x2 = min(_rebuild(f[:, 0, p].item, gl[..., p], gh[..., p], 0)
+                     for p in own[objs[own] <= low + _TIE_TOL])
+            j = sum(sum(q < v for q in x2[k + 1:]) * math.factorial(n - 1 - k)
+                    for k, v in enumerate(x2))  # its row: the rank of x2
+            combo = tuple(sorted((start + int(r), j)))
+            w, obj = _breakpoint_g2(X[list(combo)], c)
+            if obj < best_obj - _IMPROVE_TOL:
+                best_obj, best_combo, best_w = obj, combo, w
+                if best_obj <= _ZERO_TOL:
+                    return best_combo, best_w, best_obj
     return best_combo, best_w, best_obj
 
 
@@ -303,25 +313,14 @@ def _breakpoint_g2(X: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def _first_order_bound(residual: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Lower bound on the objective of every pair of orders (x1, x2) that
-    starts with each first order x1, from its _pair_terms.
+    """Lower bound (R, m + 2) on the objective of every pair of orders
+    (x1, x2) at each candidate weight t on x1, from x1's _pair_terms.
 
     On each pair k, x2 either agrees with x1, which costs residual_k, or
     follows the one weight t, which costs |b_k - t|.  So the objective at t
-    is at least sum_k min(residual_k, |b_k - t|).  That sum is piecewise
-    linear in t with its convex kinks only at the b_k, so its least value
-    on [0, 1] is at a candidate.
+    is at least sum_k min(residual_k, |b_k - t|).
     """
-    return np.minimum(dist, residual[:, :, None]).sum(axis=1).min(axis=1)
-
-
-def _pair_bound(d: np.ndarray, residual: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """The class bound (_class_bound) of the pairs (x1, x2) that start with
-    one first order x1, from its _pair_terms row: d (R, m) marks the pairs
-    on which each x2 disagrees with x1.  One other order makes one pattern,
-    so the bound is the pair's breakpoint optimum, priced by one matrix
-    product."""
-    return ~d @ residual + (d @ dist).min(axis=1)
+    return np.minimum(dist, residual[:, :, None]).sum(axis=1)
 
 
 def _class_bound(X: np.ndarray, c: np.ndarray):
@@ -339,8 +338,7 @@ def _class_bound(X: np.ndarray, c: np.ndarray):
     Pair sets are bit sets, so each pattern is priced by a table lookup:
     the m pairs of g >= 3 are at most C(5, 2) = 10 (check_guards), so a
     table holds at most 5! first orders by 2^10 pair sets.  The tables are
-    flat, read at first * N + other and first << m | pair set.  g = 2 takes
-    _pair_bound instead.
+    flat, read at first * N + other and first << m | pair set.
     """
     N, m = X.shape
     bit = 1 << np.arange(m)
@@ -378,11 +376,13 @@ def _class_bound(X: np.ndarray, c: np.ndarray):
 
 
 def opt_curve(C: PreferenceMatrix, g_max: int) -> list[tuple[int, float]]:
-    """Proven optima (g, OPT_g) for g = 1..g_max; non-increasing in g.
+    """Proven optima (g, OPT_g) for g = 1..g_max; non-increasing in g: a
+    solve may land float noise above a smaller g's, which then stands.
 
     Refuses before solving anything when g_max is not admitted.
     """
     if g_max < 1:
         raise InvalidInput(f"g_max must be >= 1, got {g_max}")
     check_guards(C.n, g_max)
-    return [(g, solve_exact(C, ExactConfig(g))[1]) for g in range(1, g_max + 1)]
+    objs = (solve_exact(C, ExactConfig(g))[1] for g in range(1, g_max + 1))
+    return list(enumerate(itertools.accumulate(objs, min), 1))

@@ -521,6 +521,14 @@ def test_sweep_exact_csv(ex1_path, tmp_path, capsys):
     assert float(g2["relative_drop"]) == pytest.approx(expected, abs=1e-12)
     payload = json.loads((tmp_path / "sw.sweep.json").read_text())
     assert [r["g"] for r in payload["rows"]] == [1, 2, 3]
+    # its g = 3 optimum lands 5.6e-17 above the g = 2 one, 0.0
+    path = tmp_path / "n2.instance.json"
+    path.write_text(json.dumps({"n": 2, "c_upper": [0.3]}))
+    assert main(["sweep", str(path), "--method", "exact", "--g-max", "3",
+                 "--out", str(tmp_path / "n2")]) == EXIT_OK
+    rows = list(csv.DictReader((tmp_path / "n2.sweep.csv").read_text().splitlines()))
+    objs = [float(r["objective"]) for r in rows]
+    assert objs == sorted(objs, reverse=True)
 
 
 def test_sweep_constant_objectives_have_zero_drops(tmp_path, capsys):

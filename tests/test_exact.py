@@ -54,6 +54,9 @@ def test_n3_example_curves():
     curve = opt_curve(PreferenceMatrix(3, [0.3, 0.9, 0.2]), 4)
     for (g, obj), expect in zip(curve, (1.0, 0.6, 0.4, 0.4)):
         assert obj == pytest.approx(expect, abs=1e-9)
+    # its g = 3 solve lands 5.6e-17 above the g = 2 optimum, 0.0
+    objs = [obj for _, obj in opt_curve(PreferenceMatrix(2, [0.3]), 3)]
+    assert objs == sorted(objs, reverse=True)
 
 
 def test_vertex_data_is_perfectly_decomposed():
@@ -222,7 +225,7 @@ def _mixture_3_1(n):
 
 @pytest.mark.parametrize("n,g", [
     (3, 2), (3, 3), (4, 2), (4, 3), (5, 2), (5, 3),
-    (4, 4), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8),
+    (4, 4), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8), (6, 2),
 ])
 def test_matches_reference_scan(n, g):
     rng = np.random.default_rng(100 * n + g)
@@ -236,12 +239,12 @@ def test_matches_reference_scan(n, g):
         _mixture_3_1(n),
         near_tie,
     ]
-    # the plain scan takes about a minute at n = 5, g = 3 and 5 s per
-    # instance at n = 4, g = 4
-    draws = {(5, 3): 0, (4, 4): 1}.get((n, g), 3)
-    uppers += [rng.random(num_pairs(n)) for _ in range(draws)]
+    # the plain scan takes about a minute at n = 5, g = 3, 5 s per instance
+    # at n = 4, g = 4 and 8 s at n = 6, g = 2
+    free, quarter = {(5, 3): (0, 0), (4, 4): (1, 1), (6, 2): (0, 1)}.get((n, g), (3, 3))
+    uppers += [rng.random(num_pairs(n)) for _ in range(free)]
     # quarter-grid data: many multisets tie on the objective
-    uppers += [rng.integers(0, 5, num_pairs(n)) / 4 for _ in range(draws)]
+    uppers += [rng.integers(0, 5, num_pairs(n)) / 4 for _ in range(quarter)]
     for upper in uppers:
         C = PreferenceMatrix(n, upper)
         assert solve_exact(C, ExactConfig(g=g)) == exact_scan_reference(C, g)
@@ -280,25 +283,26 @@ def test_breakpoint_screen_skips_weight_lps(monkeypatch):
 def test_first_order_bound_skips_whole_batches(monkeypatch):
     import mlop.exact
 
-    batches, fits = [], []
-    real_bound, real_fit = mlop.exact._pair_bound, mlop.exact._breakpoint_g2
+    fills, fits = [], []
+    real_table, real_fit = mlop.exact._subset_table, mlop.exact._breakpoint_g2
 
-    def counting_bound(d, residual, dist):
-        batches.append(len(d))
-        return real_bound(d, residual, dist)
+    def counting_table(b):
+        fills.append(b.shape[0])
+        return real_table(b)
 
     def counting_fit(X, c):
         fits.append(1)
         return real_fit(X, c)
 
-    monkeypatch.setattr(mlop.exact, "_pair_bound", counting_bound)
+    monkeypatch.setattr(mlop.exact, "_subset_table", counting_table)
     monkeypatch.setattr(mlop.exact, "_breakpoint_g2", counting_fit)
     _, C = generate_instance(GeneratorSpec(n=6, g_true=2, weights=(0.5, 0.5), p=10, seed=1))
-    # the scan is deterministic, so the counts are exact: the first-order
-    # bound skips 665 of the 720 first orders, so the class bound screens
-    # 25,762 of the 259,560 pairs, and 34 of them get a breakpoint fit
+    # the scan is deterministic, so the counts are exact: of the 720 first
+    # orders, 60 chunks of 12, the first-order bound passes LOPs in 14
+    # chunks, 504 of the 720 * 17 = 12,240 (x1, t) LOPs, each chunk's in one
+    # stacked table, and 8 first orders' best pairs get a breakpoint fit
     assert solve_exact(C, ExactConfig(g=2))[1] == pytest.approx(1.356, abs=1e-9)
-    assert (len(batches), sum(batches), len(fits)) == (55, 25_762, 34)
+    assert (len(fills), sum(fills), len(fits)) == (14, 504, 8)
 
 
 def test_multiset_guard_refuses_before_enumerating():

@@ -32,7 +32,6 @@ from mlop.exact import (
     _SCREEN_SLACK,
     _class_bound,
     _first_order_bound,
-    _pair_bound,
     _breakpoint_g2,
     _pair_terms,
     enumerate_vertices,
@@ -386,25 +385,22 @@ def screen_cases(draw):
 @example((4, 3, np.array([[8, 8], [8, 9], [8, 20]]), [0.9, 0.2, 0.6, 0.3, 0.75, 0.1]))
 def test_breakpoint_screen_never_passes_the_fitted_objective(case):
     # the class bound of each drawn multiset, and at g = 2 the first-order
-    # bound of every pair that starts with the first order
+    # bound, least over its candidate weights, of every pair that starts
+    # with the first order
     n, first, rest, upper = case
     (_, X), c = enumerate_vertices(n), np.array(upper)
     combos = np.column_stack([np.full(len(rest), first), first + rest])
     if rest.shape[1] == 1:
         residual, dist = _pair_terms(X[first : first + 1], c)
-        bound = _pair_bound(X[first + rest[:, 0]] != X[first], residual[0], dist[0])
-        objs = np.array([_breakpoint_g2(X[combo], c)[1] for combo in combos])
-        # one class: the bound is the breakpoint optimum itself
-        np.testing.assert_allclose(bound, objs, rtol=0, atol=1e-12)
         lower = _first_order_bound(residual, dist)
         pairs = [_breakpoint_g2(X[[first, j]], c)[1] for j in range(first, X.shape[0])]
-        assert lower.shape == (1,)
-        assert lower[0] <= min(pairs) + _SCREEN_SLACK
+        assert lower.shape == (1, num_pairs(n) + 2)
+        assert lower.min() <= min(pairs) + _SCREEN_SLACK
     else:
         bound = _class_bound(X, c)(combos)
         _, objs = _fit_simplex_stack(X, combos, c)
-    assert bound.shape == (len(rest),)
-    assert (bound <= objs + _SCREEN_SLACK).all()
+        assert bound.shape == (len(rest),)
+        assert (bound <= objs + _SCREEN_SLACK).all()
 
 
 @st.composite
