@@ -497,92 +497,107 @@ def cmd_validate(args) -> int:
     return EXIT_OK if not problems else EXIT_INVALID
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _solver_args(p):
+    p.add_argument("--seed", type=int, default=HeuristicConfig.base_seed,
+                   help="base RNG seed (fixed default; never wall-clock)")
+    p.add_argument("--n-starts", type=int, default=HeuristicConfig.n_starts)
+    p.add_argument("--step1-budget", type=int, default=HeuristicConfig.step1_budget,
+                   help="cap on the candidate item sets per popcount layer of the "
+                        f"subset DP on an inner LOP block of more than {LOP_DP_MAX_N} "
+                        "items; a block past it keeps its insertion-search order and "
+                        f"counts as unproven (default: {DEFAULT_LAYER_BUDGET:,})")
+
+
+def _gen_args(p):
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--g-true", type=int, required=True)
+    p.add_argument("--weights", type=str, default=None,
+                   help="'0.667,0.333' or ratio '2:1' (default: equal ratio)")
+    p.add_argument("-p", type=float, default=None,
+                   help="dispersion as a percentage of the max Kendall distance")
+    p.add_argument("--D", type=int, default=None,
+                   help="explicit Kendall radius (authoritative over -p)")
+    p.add_argument("--num-rankings", type=int, default=GeneratorSpec.num_rankings)
+    p.add_argument("--min-separation", type=int, default=GeneratorSpec.min_separation)
+    p.add_argument("--seed", type=int, default=GeneratorSpec.seed)
+    p.add_argument("--out", type=str, required=True, help="output path prefix")
+
+
+def _solve_args(p):
+    p.add_argument("instance")
+    p.add_argument("--method", choices=["exact", "heuristic"], required=True)
+    p.add_argument("--g", type=int, required=True)
+    p.add_argument("--out", type=str, default=None, help="report path (default: stdout)")
+    _solver_args(p)
+
+
+def _sweep_args(p):
+    p.add_argument("instance")
+    p.add_argument("--method", choices=["exact", "heuristic"], required=True)
+    p.add_argument("--g-max", type=int, required=True)
+    p.add_argument("--out", type=str, default=None, help="path prefix for .sweep.csv and .sweep.json")
+    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    _solver_args(p)
+
+
+def _verify_args(p):
+    p.add_argument("instance", nargs="?", default=None)
+    p.add_argument("--point", type=str, default=None,
+                   help="comma/space separated upper-triangle values; write a point "
+                        "starting with a minus sign as --point=-0.5,...")
+    p.add_argument("--no-saturation", action="store_true",
+                   help="skip the g* search (it enumerates exhaustively)")
+    p.add_argument("--out", type=str, default=None)
+
+
+def _ingest_args(p):
+    p.add_argument("rankings")
+    p.add_argument("--out", type=str, required=True, help="output path prefix")
+
+
+def _validate_args(p):
+    p.add_argument("report")
+    p.add_argument("--instance", type=str, required=True)
+
+
+# command -> (help, argument adder, handler), in the order `mlop -h` lists them
+_COMMANDS = {
+    "gen": ("generate a synthetic instance", _gen_args, cmd_gen),
+    "solve": ("solve an instance for a fixed g", _solve_args, cmd_solve),
+    "sweep": ("solve for g = 1..g_max and report drops", _sweep_args, cmd_sweep),
+    "verify": ("polytope geometry checks", _verify_args, cmd_verify),
+    "ingest": ("aggregate a ranking file", _ingest_args, cmd_ingest),
+    "validate": ("re-check a solve report", _validate_args, cmd_validate),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `mlop` parser with every sub-command, or only the named one; usage and
+    sub-command prog are spelled out so that both print the same help and errors."""
     parser = argparse.ArgumentParser(
         prog="mlop",
+        usage="%(prog)s [-h] {" + ",".join(_COMMANDS) + "} ...",
         description="Mixture Linear Ordering Problem toolkit",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_solver_args(p):
-        p.add_argument("--seed", type=int, default=HeuristicConfig.base_seed,
-                       help="base RNG seed (fixed default; never wall-clock)")
-        p.add_argument("--n-starts", type=int, default=HeuristicConfig.n_starts)
-        p.add_argument("--step1-budget", type=int, default=HeuristicConfig.step1_budget,
-                       help="cap on the candidate item sets per popcount layer of the "
-                            f"subset DP on an inner LOP block of more than {LOP_DP_MAX_N} "
-                            "items; a block past it keeps its insertion-search order and "
-                            f"counts as unproven (default: {DEFAULT_LAYER_BUDGET:,})")
-
-    p_gen = sub.add_parser("gen", help="generate a synthetic instance")
-    p_gen.add_argument("--n", type=int, required=True)
-    p_gen.add_argument("--g-true", type=int, required=True)
-    p_gen.add_argument("--weights", type=str, default=None,
-                       help="'0.667,0.333' or ratio '2:1' (default: equal ratio)")
-    p_gen.add_argument("-p", type=float, default=None,
-                       help="dispersion as a percentage of the max Kendall distance")
-    p_gen.add_argument("--D", type=int, default=None,
-                       help="explicit Kendall radius (authoritative over -p)")
-    p_gen.add_argument("--num-rankings", type=int, default=GeneratorSpec.num_rankings)
-    p_gen.add_argument("--min-separation", type=int, default=GeneratorSpec.min_separation)
-    p_gen.add_argument("--seed", type=int, default=GeneratorSpec.seed)
-    p_gen.add_argument("--out", type=str, required=True, help="output path prefix")
-    p_gen.set_defaults(handler=cmd_gen)
-
-    p_solve = sub.add_parser("solve", help="solve an instance for a fixed g")
-    p_solve.add_argument("instance")
-    p_solve.add_argument("--method", choices=["exact", "heuristic"], required=True)
-    p_solve.add_argument("--g", type=int, required=True)
-    p_solve.add_argument("--out", type=str, default=None,
-                         help="report path (default: stdout)")
-    add_solver_args(p_solve)
-    p_solve.set_defaults(handler=cmd_solve)
-
-    p_sweep = sub.add_parser("sweep", help="solve for g = 1..g_max and report drops")
-    p_sweep.add_argument("instance")
-    p_sweep.add_argument("--method", choices=["exact", "heuristic"], required=True)
-    p_sweep.add_argument("--g-max", type=int, required=True)
-    p_sweep.add_argument("--out", type=str, default=None,
-                         help="path prefix for .sweep.csv and .sweep.json")
-    p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    add_solver_args(p_sweep)
-    p_sweep.set_defaults(handler=cmd_sweep)
-
-    p_verify = sub.add_parser("verify", help="polytope geometry checks")
-    p_verify.add_argument("instance", nargs="?", default=None)
-    p_verify.add_argument("--point", type=str, default=None,
-                          help="comma/space separated upper-triangle values; "
-                               "write a point starting with a minus sign as "
-                               "--point=-0.5,...")
-    p_verify.add_argument("--no-saturation", action="store_true",
-                          help="skip the g* search (it enumerates exhaustively)")
-    p_verify.add_argument("--out", type=str, default=None)
-    p_verify.set_defaults(handler=cmd_verify)
-
-    p_ingest = sub.add_parser("ingest", help="aggregate a ranking file")
-    p_ingest.add_argument("rankings")
-    p_ingest.add_argument("--out", type=str, required=True, help="output path prefix")
-    p_ingest.set_defaults(handler=cmd_ingest)
-
-    p_val = sub.add_parser("validate", help="re-check a solve report")
-    p_val.add_argument("report")
-    p_val.add_argument("--instance", type=str, required=True)
-    p_val.set_defaults(handler=cmd_validate)
-
+    sub = parser.add_subparsers(dest="command", required=True, prog="mlop")
+    for name in _COMMANDS if command is None else [command]:
+        help_text, add_args, _ = _COMMANDS[name]
+        add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
-@lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The parser main uses, built once per process: parsing leaves it as
-    it was, and building it costs twenty times a parse."""
-    return build_parser()
+@lru_cache(maxsize=None)
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """build_parser(command), built at most once per process: parsing leaves it as it was."""
+    return build_parser(command)
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Runs one command line, parsed by its own command's parser if it names one."""
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
-        return args.handler(args)
+        return _COMMANDS[args.command][2](args)
     except SizeGuardExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_GUARD

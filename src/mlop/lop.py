@@ -265,7 +265,8 @@ def _subset_table(b: np.ndarray):
     all 0.0 and are not added: f(empty) is 0.0 and a sum is -0.0 only when
     both terms are, so f holds no -0.0 and _rebuild's added 0.0 changes no bit.
 
-    Returns (f, gl, gh, h), gl and gh the low and high subset-sum tables.
+    Returns (f, gl, gh, h), gl and gh the low and high subset-sum tables;
+    an empty stack gives them a last axis of 0.
     """
     stack, n = b.shape[0], b.shape[-1]
     h = _low_bits(n)
@@ -274,14 +275,14 @@ def _subset_table(b: np.ndarray):
     gl = _subset_sums(b, 0, h)  # gl[lo, i, p]: sum of b[p, i, j] over the low bits j of lo
     gh = _subset_sums(b, h, n)  # gh[hi, i, p]: sum of b[p, i, h + j] over the bits j of hi
     gl_items = gl.transpose(1, 0, 2)
-    gh_flat = gh.reshape(-1, stack)  # row hi * n + i is gh[hi, i]
+    gh_flat = gh.reshape(len(gh) * n, stack)  # row hi * n + i is gh[hi, i]
     # the low layers past the empty one, each with its items' gains over it
     low_steps = [(lows, items, preds, gl[lows, items])
                  for lows, items, preds in low_layers[1:]]
 
     f = np.empty((1 << (n - h), width, stack))
     for count, (highs, items, preds) in enumerate(high_layers):
-        step = max(1, _DP_CHUNK // (max(count, 1) * width * stack))
+        step = max(1, _DP_CHUNK // (max(count, 1) * width * max(stack, 1)))
         for r0 in range(0, len(highs), step):
             hi = highs[r0 : r0 + step]
             if count == 0:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -302,17 +303,60 @@ def test_stopping_rule_is_not_an_option(ex1_path):
         assert exc.value.code == EXIT_INVALID
 
 
+def _sub_commands(parser) -> list[str]:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return list(sub.choices)
+
+
 def test_main_builds_its_parser_once(monkeypatch, capsys):
     import mlop.cli
 
     built = []
     real = mlop.cli.build_parser
-    monkeypatch.setattr(mlop.cli, "build_parser", lambda: built.append(1) or real())
+    monkeypatch.setattr(mlop.cli, "build_parser",
+                        lambda command=None: built.append(command) or real(command))
     mlop.cli._parser.cache_clear()
     for point in ("0.3,0.9,0.2", "0.7,0.8,0.4"):
         assert main(["verify", "--point", point, "--no-saturation"]) == EXIT_OK
     assert main(["solve", "nope.json", "--method", "exact", "--g", "1"]) == EXIT_INVALID
-    assert len(built) == 1
+    assert built == ["verify", "solve"]  # one parser per command, each built once
+    assert _sub_commands(mlop.cli._parser("solve")) == ["solve"]
+    assert _sub_commands(real()) == _COMMANDS
+
+
+_COMMANDS = ["gen", "solve", "sweep", "verify", "ingest", "validate"]
+_PARSER_CASES = [
+    [], ["-h"], ["bogus"], ["solve"],
+    ["solve", "x.json", "--method", "exact", "--g", "1", "--epsilon", "1"],
+    ["gen", "--n", "four", "--g-true", "1", "--out", "x"],
+] + [[command, "-h"] for command in _COMMANDS]
+
+
+def _exit_and_output(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    return (code,) + tuple(capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", _PARSER_CASES, ids=lambda argv: "_".join(argv) or "none")
+def test_command_parser_prints_what_the_full_parser_does(monkeypatch, capsys, argv):
+    import mlop.cli
+
+    own = _exit_and_output(argv, capsys)
+    monkeypatch.setattr(mlop.cli, "_parser", lambda command: build_parser())
+    assert own == _exit_and_output(argv, capsys)
+    assert own[0] == (0 if "-h" in argv else EXIT_INVALID)
+    # the top-level usage, which an unrecognized option after a command prints
+    # too, lists every command; a sub-command's names its command after mlop
+    first = (own[1] + own[2]).splitlines()[0]
+    if not argv or argv[0] not in _COMMANDS or "--epsilon" in argv:
+        assert first == "usage: mlop [-h] {gen,solve,sweep,verify,ingest,validate} ..."
+    else:
+        assert first.startswith(f"usage: mlop {argv[0]} [-h]")
+    if argv == ["bogus"]:
+        assert "error: argument command: invalid choice: 'bogus'" in own[2]
 
 
 def test_readme_commands_parse():
@@ -322,8 +366,10 @@ def test_readme_commands_parse():
     assert lines
     parser = build_parser()
     for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
         try:
-            parser.parse_args(shlex.split(line, comments=True)[1:])
+            # the full parser, and the one main builds for the line's command
+            assert parser.parse_args(argv) == build_parser(argv[0]).parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
 

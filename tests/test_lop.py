@@ -21,6 +21,7 @@ from mlop.lop import (
     _dp_tables,
     _insertion_value,
     _subset_dp,
+    _subset_table,
     _tolerance,
     order_value,
 )
@@ -247,6 +248,15 @@ def test_dp_tables_built_once_per_n_and_small():
     # README: the cached tables stay under 256 KiB at the DP limit
     tables = _dp_tables(LOP_DP_MAX_N)
     assert sum(a.nbytes for half in tables for layer in half for a in layer) < 256 * 1024
+
+
+@pytest.mark.parametrize("n", (3, 12))
+def test_subset_table_of_an_empty_stack_is_empty(n):
+    # the table of a stack of one matrix, with its last axis emptied
+    shapes = [a.shape[:-1] + (0,) for a in _subset_table(np.zeros((1, n, n)))[:3]]
+    f, gl, gh, h = _subset_table(np.zeros((0, n, n)))
+    assert [f.shape, gl.shape, gh.shape] == shapes
+    assert h == (0 if n <= _DP_ONE_PART_MAX_N else n // 2)
 
 
 def _dp_sizes(monkeypatch) -> list[int]:
