@@ -5,11 +5,11 @@ point is a member when its projection distance is at most MEMBERSHIP_TOL),
 and the smallest group count at which the restricted mixture optimum matches
 the full-polytope projection, at most the projection's support.  Complete
 facet descriptions are unavailable for general n, so the projection is an
-exact LP over vertex weights, solved by column generation: the master
-starts from one vertex and the weight-fit kernel asks the subset DP for the
-vertex of best reduced cost, since pricing a vertex is itself a linear
-ordering problem.  No vertex table is built.  The distance is unique; the
-projected point in general is not.
+exact LP over vertex weights, solved by column generation: the master, a
+Bland tableau, starts from one vertex and asks the subset DP for the vertex
+of best reduced cost, since pricing a vertex is itself a linear ordering
+problem.  No vertex table is built.  The distance is unique; the projected
+point in general is not.
 """
 
 from __future__ import annotations
@@ -19,13 +19,15 @@ import numpy as np
 from .core import InvalidInput, PreferenceMatrix, num_pairs, pair_rows_cols, triple_pair_indices
 from .exact import ExactConfig, SizeGuardExceeded, check_guards, solve_exact
 from .lop import benefit_for_pairs, lop_exact
-from .simplex_fit import _fit_simplex_l1
+from .simplex_fit import _fit_simplex_l1  # noqa: F401  bound here for perfbench/spans.py's tracer
+from .simplex_fit import _project_columns
 
 # the projection is admitted up to the largest n <= 10 at which, at every
 # n from 8 up, 20 interior points (mixtures of three random orders) come out
 # inside and 5 exterior ones match HiGHS over the generated vertices with no
 # vertex pricing positive on the final duals; at n = 10 an interior point
-# takes 0.1-0.5 s and 60-150 priced vertices on one core of a 2-vCPU Xeon
+# takes 0.06-0.3 s and 47-145 master columns on one core of a 2-vCPU Xeon,
+# and at n = 11 and 12, 1 and 7 of 20 interior points fail
 PROJECTION_GUARD_N = 10
 SATURATION_GUARD_N = 4
 
@@ -77,8 +79,8 @@ def l1_projection_full(point, n: int) -> tuple[np.ndarray, float]:
     the point and pricing solves one LOP on the row duals, so only the
     vertices that enter are ever built.  Admitted up to
     n = PROJECTION_GUARD_N.  The distance is unique; the projected point is
-    not in general, but the walk's index-ordered choices make the returned
-    one deterministic.
+    not in general, but the master's pivots follow Bland's rule, which makes
+    the returned one deterministic.
     """
     w, X, dist = _project(point, n)
     return w @ X, dist
@@ -105,7 +107,7 @@ def _project(point, n: int) -> tuple[np.ndarray, np.ndarray, float]:
         master.append(order)
         return order.prec
 
-    w, dist = _fit_simplex_l1(start.prec[None], arr, price)
+    w, dist = _project_columns(arr, start.prec, price)
     return w, np.array([o.prec for o in master], dtype=np.float64), dist
 
 

@@ -13,13 +13,12 @@ weight or one held residual, and walks it past every residual that changes
 sign while the objective still falls (the bound-flipping ratio test of the
 dual, where each pair's dual sits at -1 or +1 until its residual is held).
 A step inverts the basis matrix afresh, O(b^3) for b <= min(g, m + 1), and
-prices every weight and pair, O(m g).  The same walk runs with an optional
-pricing step, which turns it into column generation over a set of vectors
-too large to list (the vertices of the linear ordering polytope).
+prices every weight and pair, O(m g).  The walk serves fits whose rows are
+fixed.
 
 The exact scan at g >= 3 fits thousands of small problems that share c
 (a pair of orders has a closed form, mlop.exact._breakpoint_g2).  It runs
-them as a stack (_solve_stack): Bland pivots on a dense
+them as a stack (_solve_stack): Bland pivots (_pivot) on a dense
 (P, m + 1, g + 2m + 1) tableau array of the split-residual form
 
     minimize  sum_k (e+_k + e-_k)
@@ -27,7 +26,10 @@ them as a stack (_solve_stack): Bland pivots on a dense
               sum_i w_i = 1,   w, e+, e- >= 0,
 
 where each problem makes its own choices and its pivot is the same
-elementwise arithmetic, so a problem gets the same bits in any stack.
+elementwise arithmetic, so a problem gets the same bits in any stack.  As
+a stack of one, the same tableau is the master of the polytope projection
+(_project_columns), which prices columns from a set too large to list.
+Bland's rule cannot cycle, so both end on degenerate points.
 """
 
 from __future__ import annotations
@@ -47,37 +49,26 @@ _ZERO_TOL = 1e-12
 # steps in a row that leave the walk's vertex where it was before Bland's
 # rule takes over: 10 took 15% fewer steps than 1 on projections of
 # interior points at n = 8 and 10, and with no switch at all 2 of 10 at
-# n = 11 hit the step cap
+# n = 11 hit the step cap (measured when the walk also ran the projection;
+# it now serves step_weights only)
 _BLAND_AFTER = 10
 
 
-def _fit_simplex_l1(X: np.ndarray, c: np.ndarray, price=None) -> tuple[np.ndarray, float]:
+def _fit_simplex_l1(X: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, float]:
     """Globally optimal simplex weights for the L1 fit of the rows of X to c.
 
     Returns (weights, objective) with weights >= 0 summing to 1.  The walk
     runs on the distinct rows of X only, so exact duplicate rows carry no
     weight past their first occurrence, and its choices are index-ordered,
-    so the result is deterministic.  Shared by the mixture heuristic and the
-    polytope geometry.
-
-    price, when given, adds rows to the master (see _edge_walk), and the
-    weights cover the rows of X and then each vector price returned, in the
-    order returned; the fit is then over every vector price can return.
-    Without it the walk runs on _merged_pairs.
+    so the result is deterministic.
     """
     X = np.asarray(X, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
     seen: dict[bytes, int] = {}
     first = np.array([seen.setdefault(row.tobytes(), i) for i, row in enumerate(X)])
     distinct = np.flatnonzero(first == np.arange(len(X)))
-    if price is None:
-        w_distinct, _ = _edge_walk(*_merged_pairs(X[distinct], c))
-    else:
-        w_distinct, master = _edge_walk(X[distinct], c, np.ones_like(c), price)
-        X = np.vstack([X, master[len(distinct):]])
     w = np.zeros(len(X))
-    w[distinct] = np.maximum(w_distinct[: len(distinct)], 0.0)  # float noise
-    w[len(first):] = np.maximum(w_distinct[len(distinct):], 0.0)
+    w[distinct] = np.maximum(_edge_walk(*_merged_pairs(X[distinct], c)), 0.0)  # float noise
     w /= w.sum()
     return w, float(np.abs(c - w @ X).sum())
 
@@ -104,11 +95,9 @@ def _merged_pairs(X: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray,
     return pairs[1:, start], pairs[0, start], mult
 
 
-def _edge_walk(X: np.ndarray, c: np.ndarray, mult: np.ndarray,
-               price=None) -> tuple[np.ndarray, np.ndarray]:
+def _edge_walk(X: np.ndarray, c: np.ndarray, mult: np.ndarray) -> np.ndarray:
     """Optimal weights of the fit of the distinct rows of X to c, pair k
-    counted mult_k times, and the rows they weight: X's rows, then the
-    vectors price returned.
+    counted mult_k times.
 
     The walk starts at the row nearest c (the first of any tie).  A vertex
     is its basic groups B and held pairs K, one fewer, plus a sign s_k of
@@ -129,14 +118,6 @@ def _edge_walk(X: np.ndarray, c: np.ndarray, mult: np.ndarray,
     first.  Each step computes M^-1 afresh, O(b^3) for a basis of
     b <= min(g, m + 1) groups, so a singular basis raises ArithmeticError at
     whatever step it appears, and the basis change only edits B and K.
-
-    Without price the rows are fixed.  With it, whenever nothing improves,
-    price(y, floor) gets the duals y and returns a vector a (a row like
-    X's) not yet in the master with y @ a > floor, that is a negative
-    reduced cost, or None when there is none.  None ends the solve, and so
-    does a vector whose reduced cost here is not negative after all (float
-    noise), which keeps the loop finite; that vector stays in the master at
-    weight zero.
     """
     g, m = X.shape
     # each row with a trailing 1: its column is the simplex row, held like a
@@ -170,16 +151,7 @@ def _edge_walk(X: np.ndarray, c: np.ndarray, mult: np.ndarray,
         cost[B] = 0.0
         improving = cost < -_OPT_TOL
         if not improving.any():
-            if price is None:
-                break
-            a = price(y[:m], _OPT_TOL - y[m])
-            if a is None:
-                break
-            rows = np.vstack([rows, np.append(a, 1.0)])
-            enter, g = g, g + 1
-            slope = -(rows[enter] @ y)
-            if slope >= -_OPT_TOL:
-                break  # price and the duals disagree by float noise
+            break
         elif stalled < _BLAND_AFTER:
             enter = int(cost.argmin())
             slope = cost[enter]
@@ -257,7 +229,7 @@ def _edge_walk(X: np.ndarray, c: np.ndarray, mult: np.ndarray,
 
     w = np.zeros(g)
     w[B] = wB
-    return w, rows[:, :m]
+    return w
 
 
 def _fit_simplex_stack(V: np.ndarray, idx: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -347,21 +319,76 @@ def _solve_stack(X: np.ndarray, c: np.ndarray) -> np.ndarray:
         if pivots == max_iter:
             raise ArithmeticError("simplex failed to converge (iteration cap hit)")
         pivots += 1
-        L = np.arange(live.size)
-        enter = improving.argmax(axis=1)  # Bland: smallest improving index
-        col = A[L, :, enter]
-        ok = col > _PIVOT_TOL
-        ratios = np.divide(A[:, :, -1], col, out=np.full(col.shape, np.inf), where=ok)
-        best = ratios.min(axis=1)
-        if not np.isfinite(best).all():
-            raise ArithmeticError("LP column unbounded; input is inconsistent")
-        tied = ratios <= best[:, None] + _TIE_TOL
-        leave = np.where(tied, basis, _NO_ROW).argmin(axis=1)  # Bland on leaving variable
-        row = A[L, leave] / A[L, leave, enter][:, None]
-        A[L, leave] = row
-        factors = A[L, :, enter]
-        factors[L, leave] = 0.0
-        A -= factors[:, :, None] * row[:, None, :]
-        obj = obj - obj[L, enter][:, None] * row[:, :nvar]
-        obj[L, enter] = 0.0
-        basis[L, leave] = enter
+        obj = _pivot(A, basis, obj, improving)
+
+
+def _pivot(A: np.ndarray, basis: np.ndarray, obj: np.ndarray, improving: np.ndarray) -> np.ndarray:
+    """One Bland pivot on each tableau of a stack, in place on A and basis;
+    returns the new objective row."""
+    L = np.arange(len(A))
+    enter = improving.argmax(axis=1)  # Bland: smallest improving index
+    col = A[L, :, enter]
+    ok = col > _PIVOT_TOL
+    ratios = np.divide(A[:, :, -1], col, out=np.full(col.shape, np.inf), where=ok)
+    best = ratios.min(axis=1)
+    if not np.isfinite(best).all():
+        raise ArithmeticError("LP column unbounded; input is inconsistent")
+    tied = ratios <= best[:, None] + _TIE_TOL
+    leave = np.where(tied, basis, _NO_ROW).argmin(axis=1)  # Bland on leaving variable
+    row = A[L, leave] / A[L, leave, enter][:, None]
+    A[L, leave] = row
+    factors = A[L, :, enter]
+    factors[L, leave] = 0.0
+    A -= factors[:, :, None] * row[:, None, :]
+    obj = obj - obj[L, enter][:, None] * row[:, : obj.shape[1]]
+    obj[L, enter] = 0.0
+    basis[L, leave] = enter
+    return obj
+
+
+def _project_columns(c: np.ndarray, x0: np.ndarray, price) -> tuple[np.ndarray, float]:
+    """Optimal simplex weights of the L1 fit to c over x0 and every vector
+    price can return, by column generation: (weights, objective), the
+    weights on x0 and then on each vector price returned, in that order.
+
+    The master is _solve_stack's tableau, pivoted until no column improves.
+    Its row duals are then y_k = obj[g + k] + 1 (e+_k has the column e_k and
+    cost 1) and lam = obj[0] - y @ x0, and price(y, floor) returns a vector
+    a not yet in the master with y @ a > floor, an improving column, or
+    None, which ends the solve; so does a zero objective.  Each new column
+    rebuilds the tableau and re-reads it from the basis, so that float error
+    does not build up over the rounds.
+    """
+    m = len(c)
+    X = np.asarray(x0, dtype=np.float64)[None]
+    A, basis, obj = _tableau(X[None], c)
+    g, pivots = 1, 0
+    while A[0, basis[0] >= g, -1].sum() > _ZERO_TOL:  # the basic residuals
+        improving = obj > _PIVOT_TOL
+        if improving.any():
+            if pivots == 2000 + 200 * (g + 2 * m):
+                raise ArithmeticError("simplex failed to converge (iteration cap hit)")
+            pivots += 1
+            obj = _pivot(A, basis, obj, improving)
+            continue
+        y = obj[0, g : g + m] + 1.0
+        a = price(y, _OPT_TOL - (obj[0, 0] - y @ X[0]))
+        if a is None:
+            break
+        X = np.vstack([X, a])
+        basis[basis >= g] += 1  # the residual columns move right by one
+        g += 1
+        A, _, _ = _tableau(X[None], c)
+        try:  # _tableau returns T [original], so this is B^-1 [original]
+            A = np.linalg.solve(A[:, :, basis[0]], A)
+        except np.linalg.LinAlgError:
+            raise ArithmeticError("projection basis is singular") from None
+        obj = A[:, basis[0] >= g, :-1].sum(axis=1)  # the residuals cost 1, the weights 0
+        obj[:, g:] -= 1.0
+    if A[0, :, -1].min() < -_EDGE_TOL:  # a pivot on float noise, which the exit tests miss
+        raise ArithmeticError("projection basis became infeasible")
+    w = np.zeros(g)
+    held = basis[0] < g
+    w[basis[0, held]] = np.maximum(A[0, held, -1], 0.0)  # float noise
+    w /= w.sum()
+    return w, float(np.abs(c - w @ X).sum())

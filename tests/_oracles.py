@@ -350,18 +350,15 @@ def l1_fit_by_highs(X: np.ndarray, c) -> float:
     return float(res.fun)
 
 
-def projection_by_enumeration(c, n: int) -> tuple[np.ndarray, float]:
-    """L1 projection of c onto the linear ordering polytope as one weight
-    fit over all n! vertices, columns in lexicographic permutation order.
+def projection_by_enumeration(c, n: int) -> float:
+    """L1 distance from c to the linear ordering polytope, by HiGHS over all
+    n! vertices.
 
     `l1_projection_full` prices vertices instead of listing them; this is the
-    full LP it must agree with.  Returns (projected point, distance)."""
+    full LP it must agree with."""
     from mlop.exact import enumerate_vertices
-    from mlop.simplex_fit import _fit_simplex_l1
 
-    _, V = enumerate_vertices(n)
-    w, dist = _fit_simplex_l1(V, np.asarray(c, dtype=np.float64))
-    return w @ V, dist
+    return l1_fit_by_highs(enumerate_vertices(n)[1], np.asarray(c, dtype=np.float64))
 
 
 def _draw_index(weights: np.ndarray, rng: np.random.Generator) -> int:

@@ -726,13 +726,13 @@ def test_verify_projects_once(monkeypatch, capsys):
     import mlop.geometry
 
     calls = []
-    real = mlop.geometry._fit_simplex_l1
+    real = mlop.geometry._project_columns
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(mlop.geometry, "_fit_simplex_l1", counting)
+    monkeypatch.setattr(mlop.geometry, "_project_columns", counting)
     for point, g_star in (("0.3,0.9,0.2", 3), ("0.131,0.081,0.906,0.269,0.306,0.833", 5)):
         calls.clear()
         assert main(["verify", "--point", point]) == EXIT_OK

@@ -109,28 +109,24 @@ def test_projection_fixtures():
     assert np.allclose(point, v, atol=1e-9)
 
 
-@pytest.mark.xfail(strict=True, raises=ArithmeticError,
-                   reason="the edge walk cycles on tiny weights at a degenerate vertex")
-@pytest.mark.parametrize("n, point, distance", [
+# boundary points with an entry at the simplex's zero tolerance: an edge
+# walk in weight space cycled on the second projection of the first two and
+# on the first projection of the third
+_PROJECTED_TWICE = [
     (6, [0, .5, 1, 1, 0, .5, .5, 0, 0, .25, 1, 0, 1e-12, 1, 1], 3.0),
     (7, [-1, 1, 0, 0, 1, 0, -1, 0, 0, 1, 1, 1, .25, 0, 0, 1, 0, 1, 0, 0, 1e-12], 7.0),
-])
+]
+_DEGENERATE_6 = [0, 0, 0, 0, 0, 0, 1, 1, 0.125, 0.125, 0, 0, 0, 0, 1e-12]
+
+
+@pytest.mark.parametrize("n, point, distance", _PROJECTED_TWICE)
 def test_projection_of_a_projected_boundary_point(n, point, distance):
-    # the second projection of each point hits the walk's step cap today;
-    # a walk that terminates passes this, and strict makes that a failure
-    # until the mark is removed
     projected, first = l1_projection_full(point, n)
     assert first == pytest.approx(distance, abs=1e-9)
     _, second = l1_projection_full(projected, n)
     assert second == pytest.approx(0.0, abs=1e-9)
 
 
-# a third boundary point, on which the walk fails on its first projection
-_DEGENERATE_6 = [0, 0, 0, 0, 0, 0, 1, 1, 0.125, 0.125, 0, 0, 0, 0, 1e-12]
-
-
-@pytest.mark.xfail(strict=True, raises=ArithmeticError,
-                   reason="the edge walk cycles on tiny weights at a degenerate vertex")
 def test_first_projection_of_a_degenerate_boundary_point():
     projected, first = l1_projection_full(_DEGENERATE_6, 6)
     assert first >= 0.0
@@ -138,11 +134,10 @@ def test_first_projection_of_a_degenerate_boundary_point():
     assert second == pytest.approx(0.0, abs=1e-9)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="verify exits 5 when the edge walk cycles")
-def test_verify_a_degenerate_boundary_point(capsys):
-    point = ",".join(repr(v) for v in _DEGENERATE_6)
-    assert main(["verify", "--point", point, "--no-saturation"]) == 0
+@pytest.mark.parametrize("point", [p for _, p, _ in _PROJECTED_TWICE] + [_DEGENERATE_6])
+def test_verify_a_degenerate_boundary_point(capsys, point):
+    point = ",".join(repr(v) for v in point)
+    assert main(["verify", f"--point={point}", "--no-saturation"]) == 0
     assert json.loads(capsys.readouterr().out)["projection_distance"] >= 0.0
 
 
@@ -166,13 +161,13 @@ def test_saturation_fixtures():
 
 def test_saturation_solves_projection_lp_once(monkeypatch):
     calls = []
-    real = mlop.geometry._fit_simplex_l1
+    real = mlop.geometry._project_columns
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(mlop.geometry, "_fit_simplex_l1", counting)
+    monkeypatch.setattr(mlop.geometry, "_project_columns", counting)
     assert caratheodory_saturation([0.3, 0.9, 0.2], 3) == 3
     assert len(calls) == 1
 
@@ -267,11 +262,11 @@ def test_projection_and_verify_build_no_vertex_table(tmp_path, capsys):
 
 
 def test_pricing_never_reappends_a_master_vertex(monkeypatch):
-    real = mlop.geometry._fit_simplex_l1
+    real = mlop.geometry._project_columns
     entered = []
 
-    def watching(X, c, price):
-        entered.append(tuple(np.asarray(X[0], dtype=int)))
+    def watching(c, x0, price):
+        entered.append(tuple(np.asarray(x0, dtype=int)))
 
         def watched(y, floor):
             a = price(y, floor)
@@ -281,9 +276,9 @@ def test_pricing_never_reappends_a_master_vertex(monkeypatch):
                 entered.append(key)
             return a
 
-        return real(X, c, watched)
+        return real(c, x0, watched)
 
-    monkeypatch.setattr(mlop.geometry, "_fit_simplex_l1", watching)
+    monkeypatch.setattr(mlop.geometry, "_project_columns", watching)
     rng = np.random.default_rng(8)
     for n in (4, 6, 7):
         entered.clear()
@@ -316,16 +311,16 @@ def test_projection_guard_holds_at_every_admitted_n(monkeypatch, capsys, n):
     # distance of exterior points matches HiGHS over the vertices the master
     # generated, with no vertex pricing positive on the final duals
     calls = []
-    real = mlop.geometry._fit_simplex_l1
+    real = mlop.geometry._project_columns
 
-    def recording(X, c, price):
+    def recording(c, x0, price):
         def recorded(y, floor):
             calls.append((y.copy(), floor, price(y, floor)))
             return calls[-1][2]
 
-        return real(X, c, recorded)
+        return real(c, x0, recorded)
 
-    monkeypatch.setattr(mlop.geometry, "_fit_simplex_l1", recording)
+    monkeypatch.setattr(mlop.geometry, "_project_columns", recording)
     rng = np.random.default_rng(n)
     for _ in range(20):
         X = np.stack([random_order(n, rng).prec for _ in range(3)]).astype(float)

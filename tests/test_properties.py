@@ -474,15 +474,18 @@ def test_weight_fit_matches_highs(case):
 @st.composite
 def polytope_points(draw):
     """(n, point) at n = 2..7: a mixture of random orders (inside the
-    polytope), a point of the unit box, or a point with at least one entry
-    outside the box."""
+    polytope), a point of the unit box, a point with at least one entry
+    outside the box, or a point of grid values, with exact zeros and ties
+    and one value near the simplex's zero tolerance."""
     n = draw(st.integers(2, 7))
-    kind = draw(st.sampled_from(["mixture", "box", "outside"]))
+    kind = draw(st.sampled_from(["mixture", "box", "outside", "grid"]))
     if kind == "mixture":
         orders_ = draw(st.lists(orders(n), min_size=1, max_size=4))
         raw = np.array(draw(st.lists(st.integers(1, 10), min_size=len(orders_),
                                      max_size=len(orders_))), dtype=np.float64)
         return n, (raw / raw.sum()) @ np.stack([o.prec for o in orders_]).astype(np.float64)
+    if kind == "grid":
+        return n, np.array(draw(sized(n, st.sampled_from([0.0, 1e-12, 0.125, 0.25, 0.5, 1.0])))[1])
     point = np.array(draw(sized(n, st.floats(0.0, 1.0) if kind == "box"
                                 else st.floats(-1.0, 2.0)))[1])
     if kind == "outside":
@@ -496,20 +499,15 @@ def polytope_points(draw):
 # 1e-9 outside the polytope: the distance is MEMBERSHIP_TOL itself
 @example((3, np.array([1.0, 0.0, 1e-9])))
 @example((4, np.array([0.0, 0.0, 1e-9, 0.242968712, 0.0, 0.0])))
+# degenerate boundary points with an entry at the simplex's zero tolerance
+@example((6, np.array([0, .5, 1, 1, 0, .5, .5, 0, 0, .25, 1, 0, 1e-12, 1, 1])))
+@example((7, np.array([-1, 1, 0, 0, 1, 0, -1, 0, 0, 1, 1, 1, .25, 0, 0, 1, 0, 1, 0, 0, 1e-12])))
+@example((6, np.array([0, 0, 0, 0, 0, 0, 1, 1, .125, .125, 0, 0, 0, 0, 1e-12])))
 def test_projection_matches_vertex_enumeration(case):
     n, point = case
-    fits = []
-    real = mlop.geometry._fit_simplex_l1
-
-    def recording(*args):
-        fits.append(real(*args))
-        return fits[-1]
-
-    with mock.patch.object(mlop.geometry, "_fit_simplex_l1", recording):
-        projected, dist = l1_projection_full(point, n)
-    assert len(fits) == 1
-    weights = fits[0][0]
-    _, expected = projection_by_enumeration(point, n)
+    weights, V, dist = mlop.geometry._project(point, n)
+    projected = weights @ V
+    expected = projection_by_enumeration(point, n)
     assert abs(dist - expected) <= 1e-9
     # two LPs that agree to float noise may still put a distance within that
     # noise of the threshold on different sides of it
@@ -518,8 +516,6 @@ def test_projection_matches_vertex_enumeration(case):
     assert abs(np.abs(point - projected).sum() - dist) <= 1e-9
     assert l1_projection_full(projected, n)[1] <= MEMBERSHIP_TOL
     assert weights.min() >= 0.0 and abs(weights.sum() - 1.0) <= 1e-12
-    if n <= 5:
-        assert abs(dist - l1_fit_by_highs(enumerate_vertices(n)[1], point)) <= 1e-9
 
 
 @EXACT_SETTINGS
